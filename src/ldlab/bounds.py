@@ -417,7 +417,10 @@ def write_bound_csv(breakdown, path):
 
 def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
                  truth=None, phi_method="quad", seed=0):
-    """Assembled bound for every prefix y_{0:k}, k = 2..n, reusing shared terms."""
+    """Assembled bound for every prefix y_{0:k}, k = 2..n, reusing shared terms.
+
+    The full-horizon breakdown the series is built from is returned under
+    ``"full"``."""
     full = forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode=d_mode,
                             traj=traj, truth=truth, phi_method=phi_method, seed=seed)
     ps = full.per_step
@@ -440,6 +443,7 @@ def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None
         out["headline"].append(head)
     out = {k: np.asarray(v) for k, v in out.items()}
     out["parameters"] = full.parameters
+    out["full"] = full
     return out
 
 

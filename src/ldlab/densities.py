@@ -2,7 +2,8 @@
 
 Every family exposes the same small surface:
 
-- ``pdf`` / ``logpdf`` of the (centered) noise density,
+- ``pdf`` / ``logpdf`` of the (centered) noise density; ``logpdf(u, out=)``
+  writes into ``out`` as a numpy ufunc does (``out=u`` evaluates in place),
 - ``sample`` draws from it,
 - ``radial_min(r)`` / ``radial_max(r)``: inf and sup of the density over the
   closed ball of radius ``r`` around the origin,
@@ -38,10 +39,25 @@ class GaussianDensity:
         if self.sigma <= 0:
             raise ModelValidationError("gaussian scale must be positive")
 
-    def logpdf(self, u):
-        u = np.asarray(u, dtype=float)
-        sq = u * u if self.dim == 1 else np.sum(u * u, axis=-1)
-        return -0.5 * sq / self.sigma**2 - 0.5 * self.dim * (_LOG_2PI + 2.0 * math.log(self.sigma))
+    def logpdf(self, u, out=None):
+        """log density; with ``out`` (as for numpy ufuncs) it is written there.
+
+        The ``out`` route keeps the plain expression's order of operations, so
+        both routes give the same bits. Scalar callers such as ``quad`` take
+        the plain route.
+        """
+        const = 0.5 * self.dim * (_LOG_2PI + 2.0 * math.log(self.sigma))
+        if out is None:
+            u = np.asarray(u, dtype=float)
+            sq = u * u if self.dim == 1 else np.sum(u * u, axis=-1)
+            return -0.5 * sq / self.sigma**2 - const
+        if self.dim == 1:
+            np.multiply(u, u, out=out)
+        else:
+            np.sum(u * u, axis=-1, out=out)
+        np.multiply(out, -0.5, out=out)
+        np.divide(out, self.sigma**2, out=out)
+        return np.subtract(out, const, out=out)
 
     def pdf(self, u):
         return np.exp(self.logpdf(u))
@@ -86,6 +102,24 @@ class GaussianDensity:
         return {"family": "gaussian", "sigma": self.sigma, "dim": self.dim}
 
 
+def student_t_logpdf(u, df, scale, log_norm, out=None):
+    """Student-t log density with normalizer ``log_norm`` at offsets ``u``.
+
+    ``scale`` and ``log_norm`` may be arrays that broadcast against ``u``, one
+    per column for a kernel whose scale varies with the source node. With
+    ``out`` the steps run in place in the order of the plain expression.
+    """
+    if out is None:
+        z = np.asarray(u, dtype=float) / scale
+        return log_norm - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+    np.divide(u, scale, out=out)
+    np.multiply(out, out, out=out)
+    np.divide(out, df, out=out)
+    np.log1p(out, out=out)
+    np.multiply(out, 0.5 * (df + 1.0), out=out)
+    return np.subtract(log_norm, out, out=out)
+
+
 @dataclass(frozen=True)
 class StudentTDensity:
     """Scalar Student-t with ``df`` degrees of freedom, scaled by ``scale``.
@@ -110,9 +144,9 @@ class StudentTDensity:
             - math.log(self.scale)
         )
 
-    def logpdf(self, u):
-        z = np.asarray(u, dtype=float) / self.scale
-        return self._log_norm() - 0.5 * (self.df + 1.0) * np.log1p(z * z / self.df)
+    def logpdf(self, u, out=None):
+        """log density; ``out`` works as for GaussianDensity.logpdf."""
+        return student_t_logpdf(u, self.df, self.scale, self._log_norm(), out)
 
     def pdf(self, u):
         return np.exp(self.logpdf(u))
@@ -191,8 +225,8 @@ class TabulatedDensity:
     def pdf(self, u):
         return np.asarray(self.pdf_fn(u), dtype=float)
 
-    def logpdf(self, u):
-        return np.log(self.pdf(u))
+    def logpdf(self, u, out=None):
+        return np.log(self.pdf(u), out=out)
 
     def sample(self, rng, size=None):
         if self.sampler is None:

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .models import transition_density
 
+_LN2 = math.log(2.0)
+
 
 # ---------------------------------------------------------------------------
 # state sets
@@ -314,9 +316,12 @@ def log_contraction_from_logs(log_lower, log_upper):
     log_upper = np.asarray(log_upper, dtype=float)
     if np.any(log_lower > log_upper + 1e-9):
         raise EnvelopeOrderError("lower envelope exceeds upper envelope")
-    d = np.minimum(log_lower - log_upper, 0.0)
+    x = 2.0 * np.minimum(log_lower - log_upper, 0.0)
+    # log(1 - e^x) split at x = -ln 2 (Maechler 2012, "Accurately computing
+    # log(1 - exp(-|a|))"): below it 1 - e^x lies near 1, so its log loses
+    # relative precision (and is 0 once e^x < 2^-53); log1p(-exp(x)) keeps it
     with np.errstate(divide="ignore"):
-        return np.log(-np.expm1(2.0 * d))
+        return np.where(x > -_LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
 # ---------------------------------------------------------------------------

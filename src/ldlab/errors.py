@@ -5,7 +5,13 @@ Configuration problems map to CLI exit code 2, numerical failures to 3.
 
 
 class LabError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A pair runner that fails part-way sets ``tv_prefix`` to the (tv, log_tv)
+    arrays of the steps it completed before the failure.
+    """
+
+    tv_prefix = None
 
 
 class ConfigError(LabError):

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateInitError,
     FilterCollapseError,
     InsufficientDataError,
+    LabError,
     OracleScaleError,
     RepresentationError,
 )
@@ -186,16 +187,14 @@ def _maybe_resample(state, cfg, rng):
 
 def grid_kernel(model, nodes, tgt=None):
     """K[i, j] = q(x_j, t_i): transition density from source node j into
-    target node t_i. With ``tgt`` omitted the kernel is square on ``nodes``."""
-    noise = model.state_noise
-    f_vals = np.asarray(model.f(nodes), dtype=float)
+    target node t_i. With ``tgt`` omitted the kernel is square on ``nodes``.
+
+    One N x M array holds the offsets t_i - f(x_j), their log density and the
+    density in turn."""
     if tgt is None:
         tgt = nodes
-    if noise.kind == "iid":
-        u = tgt[:, None] - f_vals[None, :]
-        return np.exp(noise.density.logpdf(u))
-    cols = [np.exp(noise.logpdf(x, tgt - fx)) for x, fx in zip(nodes, f_vals)]
-    return np.stack(cols, axis=1)
+    u = np.subtract.outer(tgt, np.asarray(model.f(nodes), dtype=float))
+    return np.exp(model.state_noise.log_kernel(nodes, u), out=u)
 
 
 def noise_tail_radius(noise, eta=1e-12):
@@ -207,17 +206,6 @@ def noise_tail_radius(noise, eta=1e-12):
     if noise.kind == "iid":
         return noise.density.delta_for_tail_ratio(eta)
     return noise.psi.delta_for_tail_ratio(eta * noise.mu_minus / noise.mu_plus)
-
-
-def grid_predict(model, state, kernel=None):
-    """One prediction (kernel convolution), no reweighting."""
-    tau = trap_weights(state.nodes)
-    K = grid_kernel(model, state.nodes) if kernel is None else kernel
-    w = np.exp(state.log_weights - state.log_weights.max())
-    pred = K @ (tau * w)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(pred)
-    return replace(state, log_weights=_normalize_grid(log_w, tau, state.step))
 
 
 def filter_step(model, state, y, cfg=None, rng=None, kernel=None):
@@ -596,32 +584,36 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     adapt_count = 0
     r_noise = noise_tail_radius(model.state_noise)
 
-    for step in range(1, len(ys)):
-        # target window covering the predictive support of BOTH filters:
-        # the image of mean +/- k std under f spreads at most f_lip * k * std,
-        # plus the state-noise tail radius
-        mean1, std1 = _density_moments(nodes, phi, tau)
-        es = 0.0 if s == -np.inf else math.exp(s)
-        phi_other = np.maximum(phi + es * D, 0.0)
-        mass_other = float((phi_other * tau).sum())
-        if mass_other > 0:
-            mean2, std2 = _density_moments(nodes, phi_other / mass_other, tau)
-        else:
-            mean2, std2 = mean1, std1
-        tgt_lo, tgt_hi = _predictive_window(model, [(mean1, std1), (mean2, std2)],
-                                            k, r_noise, cfg.min_halfwidth)
-        dx = nodes[1] - nodes[0]
-        if abs(tgt_lo - nodes[0]) > 0.05 * dx or abs(tgt_hi - nodes[-1]) > 0.05 * dx:
-            adapt_count += 1
-        tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
-        K = grid_kernel(model, nodes, tgt)
-        g = np.exp(loglik(model, tgt, ys[step]))
-        u = g * (K @ (tau * phi))
-        uD = g * (K @ (tau * D))
-        nodes = tgt
-        tau = trap_weights(nodes)
-        phi, D, s = _pair_quotient_update(u, uD, s, tau, step)
-        tvs[step], log_tvs[step] = _pair_tv(D, s, tau)
+    try:
+        for step in range(1, len(ys)):
+            # target window covering the predictive support of BOTH filters:
+            # the image of mean +/- k std under f spreads at most f_lip * k * std,
+            # plus the state-noise tail radius
+            mean1, std1 = _density_moments(nodes, phi, tau)
+            es = 0.0 if s == -np.inf else math.exp(s)
+            phi_other = np.maximum(phi + es * D, 0.0)
+            mass_other = float((phi_other * tau).sum())
+            if mass_other > 0:
+                mean2, std2 = _density_moments(nodes, phi_other / mass_other, tau)
+            else:
+                mean2, std2 = mean1, std1
+            tgt_lo, tgt_hi = _predictive_window(model, [(mean1, std1), (mean2, std2)],
+                                                k, r_noise, cfg.min_halfwidth)
+            dx = nodes[1] - nodes[0]
+            if abs(tgt_lo - nodes[0]) > 0.05 * dx or abs(tgt_hi - nodes[-1]) > 0.05 * dx:
+                adapt_count += 1
+            tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
+            K = grid_kernel(model, nodes, tgt)
+            g = np.exp(loglik(model, tgt, ys[step]))
+            u = g * (K @ (tau * phi))
+            uD = g * (K @ (tau * D))
+            nodes = tgt
+            tau = trap_weights(nodes)
+            phi, D, s = _pair_quotient_update(u, uD, s, tau, step)
+            tvs[step], log_tvs[step] = _pair_tv(D, s, tau)
+    except LabError as exc:
+        exc.tv_prefix = (tvs[:step], log_tvs[:step])
+        raise
 
     es = 0.0 if s == -np.inf else math.exp(s)
     phi_other = np.maximum(phi + es * D, 0.0)

@@ -37,6 +37,9 @@ class IidNoise:
         # conditional density does not depend on x
         return self.density.logpdf(u)
 
+    def log_kernel(self, xs, u):
+        return self.density.logpdf(u, out=u)
+
     def sample(self, rng, x):
         return self.density.sample(rng)
 
@@ -54,12 +57,21 @@ class IidNoise:
 class DependentNoise:
     """State-dependent noise q(x, u) with envelope density ``psi``.
 
-    ``log_q(x, u)`` must be vectorized in ``u``. Sampling is rejection against
-    ``psi`` with acceptance bound ``mu_plus``, so only the envelope pair needs
-    to be exact; a direct ``sampler(rng, x)`` can override it.
+    ``log_q(x, u)`` must be vectorized in ``u``. ``log_kernel(xs, u)`` is its
+    broadcast form for a grid kernel: ``u`` has one column per source node,
+    and the call overwrites ``u[i, j]`` with ``log q(xs[j], u[i, j])`` and
+    returns ``u``. Each entry must carry the same bits as ``log_q(xs[j],
+    u[:, j])``, so per-node constants are computed with the same scalar calls
+    that ``log_q`` makes. Both noise kinds share this method, so
+    ``IidNoise.log_kernel`` ignores ``xs``.
+
+    Sampling is rejection against ``psi`` with acceptance bound ``mu_plus``,
+    so only the envelope pair needs to be exact; a direct ``sampler(rng, x)``
+    can override it.
     """
 
     log_q: Callable
+    log_kernel: Callable
     psi: object
     mu_minus: float
     mu_plus: float
@@ -335,13 +347,3 @@ def audit_lipschitz(model, rng, pairs=1000, box=(-10.0, 10.0)):
     f = np.vectorize(model.f)
     gap = np.abs(f(x1) - f(x2)) - model.f_lip * np.abs(x1 - x2)
     return float(np.max(gap))
-
-
-def audit_dependent_envelope(noise, xs, us):
-    """Extremes of q(x, u) / psi(u) over a grid; must sit in [mu-, mu+]."""
-    ratios = []
-    for x in xs:
-        r = np.exp(np.asarray(noise.log_q(x, np.asarray(us))) - noise.psi.logpdf(np.asarray(us)))
-        ratios.append(r)
-    ratios = np.array(ratios)
-    return float(ratios.min()), float(ratios.max())

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .densities import GaussianDensity, StudentTDensity, density_from_spec
+from .densities import GaussianDensity, StudentTDensity, density_from_spec, student_t_logpdf
 from .errors import ConfigError, ModelValidationError
 from .models import DependentNoise, IidNoise, StateSpaceModel
 
@@ -110,7 +110,14 @@ def _sine_modulated_noise(spec):
         u = np.asarray(u, dtype=float)
         return psi.logpdf(u) + np.log1p(c * math.sin(x) * np.sin(u))
 
-    return DependentNoise(log_q=log_q, psi=psi, mu_minus=1.0 - c, mu_plus=1.0 + c)
+    def log_kernel(xs, u):
+        mod = np.sin(u)
+        mod *= np.array([c * math.sin(x) for x in xs])
+        np.log1p(mod, out=mod)
+        return np.add(psi.logpdf(u, out=u), mod, out=u)
+
+    return DependentNoise(log_q=log_q, log_kernel=log_kernel, psi=psi,
+                          mu_minus=1.0 - c, mu_plus=1.0 + c)
 
 
 def _scaled_t_noise(spec):
@@ -139,14 +146,22 @@ def _scaled_t_noise(spec):
         s = sigma(x)
         return StudentTDensity(df=df, scale=s).logpdf(u)
 
+    # StudentTDensity's normalizer less its final "- log(scale)" term
+    log_norm_unit = StudentTDensity(df=df, scale=1.0)._log_norm()
+
+    def log_kernel(xs, u):
+        scales = np.array([sigma(x) for x in xs])
+        log_norms = np.array([log_norm_unit - math.log(s) for s in scales])
+        return student_t_logpdf(u, df, scales, log_norms, out=u)
+
     def sampler(rng, x):
         return sigma(x) * rng.standard_t(df)
 
     def sampler_vec(rng, xs):
         return (s0 + s1 * np.sin(xs)) * rng.standard_t(df, size=len(xs))
 
-    return DependentNoise(log_q=log_q, psi=psi, mu_minus=mu_minus, mu_plus=mu_plus,
-                          sampler=sampler, sampler_vec=sampler_vec)
+    return DependentNoise(log_q=log_q, log_kernel=log_kernel, psi=psi, mu_minus=mu_minus,
+                          mu_plus=mu_plus, sampler=sampler, sampler_vec=sampler_vec)
 
 
 def _state_noise_from_spec(spec):

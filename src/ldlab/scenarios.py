@@ -18,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .bounds import bound_series, eta_sweep, forgetting_bound, forgetting_bound_finite
+# forgetting_bound is not called here; it stays importable from this module,
+# where benchmarks/tracer.py wraps it
+from .bounds import bound_series, eta_sweep, forgetting_bound, forgetting_bound_finite  # noqa: F401
 from .doeblin import (
     delta_for_eta,
     finite_ld_construct,
@@ -319,28 +321,33 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
     s1, s2 = init_on(prior1), init_on(prior2)
     tvs = np.empty(len(ys))
     tvs[0] = tv_distance(s1, s2)
-    for step in range(1, len(ys)):
-        # shared target window covering both predictives, then one shared
-        # rectangular kernel from the current window into it
-        tgt_lo, tgt_hi = _predictive_window(model, [grid_moments(s1), grid_moments(s2)],
-                                            k, r_noise, cfg.min_halfwidth)
-        tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
-        kern = grid_kernel(model, nodes, tgt)
-        tau = trap_weights(nodes)
-        tau_t = trap_weights(tgt)
-        glog = _loglik(model, tgt, ys[step])
+    try:
+        for step in range(1, len(ys)):
+            # shared target window covering both predictives, then one shared
+            # rectangular kernel from the current window into it
+            tgt_lo, tgt_hi = _predictive_window(model, [grid_moments(s1), grid_moments(s2)],
+                                                k, r_noise, cfg.min_halfwidth)
+            tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
+            kern = grid_kernel(model, nodes, tgt)
+            tau = trap_weights(nodes)
+            tau_t = trap_weights(tgt)
+            glog = _loglik(model, tgt, ys[step])
 
-        def advance(state):
-            w = np.exp(state.log_weights - state.log_weights.max())
-            pred = kern @ (tau * w)
-            with np.errstate(divide="ignore"):
-                log_w = np.log(pred) + glog
-            return FilterState(kind="grid", step=step, nodes=tgt,
-                               log_weights=_normalize_grid(log_w, tau_t, step))
+            def advance(state):
+                w = np.exp(state.log_weights - state.log_weights.max())
+                pred = kern @ (tau * w)
+                with np.errstate(divide="ignore"):
+                    log_w = np.log(pred) + glog
+                return FilterState(kind="grid", step=step, nodes=tgt,
+                                   log_weights=_normalize_grid(log_w, tau_t, step))
 
-        s1, s2 = advance(s1), advance(s2)
-        nodes = tgt
-        tvs[step] = tv_distance(s1, s2)
+            s1, s2 = advance(s1), advance(s2)
+            nodes = tgt
+            tvs[step] = tv_distance(s1, s2)
+    except LabError as exc:
+        with np.errstate(divide="ignore"):
+            exc.tv_prefix = (tvs[:step], np.log(tvs[:step]))
+        raise
     with np.errstate(divide="ignore"):
         log_tvs = np.log(tvs)
     return tvs, log_tvs, {"final_window": [float(nodes[0]), float(nodes[-1])]}
@@ -519,10 +526,12 @@ def run_scenario(config, seed=None, out_dir=None):
         except LabError as exc:
             failure = {"error": type(exc).__name__, "message": str(exc),
                        "step": getattr(exc, "step", None)}
-            done = failure["step"] or 0
+            # steps the runner completed keep their values; the rest are NaN
             tvs = np.full(len(ys), np.nan)
             log_tvs = np.full(len(ys), np.nan)
-            tvs[:done] = 0.0
+            if exc.tv_prefix is not None:
+                done = len(exc.tv_prefix[0])
+                tvs[:done], log_tvs[:done] = exc.tv_prefix
 
     ns = np.arange(len(ys))
     bound_log = None
@@ -604,7 +613,7 @@ def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys, ns):
         eta_val = float(eta)
     series = bound_series(model, prior1, prior2, ys, alpha, eta_val, **kwargs)
     bound_log[series["n"]] = series["log_total"]
-    full = forgetting_bound(model, prior1, prior2, ys, alpha, eta_val, **kwargs)
+    full = series["full"]
     info = {"eta": eta_val, "alpha": alpha, "delta": full.parameters["delta"],
             "d_mode": full.parameters["d_mode"], "final": full.to_json_dict(),
             "sweep": sweep_info}

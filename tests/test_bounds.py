@@ -262,6 +262,8 @@ def test_bound_series_last_point_matches_full_bound():
     assert series["n"][-1] == 8
     assert series["log_total"][-1] == pytest.approx(full.log_total, rel=1e-12)
     assert series["headline"][-1] == pytest.approx(full.headline, rel=1e-12)
+    # the breakdown behind the series is the full-horizon bound itself
+    assert series["full"].to_json_dict() == full.to_json_dict()
     # prefixes get monotonically more data, not monotonically better bounds;
     # just require finiteness and the clamp
     assert np.all(np.isfinite(series["log_lambda"]))

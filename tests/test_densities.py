@@ -26,6 +26,28 @@ def test_gaussian_pdf_reference_values():
     assert g.pdf(-2.0) == pytest.approx(N01_AT_2, abs=1e-15)
 
 
+@pytest.mark.parametrize("density", [GaussianDensity(sigma=0.7),
+                                     StudentTDensity(df=3.5, scale=1.3)],
+                         ids=["gaussian", "student-t"])
+def test_logpdf_out_is_bitwise_the_plain_route(density):
+    u = np.random.default_rng(3).normal(scale=5.0, size=(37, 23))
+    plain = density.logpdf(u)
+    buf = np.empty_like(u)
+    assert density.logpdf(u, out=buf) is buf
+    assert np.array_equal(buf, plain)
+    inplace = u.copy()
+    density.logpdf(inplace, out=inplace)
+    assert np.array_equal(inplace, plain)
+    # scalars and 0-d arrays, as quad passes them, give the same bits
+    for x in (1.7, np.float64(-2.3), np.array(0.4)):
+        val = density.logpdf(x)
+        assert np.ndim(val) == 0
+        assert val == density.logpdf(np.array([x]))[0]
+        out0 = np.empty(())
+        density.logpdf(np.array(x), out=out0)
+        assert out0 == val
+
+
 def test_gaussian_radial_envelopes():
     g = GaussianDensity(sigma=1.0)
     # unimodal symmetric: min over the ball sits on the rim, max at the center

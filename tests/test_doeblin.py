@@ -131,6 +131,21 @@ def test_log_contraction_handles_tiny_ratio_without_underflow():
     assert float(val) == pytest.approx(math.log(-math.expm1(-20.0)), abs=1e-15)
 
 
+def test_log_contraction_keeps_precision_below_minus_ln2():
+    # 2d = -40: log(1 - e^-40) = -e^-40 to double precision, where the
+    # expm1 route rounds it to 0
+    val = log_contraction_from_logs(-20.0, 0.0)
+    assert float(val) == pytest.approx(-math.exp(-40.0), rel=1e-15)
+    # 2d = -800: e^-800 underflows, so the honest float answer is 0
+    assert float(log_contraction_from_logs(-400.0, 0.0)) == 0.0
+    # both sides of the split at 2d = -ln 2 match the scalar references
+    ds = 0.5 * np.array([-0.6, -math.log(2.0) + 1e-12, -math.log(2.0) - 1e-12, -3.0])
+    got = log_contraction_from_logs(ds, np.zeros_like(ds))
+    want = [math.log(-math.expm1(2 * d)) if 2 * d > -math.log(2.0)
+            else math.log1p(-math.exp(2 * d)) for d in ds]
+    assert np.array_equal(got, want)
+
+
 def test_recorded_distance_dominates_exact_for_identity_pair():
     m = _rw_model()
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=200, seed=42)

@@ -138,6 +138,34 @@ def test_grid_kernel_source_target_shapes_and_mass():
     assert np.all(np.abs(col_mass - 1.0) < 1e-6)
 
 
+KERNEL_NOISES = {
+    "iid-gaussian": {"kind": "iid", "density": {"family": "gaussian", "sigma": 0.7}},
+    "iid-student-t": {"kind": "iid", "density": {"family": "student_t", "df": 3.5, "scale": 1.3}},
+    "scaled-t": {"kind": "scaled_t", "df": 4.0, "s0": 1.0, "s1": 0.3},
+    "sine-modulated": {"kind": "sine_modulated", "c": 0.4},
+}
+
+
+@pytest.mark.parametrize("noise", sorted(KERNEL_NOISES))
+def test_grid_kernel_is_bitwise_the_column_by_column_kernel(noise):
+    model = model_from_spec({
+        "kind": "nonlinear",
+        "f": {"type": "sine_perturbed_affine", "c0": 0.1, "c1": 0.9, "amp": 0.3},
+        "h": {"type": "identity"},
+        "state_noise": KERNEL_NOISES[noise],
+    })
+    src = np.linspace(-7.3, 6.1, 512)
+    f_vals = np.asarray(model.f(src), dtype=float)
+    # square, fewer target than source nodes, more target than source nodes
+    for tgt in (None, np.linspace(-9.0, 8.5, 151), np.linspace(-2.0, 3.0, 257)):
+        t = src if tgt is None else tgt
+        ref = np.stack([np.exp(model.state_noise.logpdf(x, t - fx))
+                        for x, fx in zip(src, f_vals)], axis=1)
+        K = grid_kernel(model, src, tgt)
+        assert K.shape == (len(t), len(src))
+        assert np.array_equal(K, ref)
+
+
 def test_noise_tail_radius_gaussian():
     model = _rw_model()
     r = noise_tail_radius(model.state_noise, eta=1e-12)
@@ -177,6 +205,21 @@ def test_paired_runner_log_tv_reaches_deep_underflow_territory():
                         traj.observations, cfg)
     assert res.log_tv[-1] < -60.0
     assert np.all(np.isfinite(res.log_tv))
+
+
+def test_failed_pair_run_keeps_the_prefix_it_computed():
+    model = _rw_model()
+    p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
+    ys = simulate_trajectory(model, p1, n=10, seed=5).observations.copy()
+    ys[-1] = 1e6  # the likelihood underflows to 0 on every node of the last window
+    cfg = ReprConfig(kind="grid", nodes=128)
+    with pytest.raises(FilterCollapseError) as err:
+        run_grid_pair(model, p1, p2, ys, cfg)
+    assert err.value.step == 10
+    tv, log_tv = err.value.tv_prefix
+    short = run_grid_pair(model, p1, p2, ys[:-1], cfg)
+    assert np.array_equal(tv, short.tv)
+    assert np.array_equal(log_tv, short.log_tv)
 
 
 def test_unstable_drift_does_not_collapse():

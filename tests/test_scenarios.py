@@ -11,6 +11,7 @@ from ldlab.errors import ConfigError
 from ldlab.filtering import ReprConfig, exact_filter_finite, run_grid_pair, tv_half_l1
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
+from ldlab import scenarios
 from ldlab.scenarios import (
     PRESETS,
     compare_particle_grid,
@@ -149,6 +150,35 @@ def test_run_scenario_records_failures_instead_of_raising():
     assert rep.tv.tv.shape == (11,)
     assert np.isnan(rep.tv.tv).all()
     assert rep.fit is None
+
+
+@pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
+def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch, paired):
+    real_simulate = scenarios._simulate
+
+    def poisoned(*args):
+        traj, ys = real_simulate(*args)
+        ys = ys.copy()
+        ys[-1] = np.inf  # zero likelihood on every node: the last step collapses
+        return traj, ys
+
+    monkeypatch.setattr(scenarios, "_simulate", poisoned)
+    raw = dict(SMALL_SCENARIO, bound=None, repr={"kind": "grid", "nodes": 128, "paired": paired})
+    rep = run_scenario(raw, seed=7)
+    assert rep.failure["step"] == 12
+    cfg = scenario_from_dict(raw)
+    model = model_from_spec(cfg.model)
+    p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
+    _, ys = real_simulate(cfg, model, None, None, 7)
+    rc = repr_config(cfg.repr)
+    if paired:
+        short = run_grid_pair(model, p1, p2, ys[:-1], rc)
+        tv, log_tv = short.tv, short.log_tv
+    else:
+        tv, log_tv, _ = run_grid_pair_unpaired(model, p1, p2, ys[:-1], rc)
+    assert np.array_equal(rep.tv.tv[:12], tv)
+    assert np.array_equal(rep.tv.log_tv[:12], log_tv)
+    assert np.isnan(rep.tv.tv[12]) and np.isnan(rep.tv.log_tv[12])
 
 
 def test_finite_scenario_runs_exactly():
