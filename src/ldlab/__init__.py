@@ -45,7 +45,6 @@ from .errors import (
     InsufficientDataError,
     LabError,
     ModelValidationError,
-    NumericalError,
     OracleScaleError,
     RepresentationError,
     UnavailableModeError,

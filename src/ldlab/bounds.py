@@ -8,7 +8,6 @@ never exceeds it) with the raw value preserved in the breakdown.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +30,7 @@ from .errors import (
     InfeasibleConstraintError,
     OracleScaleError,
 )
-from .filtering import _path_digits
+from .filtering import _path_log_weights, _propagate_particles
 from .models import loglik, transition_density
 
 
@@ -131,7 +130,7 @@ def two_step_prior_mass(model, prior, y0, y1, delta, method="quad", budget=100_0
     if method == "mc":
         rng = np.random.default_rng(seed)
         xs = np.asarray(prior.sample(rng, budget), dtype=float)
-        xps = _propagate(model, xs, rng)
+        xps = _propagate_particles(model, xs, rng)
         vals = np.exp(loglik(model, xs, y0) + loglik(model, xps, y1))
         vals = vals * np.asarray(c1.contains(xps), dtype=float)
         mean = float(vals.mean())
@@ -140,17 +139,6 @@ def two_step_prior_mass(model, prior, y0, y1, delta, method="quad", budget=100_0
             return PhiValue(value=mean, log_value=math.log(mean), method="mc", stderr=se)
         return PhiValue(value=0.0, log_value=-math.inf, method="mc", stderr=se, underflow=True)
     raise ConfigError(f"unknown method {method!r}")
-
-
-def _propagate(model, xs, rng):
-    noise = model.state_noise
-    f_vals = np.asarray(model.f(xs), dtype=float)
-    if noise.kind == "iid":
-        return f_vals + noise.density.sample(rng, size=len(xs))
-    sampler_vec = getattr(noise, "sampler_vec", None)
-    if sampler_vec is not None:
-        return f_vals + sampler_vec(rng, xs)
-    return f_vals + np.array([noise.sample(rng, x) for x in xs])
 
 
 def _log_phi_grid(model, prior, y0, y1, c1, n_grid=2001):
@@ -423,7 +411,16 @@ def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None
     ``"full"``."""
     full = forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode=d_mode,
                             traj=traj, truth=truth, phi_method=phi_method, seed=seed)
+    return prefix_series(full)
+
+
+def prefix_series(full):
+    """The prefix bounds of ``bound_series`` from a full-horizon breakdown.
+
+    Every prefix reuses the breakdown's per-step terms, its alpha and its eta.
+    """
     ps = full.per_step
+    alpha, eta = full.parameters["alpha"], full.parameters["eta"]
     log_phi = full.components["log_phi_nu"] + full.components["log_phi_nu_prime"]
     out = {"n": [], "log_lambda": [], "log_remainder": [], "log_total": [], "headline": []}
     n = full.parameters["n"]
@@ -450,17 +447,14 @@ def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None
 def eta_sweep(model, prior1, prior2, ys, alpha, etas=None, **kwargs):
     """Evaluate the bound on a log-spaced eta grid; report the tightest total.
 
-    Sweep points are independent, so they run on a thread pool; results come
-    back in eta order regardless of completion order.
+    Points run one after another: a thread pool over them was measured no
+    faster (rw-gauss seed 101, 13 points, medians of 6 alternating runs on 2
+    CPUs: 1.46 s pooled, 1.38 s serial, identical results).
     """
     if etas is None:
         etas = np.exp(np.linspace(math.log(1e-4), math.log(0.5), 13))
-
-    def eval_one(eta):
-        return forgetting_bound(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
-
-    with ThreadPoolExecutor(max_workers=min(len(etas), 8)) as pool:
-        results = list(pool.map(eval_one, etas))
+    results = [forgetting_bound(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
+               for eta in etas]
     best = min(results, key=lambda b: b.log_total)
     return {"etas": np.asarray(etas, dtype=float), "results": results, "best": best}
 
@@ -478,33 +472,7 @@ class GapResult:
     holds: bool
 
 
-def _enumerate_paths(fmodel, nu, ys):
-    """All state paths with their log weights (prior, transitions, emissions)."""
-    nu = np.asarray(nu, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    m = fmodel.m
-    n = len(ys) - 1
-    if m ** (n + 1) > 10**7:
-        raise OracleScaleError("path enumeration capped at 10^7 paths")
-    paths = _path_digits(m, n + 1)
-    g = np.stack([fmodel.emission_vector(y) for y in ys], axis=0)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(nu)[paths[:, 0]]
-        for k in range(1, n + 1):
-            log_w = log_w + np.log(fmodel.Q)[paths[:, k - 1], paths[:, k]]
-        for k in range(0, n + 1):
-            log_w = log_w + np.log(g[k])[paths[:, k]]
-    return paths, log_w
-
-
-def _terminal_sums(fmodel, nu, ys):
-    """Unnormalized terminal-state masses from the full path table, scaled."""
-    paths, log_w = _enumerate_paths(fmodel, nu, ys)
-    peak = float(np.max(log_w))
-    if not np.isfinite(peak):
-        return np.zeros(fmodel.m), -math.inf
-    w = np.exp(log_w - peak)
-    return np.bincount(paths[:, -1], weights=w, minlength=fmodel.m), peak
+_MAX_PATHS = 10**7  # path-table cap of the exhaustive checks below
 
 
 def numerator_gap(fmodel, nu, nup, ys, ld):
@@ -521,8 +489,15 @@ def numerator_gap(fmodel, nu, nup, ys, ld):
     m = fmodel.m
     if m > 20:
         raise OracleScaleError("subset enumeration capped at 2^20")
-    s1, ls1 = _terminal_sums(fmodel, nu, ys)
-    s2, ls2 = _terminal_sums(fmodel, nup, ys)
+    # unnormalized terminal-state masses of each chain, scaled by its peak
+    # path weight; a chain whose paths all carry zero mass gives zeros
+    scaled = []
+    for prior in (nu, nup):
+        paths, log_w = _path_log_weights(fmodel, prior, ys, _MAX_PATHS)
+        peak = float(np.max(log_w))
+        w = np.exp(log_w - peak) if np.isfinite(peak) else np.zeros(len(log_w))
+        scaled.append((np.bincount(paths[:, -1], weights=w, minlength=m), peak))
+    (s1, ls1), (s2, ls2) = scaled
     # common scale exp(ls1 + ls2) for the cross products
     c = s1 * s2.sum() - s2 * s1.sum()
     best = 0.0
@@ -589,8 +564,8 @@ def numerator_rhs_enumerated(fmodel, nu, nup, ys, ld):
     n = len(ys) - 1
     if m ** (2 * (n + 1)) > 2**22:
         raise OracleScaleError("pair-path enumeration capped at 2^22 combinations")
-    paths, log_w = _enumerate_paths(fmodel, nu, ys)
-    _, log_w2 = _enumerate_paths(fmodel, nup, ys)  # identical path table, new weights
+    paths, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
+    _, log_w2 = _path_log_weights(fmodel, nup, ys, _MAX_PATHS)  # same table, new weights
     masks = _ld_masks(fmodel, ld, ys)
     in_c = np.stack([masks[k][paths[:, k]] for k in range(n + 1)], axis=1)  # (P, n+1)
     bins = [int(ld.obs_to_bin(y)) for y in ys]
@@ -624,7 +599,7 @@ def denominator_gap(fmodel, nu, ys, ld):
     n = len(ys) - 1
     if n < 1:
         raise ConfigError("need at least one step")
-    _, log_w = _enumerate_paths(fmodel, nu, ys)
+    _, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
     lhs_log = _logsumexp(log_w)
     bins = [int(ld.obs_to_bin(y)) for y in ys]
     rhs_log = math.log(two_step_prior_mass_finite(fmodel, nu, ys[0], ys[1], ld.set_for(ys[1])))

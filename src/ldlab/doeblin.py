@@ -2,13 +2,12 @@
 
 Builds the observation-indexed state sets {x : |h(x) - y| <= delta}, the
 lower/upper envelope pair that sandwiches the transition kernel on those sets,
-the preimage-distance quantity the envelope radius depends on, likelihood
-suprema, and the per-step contraction coefficient. Everything here is a pure
+the preimage-distance quantity the envelope radius depends on, the tail-ratio
+radius, and the per-step contraction coefficient. Everything here is a pure
 function of the model and observed data; the bound assembly lives in bounds.py.
 
 Envelope values decay like the noise density at the radius, so all quantities
-are available in log form; natural-scale accessors exist for the ranges where
-they are representable.
+are available in log form.
 """
 
 from __future__ import annotations
@@ -96,40 +95,12 @@ class EnvelopeFns:
 
     log_lower: Callable
     log_upper: Callable
-    kind: str
-
-    def lower(self, r):
-        return np.exp(self.log_lower(r))
-
-    def upper(self, r):
-        return np.exp(self.log_upper(r))
-
-    def audit(self, r_max=20.0, n=10_000):
-        """Check monotonicity and ordering on a radius grid."""
-        rs = np.linspace(0.0, r_max, n)
-        lo = np.asarray(self.log_lower(rs), dtype=float)
-        hi = np.asarray(self.log_upper(rs), dtype=float)
-        order_ok = bool(np.all(lo <= hi + 1e-12))
-        lower_monotone = bool(np.all(np.diff(lo) <= 1e-12))
-        peak = int(np.argmax(hi))
-        upper_flat_beyond_peak = bool(np.all(np.diff(hi[peak:]) <= 1e-12))
-        return {
-            "order_ok": order_ok,
-            "lower_nonincreasing": lower_monotone,
-            "upper_nonincreasing_beyond_peak": upper_flat_beyond_peak,
-            "r_max": r_max,
-            "n": n,
-        }
 
 
 def envelope_fns(model):
     """Envelope pair for the model's state noise (iid or dependent)."""
     noise = model.state_noise
-    return EnvelopeFns(
-        log_lower=noise.log_radial_min,
-        log_upper=noise.log_radial_max,
-        kind=noise.kind,
-    )
+    return EnvelopeFns(log_lower=noise.log_radial_min, log_upper=noise.log_radial_max)
 
 
 def envelope_radius(model, delta, d_value):
@@ -171,49 +142,11 @@ def misspec_distance_forms(truth, eps_prev, zeta, eps):
     }
 
 
-def preimage_distance_misspec(truth, eps_prev, zeta, eps):
-    """Safe upper bound for mis-specified data: max of the two forms."""
-    forms = misspec_distance_forms(truth, eps_prev, zeta, eps)
-    return np.maximum(forms["proof_form"], forms["statement_form"])
-
-
-def preimage_distance(model, y, yp, mode="auto", noises=None, truth=None):
-    """Dispatch over the three modes.
-
-    ``noises`` is (eps_prev, zeta, eps) for the step whose observation pair is
-    (y, y'). ``auto`` prefers the exact preimage when the observation map is
-    invertible, then the recorded-noise bound.
-    """
-    if mode == "auto":
-        if model.h_inverse is not None:
-            mode = "exact"
-        elif noises is not None:
-            mode = "recorded"
-        else:
-            raise UnavailableModeError("no invertible observation map and no noise record")
-    if mode == "exact":
-        return preimage_distance_exact(model, y, yp)
-    if mode == "recorded":
-        if noises is None:
-            raise UnavailableModeError("recorded mode needs the step's noise triple")
-        return float(preimage_distance_recorded(model, *noises))
-    if mode == "misspec":
-        if truth is None or noises is None:
-            raise UnavailableModeError("misspec mode needs the truth description and noises")
-        return float(preimage_distance_misspec(truth, *noises))
-    raise ConfigError(f"unknown preimage-distance mode {mode!r}")
-
-
 def recorded_distance_series(model, traj):
     """Recorded-noise distance for each observation pair (y_{k-1}, y_k), k = 1..n."""
     eps = traj.obs_noise
     zeta = traj.state_noise
     return preimage_distance_recorded(model, eps[:-1], zeta, eps[1:])
-
-
-def exact_distance_series(model, traj):
-    ys = traj.observations
-    return np.array([preimage_distance_exact(model, ys[k - 1], ys[k]) for k in range(1, len(ys))])
 
 
 def misspec_distance_series(truth, traj):
@@ -232,6 +165,10 @@ def misspec_distance_series(truth, traj):
 
 def distance_series(model, ys, mode="auto", traj=None, truth=None):
     """Per-pair distance values for (y_{k-1}, y_k), k = 1..n, plus the mode used.
+
+    The one dispatcher over the three modes: ``exact`` (invertible h),
+    ``recorded`` (noise record of ``traj``) and ``misspec`` (``truth`` plus
+    ``traj``, max of both forms).
 
     ``auto`` prefers the exact preimage, then the recorded-noise bound when a
     trajectory with noise records is supplied.
@@ -262,52 +199,19 @@ def distance_series(model, ys, mode="auto", traj=None, truth=None):
 
 
 # ---------------------------------------------------------------------------
-# envelope pairs
+# envelope pairs and the contraction coefficient
 
 
-def log_envelope_pair(model, delta, d_value, env=None):
-    env = env or envelope_fns(model)
-    r = envelope_radius(model, delta, d_value)
-    return env.log_lower(r), env.log_upper(r)
+def envelope_pair(model, y, yp, delta, d_value=None):
+    """(lower, upper) envelope values for the pair (y, y'); natural scale.
 
-
-def envelope_pair(model, y, yp, delta, d_value=None, mode="auto", noises=None, truth=None):
-    """(lower, upper) envelope values for the pair (y, y'); natural scale."""
+    Without ``d_value`` the radius uses the exact preimage distance.
+    """
     if d_value is None:
-        d_value = preimage_distance(model, y, yp, mode=mode, noises=noises, truth=truth)
-    lo, hi = log_envelope_pair(model, delta, d_value)
-    return math.exp(lo), math.exp(hi)
-
-
-def log_envelope_series(model, traj, delta, d_mode="recorded", truth=None):
-    """log lower/upper envelopes for every pair (y_{k-1}, y_k), k = 1..n."""
-    if d_mode == "recorded":
-        d = recorded_distance_series(model, traj)
-    elif d_mode == "exact":
-        d = exact_distance_series(model, traj)
-    elif d_mode == "misspec":
-        if truth is None:
-            raise UnavailableModeError("misspec mode needs the truth description")
-        d, _ = misspec_distance_series(truth, traj)
-    else:
-        raise ConfigError(f"unknown distance mode {d_mode!r}")
+        d_value = preimage_distance_exact(model, y, yp)
     env = envelope_fns(model)
-    r = envelope_radius(model, delta, d)
-    return np.asarray(env.log_lower(r), dtype=float), np.asarray(env.log_upper(r), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# contraction coefficient
-
-
-def contraction_coeff(eps_lower, eps_upper):
-    """1 - (lower/upper)^2, in [0, 1)."""
-    if eps_lower <= 0 or eps_upper <= 0:
-        raise EnvelopeOrderError("envelope values must be positive")
-    if eps_lower > eps_upper * (1.0 + 1e-12):
-        raise EnvelopeOrderError("lower envelope exceeds upper envelope")
-    ratio = min(eps_lower / eps_upper, 1.0)
-    return 1.0 - ratio * ratio
+    r = envelope_radius(model, delta, d_value)
+    return math.exp(env.log_lower(r)), math.exp(env.log_upper(r))
 
 
 def log_contraction_from_logs(log_lower, log_upper):
@@ -325,37 +229,7 @@ def log_contraction_from_logs(log_lower, log_upper):
 
 
 # ---------------------------------------------------------------------------
-# likelihood suprema and the tail-ratio condition
-
-
-def likelihood_sup(model, y, region="all", grid_n=20_001):
-    """sup of x -> v(y - h(x)) over a region.
-
-    ``"all"`` uses that h is surjective, so the supremum is the density peak.
-    A StateSet region is maximized on a grid over its interval at the stated
-    resolution.
-    """
-    v = model.obs_noise
-    if region == "all":
-        return v.sup()
-    if isinstance(region, StateSet):
-        if not region.is_interval:
-            raise RepresentationError("grid maximization needs an interval region")
-        xs = np.linspace(region.lo, region.hi, grid_n)
-        xs = xs[np.asarray(region.contains(xs), dtype=bool)]
-        if xs.size == 0:
-            return 0.0
-        return float(np.max(np.exp(v.logpdf(y - np.asarray(model.h(xs))))))
-    raise ConfigError("region must be 'all' or a StateSet")
-
-
-def likelihood_sup_complement(model, y, delta):
-    """sup of the likelihood outside the delta-set: the noise tail supremum."""
-    return model.obs_noise.tail_sup(delta)
-
-
-def log_likelihood_sup(model, y=None):
-    return math.log(model.obs_noise.sup())
+# the tail-ratio condition
 
 
 def delta_for_eta(model, eta):
@@ -366,16 +240,6 @@ def delta_for_eta(model, eta):
 def eta_for_delta(model, delta):
     """Achieved tail ratio for a given radius."""
     return model.obs_noise.tail_sup(delta) / model.obs_noise.sup()
-
-
-def psi_floor(model, yp, delta):
-    """Lower bound on the set-restricted likelihood mass at observation y'.
-
-    Lebesgue measure of the delta-set times the smallest density value inside
-    the band; pre-staged here for the bound assembly's feasibility checks.
-    """
-    c = ld_set(model, yp, delta)
-    return c.measure * model.obs_noise.radial_min(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +263,6 @@ class LdSetFunction:
 
     def envelopes(self, y, yp, d_value=None):
         return envelope_pair(self.model, y, yp, self.delta, d_value=d_value)
-
-    def measure_within(self, yp, lo, hi):
-        """Lebesgue measure of [lo, hi] intersected with the set at y'."""
-        c = self.set_for(yp)
-        return max(0.0, min(hi, c.hi) - max(lo, c.lo))
 
 
 def interval_ld_family(model, delta):
@@ -572,8 +431,9 @@ def stability_diag_series(model, traj, delta):
     empirical mean is logged by the experiment runner as an integrability
     check, not certified.
     """
-    log_lo, _ = log_envelope_series(model, traj, delta, d_mode="recorded")
-    return -log_lo
+    d, _ = distance_series(model, traj.observations, mode="recorded", traj=traj)
+    r = envelope_radius(model, delta, d)
+    return -np.asarray(envelope_fns(model).log_lower(r), dtype=float)
 
 
 def misspec_diag_series(filter_model, truth, traj, delta):
@@ -583,11 +443,7 @@ def misspec_diag_series(filter_model, truth, traj, delta):
     model's envelope; positive sign convention follows the source quantity
     (log of the lower envelope, typically negative).
     """
-    tm = truth.model
-    a, b = tm.f_lip, tm.h_b
     eps = traj.obs_noise
-    zeta = traj.state_noise
-    d = truth.kappa + 2.0 * a * b + a * b * np.abs(eps[:-1]) + b * np.abs(eps[1:]) + np.abs(zeta)
-    env = envelope_fns(filter_model)
+    d = misspec_distance_forms(truth, eps[:-1], traj.state_noise, eps[1:])["statement_form"]
     r = envelope_radius(filter_model, delta, d)
-    return np.asarray(env.log_lower(r), dtype=float)
+    return np.asarray(envelope_fns(filter_model).log_lower(r), dtype=float)

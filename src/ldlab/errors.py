@@ -64,7 +64,3 @@ class ConstructionError(LabError):
 
 class OracleScaleError(LabError):
     """Exhaustive enumeration was requested beyond its size cap."""
-
-
-class NumericalError(LabError):
-    """Generic numerical failure surfaced to the CLI."""

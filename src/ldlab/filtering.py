@@ -105,9 +105,7 @@ def grid_moments(state):
     tau = trap_weights(state.nodes)
     w = np.exp(state.log_weights - state.log_weights.max())
     w /= (w * tau).sum()
-    mean = float((w * state.nodes * tau).sum())
-    var = float((w * (state.nodes - mean) ** 2 * tau).sum())
-    return mean, math.sqrt(max(var, 0.0))
+    return _density_moments(state.nodes, w, tau)
 
 
 def _prior_log_on_grid(prior, nodes):
@@ -119,6 +117,22 @@ def _prior_log_on_grid(prior, nodes):
     return np.asarray(prior.logpdf(nodes), dtype=float)
 
 
+def grid_init(model, prior, y0, nodes):
+    """Initial grid filter on ``nodes``: prior reweighted by the first likelihood."""
+    log_w = _prior_log_on_grid(prior, nodes) + loglik(model, nodes, y0)
+    if np.all(log_w <= LOG_FLOOR):
+        raise DegenerateInitError("prior and first likelihood do not overlap on the grid")
+    return FilterState(kind="grid", step=0, nodes=nodes,
+                       log_weights=_normalize_grid(log_w, trap_weights(nodes), 0))
+
+
+def pair_grid(prior1, prior2, cfg):
+    """Shared initial window of a filter pair: the union of both prior windows."""
+    lo1, hi1 = prior1.window(cfg.coverage_k)
+    lo2, hi2 = prior2.window(cfg.coverage_k)
+    return np.linspace(min(lo1, lo2), max(hi1, hi2), cfg.nodes)
+
+
 def filter_init(model, prior, y0, cfg, rng=None):
     """Initial filter: prior reweighted by the first likelihood."""
     if cfg.kind == "grid":
@@ -126,12 +140,7 @@ def filter_init(model, prior, y0, cfg, rng=None):
         if hi - lo < 2.0 * cfg.min_halfwidth:
             c = 0.5 * (lo + hi)
             lo, hi = c - cfg.min_halfwidth, c + cfg.min_halfwidth
-        nodes = np.linspace(lo, hi, cfg.nodes)
-        log_w = _prior_log_on_grid(prior, nodes) + loglik(model, nodes, y0)
-        if np.all(log_w <= LOG_FLOOR):
-            raise DegenerateInitError("prior and first likelihood do not overlap on the grid")
-        tau = trap_weights(nodes)
-        return FilterState(kind="grid", step=0, log_weights=_normalize_grid(log_w, tau, 0), nodes=nodes)
+        return grid_init(model, prior, y0, np.linspace(lo, hi, cfg.nodes))
     if cfg.kind == "particles":
         if rng is None:
             raise ConfigError("particle filters need an RNG")
@@ -144,16 +153,6 @@ def filter_init(model, prior, y0, cfg, rng=None):
                             ess=_ess(log_w))
         return _maybe_resample(state, cfg, rng)
     raise ConfigError(f"filter_init does not handle kind {cfg.kind!r}")
-
-
-def finite_filter_init(fmodel, nu, y0):
-    nu = np.asarray(nu, dtype=float)
-    w = nu * fmodel.emission_vector(y0)
-    s = w.sum()
-    if s <= 0:
-        raise DegenerateInitError("prior carries no mass under the first emission")
-    with np.errstate(divide="ignore"):
-        return FilterState(kind="finite", step=0, log_weights=np.log(w / s))
 
 
 def _ess(log_w):
@@ -208,20 +207,26 @@ def noise_tail_radius(noise, eta=1e-12):
     return noise.psi.delta_for_tail_ratio(eta * noise.mu_minus / noise.mu_plus)
 
 
-def filter_step(model, state, y, cfg=None, rng=None, kernel=None):
+def grid_step(state, kernel, tgt, log_g):
+    """The grid branch of ``filter_step``, from the state's window into ``tgt``.
+
+    ``kernel`` is ``grid_kernel(model, state.nodes, tgt)`` and ``log_g`` the
+    log likelihood at ``tgt``; both are passed in so that filters sharing a
+    window share them too.
+    """
+    w = np.exp(state.log_weights - state.log_weights.max())
+    pred = kernel @ (trap_weights(state.nodes) * w)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(pred) + log_g
+    log_w = _normalize_grid(log_w, trap_weights(tgt), state.step + 1)
+    return replace(state, step=state.step + 1, nodes=tgt, log_weights=log_w)
+
+
+def filter_step(model, state, y, cfg=None, rng=None):
     """Advance one observation: predict through the kernel, then reweight."""
     if state.kind == "grid":
-        tau = trap_weights(state.nodes)
-        K = grid_kernel(model, state.nodes) if kernel is None else kernel
-        w = np.exp(state.log_weights - state.log_weights.max())
-        pred = K @ (tau * w)
-        with np.errstate(divide="ignore"):
-            log_w = np.log(pred) + loglik(model, state.nodes, y)
-        try:
-            log_w = _normalize_grid(log_w, tau, state.step + 1)
-        except FilterCollapseError:
-            raise FilterCollapseError(state.step + 1)
-        return replace(state, step=state.step + 1, log_weights=log_w)
+        nodes = state.nodes
+        return grid_step(state, grid_kernel(model, nodes), nodes, loglik(model, nodes, y))
     if state.kind == "particles":
         if rng is None or cfg is None:
             raise ConfigError("particle steps need cfg and an RNG")
@@ -235,16 +240,6 @@ def filter_step(model, state, y, cfg=None, rng=None, kernel=None):
                           positions=pos, ess=_ess(log_w))
         return _maybe_resample(new, cfg, rng)
     raise RepresentationError(f"filter_step does not handle kind {state.kind!r}")
-
-
-def finite_filter_step(fmodel, state, y):
-    w = state.probs @ fmodel.Q
-    w = w * fmodel.emission_vector(y)
-    s = w.sum()
-    if s <= 0 or not np.isfinite(s):
-        raise FilterCollapseError(state.step + 1)
-    with np.errstate(divide="ignore"):
-        return FilterState(kind="finite", step=state.step + 1, log_weights=np.log(w / s))
 
 
 def _propagate_particles(model, positions, rng):
@@ -327,10 +322,27 @@ def exact_filter_finite(fmodel, nu, ys):
     return out, log_z
 
 
-def _path_digits(m, n_plus_1):
-    total = m**n_plus_1
-    idx = np.arange(total)
-    return np.stack([(idx // m**j) % m for j in range(n_plus_1)], axis=1)
+def _path_log_weights(fmodel, nu, ys, max_paths):
+    """Every state path, one row per path, with its log weight.
+
+    The weight is the prior, then each transition, then each emission, summed
+    in that order. More than ``max_paths`` paths raise OracleScaleError.
+    """
+    nu = np.asarray(nu, dtype=float)
+    m = fmodel.m
+    n = len(ys) - 1
+    if m ** (n + 1) > max_paths:
+        raise OracleScaleError(f"path enumeration capped at {max_paths} paths")
+    idx = np.arange(m ** (n + 1))
+    paths = np.stack([(idx // m**j) % m for j in range(n + 1)], axis=1)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(fmodel.Q)
+        log_w = np.log(nu)[paths[:, 0]]
+        for k in range(1, n + 1):
+            log_w = log_w + log_q[paths[:, k - 1], paths[:, k]]
+        for k in range(0, n + 1):
+            log_w = log_w + np.log(fmodel.emission_vector(ys[k]))[paths[:, k]]
+    return paths, log_w
 
 
 def exhaustive_terminal_sums(fmodel, nu, ys):
@@ -340,20 +352,12 @@ def exhaustive_terminal_sums(fmodel, nu, ys):
     terminal state j is exp(log_scale) * scaled_sums[j]. Independent oracle
     for the forward recursion; capped at 2^20 paths.
     """
-    nu = np.asarray(nu, dtype=float)
     ys = np.asarray(ys, dtype=float)
     m = fmodel.m
     n = len(ys) - 1
-    if m > 12 or n > 20 or m ** (n + 1) > 2**20:
+    if m > 12 or n > 20:
         raise OracleScaleError("path enumeration capped at 2^20 paths, m <= 12, n <= 20")
-    paths = _path_digits(m, n + 1)
-    g = np.stack([fmodel.emission_vector(y) for y in ys], axis=0)  # (n+1, m)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(nu)[paths[:, 0]]
-        for k in range(1, n + 1):
-            log_w = log_w + np.log(fmodel.Q)[paths[:, k - 1], paths[:, k]]
-        for k in range(0, n + 1):
-            log_w = log_w + np.log(g[k])[paths[:, k]]
+    paths, log_w = _path_log_weights(fmodel, nu, ys, 2**20)
     peak = np.max(log_w)
     if not np.isfinite(peak):
         raise FilterCollapseError(n, "all paths carry zero mass")
@@ -384,14 +388,13 @@ def _smooth_taps(halfwidth, sigma_cells):
     return t / t.sum()
 
 
-def project_particles_to_grid(state, grid_state, smooth_cells=2.5, smooth_halfwidth=6):
-    """Deposit particle mass on the grid nodes and smooth it.
+def project_particles_to_grid(state, nodes, smooth_cells=2.5, smooth_halfwidth=6):
+    """Deposit particle mass on uniform ``nodes`` and smooth it.
 
     Linear two-node deposition followed by a narrow Gaussian kernel; the same
     kernel is meant to be applied to the grid density before comparing, so
     both sides live at the projection's resolution.
     """
-    nodes = grid_state.nodes
     n = len(nodes)
     dx = nodes[1] - nodes[0]
     w = np.exp(state.log_weights - logsumexp(state.log_weights))
@@ -427,7 +430,7 @@ def tv_distance(a, b, smooth_cells=2.5, smooth_halfwidth=6):
         return 0.5 * float(np.sum(np.abs(wa - wb) * tau))
     if {a.kind, b.kind} == {"particles", "grid"}:
         part, grid = (a, b) if a.kind == "particles" else (b, a)
-        dens = project_particles_to_grid(part, grid, smooth_cells, smooth_halfwidth)
+        dens = project_particles_to_grid(part, grid.nodes, smooth_cells, smooth_halfwidth)
         tau = trap_weights(grid.nodes)
         taps = _smooth_taps(smooth_halfwidth, smooth_cells)
         gmass = np.convolve(np.exp(grid.log_weights) * tau, taps, mode="same")
@@ -556,21 +559,10 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     """
     ys = np.asarray(ys, dtype=float)
     k = cfg.coverage_k
-    lo1, hi1 = prior1.window(k)
-    lo2, hi2 = prior2.window(k)
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    nodes = np.linspace(lo, hi, cfg.nodes)
+    nodes = pair_grid(prior1, prior2, cfg)
     tau = trap_weights(nodes)
-
-    def init_density(prior):
-        log_w = _prior_log_on_grid(prior, nodes) + loglik(model, nodes, ys[0])
-        if np.all(log_w <= LOG_FLOOR):
-            raise DegenerateInitError("prior and first likelihood do not overlap on the grid")
-        log_w = _normalize_grid(log_w, tau, 0)
-        return np.exp(log_w)
-
-    phi = init_density(prior1)
-    phi2 = init_density(prior2)
+    phi = np.exp(grid_init(model, prior1, ys[0], nodes).log_weights)
+    phi2 = np.exp(grid_init(model, prior2, ys[0], nodes).log_weights)
     Dt = phi2 - phi
     c = float(np.max(np.abs(Dt)))
     if c > 0:

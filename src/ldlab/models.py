@@ -113,7 +113,7 @@ class DependentNoise:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Immutable nonlinear state-space model on R^1 (vector dims allowed)."""
+    """Immutable nonlinear state-space model on R^1."""
 
     f: Callable
     f_lip: float
@@ -123,15 +123,11 @@ class StateSpaceModel:
     state_noise: object
     obs_noise: object
     h_inverse: Optional[Callable] = None
-    state_dim: int = 1
-    obs_dim: int = 1
     spec_dict: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.f_lip < 0 or self.h_b0 < 0 or self.h_b < 0:
             raise ModelValidationError("Lipschitz and preimage constants must be >= 0")
-        if self.obs_dim > self.state_dim:
-            raise ModelValidationError("observation dimension exceeds state dimension")
 
     def spec(self):
         if self.spec_dict is not None:
@@ -142,7 +138,6 @@ class StateSpaceModel:
             "h_b": self.h_b,
             "state_noise": self.state_noise.spec(),
             "obs_noise": self.obs_noise.spec(),
-            "dims": {"state": self.state_dim, "obs": self.obs_dim},
         }
 
 
@@ -334,10 +329,6 @@ def loglik(model, x, y):
     """log g(x, y) = log v(y - h(x)); vectorized in x."""
     x = np.asarray(x, dtype=float)
     return model.obs_noise.logpdf(y - model.h(x))
-
-
-def likelihood(model, x, y):
-    return np.exp(loglik(model, x, y))
 
 
 def audit_lipschitz(model, rng, pairs=1000, box=(-10.0, 10.0)):

@@ -5,8 +5,7 @@ A model spec looks like
     {"kind": "linear_gaussian" | "nonlinear" | "dependent_noise",
      "f": {"type": "identity"}, "h": {"type": "affine", "c0": 0, "c1": 2},
      "a": 1.0, "b0": 0.0, "b": 0.5,
-     "state_noise": {...}, "obs_noise": {...},
-     "dims": {"state": 1, "obs": 1}}
+     "state_noise": {...}, "obs_noise": {...}}
 
 Drift/observation maps come from a registry of named families so that specs
 stay serializable and hashes stay stable. The Lipschitz constant ``a`` and
@@ -21,7 +20,7 @@ import math
 import numpy as np
 
 from .densities import GaussianDensity, StudentTDensity, density_from_spec, student_t_logpdf
-from .errors import ConfigError, ModelValidationError
+from .errors import ConfigError
 from .models import DependentNoise, IidNoise, StateSpaceModel
 
 
@@ -196,21 +195,14 @@ def model_from_spec(spec):
             raise ConfigError("linear_gaussian requires gaussian observation noise")
     if kind == "dependent_noise" and isinstance(state_noise, IidNoise):
         raise ConfigError("dependent_noise model declared with iid state noise")
-    dims = spec.get("dims", {"state": 1, "obs": 1})
-    try:
-        model = StateSpaceModel(
-            f=fmap.fn,
-            f_lip=a,
-            h=hmap.fn,
-            h_b0=float(b0),
-            h_b=float(b),
-            h_inverse=hmap.inverse,
-            state_noise=state_noise,
-            obs_noise=obs_noise,
-            state_dim=int(dims.get("state", 1)),
-            obs_dim=int(dims.get("obs", 1)),
-            spec_dict=spec,
-        )
-    except ModelValidationError:
-        raise
-    return model
+    return StateSpaceModel(
+        f=fmap.fn,
+        f_lip=a,
+        h=hmap.fn,
+        h_b0=float(b0),
+        h_b=float(b),
+        h_inverse=hmap.inverse,
+        state_noise=state_noise,
+        obs_noise=obs_noise,
+        spec_dict=spec,
+    )

@@ -20,7 +20,13 @@ import numpy as np
 from ._version import __version__
 # forgetting_bound is not called here; it stays importable from this module,
 # where benchmarks/tracer.py wraps it
-from .bounds import bound_series, eta_sweep, forgetting_bound, forgetting_bound_finite  # noqa: F401
+from .bounds import (  # noqa: F401
+    bound_series,
+    eta_sweep,
+    forgetting_bound,
+    forgetting_bound_finite,
+    prefix_series,
+)
 from .doeblin import (
     delta_for_eta,
     finite_ld_construct,
@@ -30,23 +36,29 @@ from .doeblin import (
 from .dists import prior_from_spec
 from .errors import ConfigError, LabError
 from .filtering import (
-    FilterState,
     ReprConfig,
     TvSeries,
+    _predictive_window,
     decay_rate,
     exact_filter_finite,
     filter_init,
     filter_step,
     grid_adapt,
+    grid_init,
+    grid_kernel,
+    grid_moments,
+    grid_step,
+    noise_tail_radius,
+    pair_grid,
+    project_particles_to_grid,
     run_grid_pair,
     trap_weights,
     tv_distance,
     tv_half_l1,
-    _prior_log_on_grid,
-    _smooth_taps,
 )
 from .models import (
     gaussian_finite_model,
+    loglik,
     make_misspecified_truth,
     simulate_finite,
     simulate_misspecified,
@@ -297,28 +309,10 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
     TV values bottom out at the float64 collision floor, so it is only
     meaningful over short horizons or large separations.
     """
-    from .filtering import (
-        _normalize_grid,
-        _predictive_window,
-        grid_kernel,
-        grid_moments,
-        noise_tail_radius,
-    )
-    from .models import loglik as _loglik
-
     ys = np.asarray(ys, dtype=float)
-    k = cfg.coverage_k
-    lo1, hi1 = prior1.window(k)
-    lo2, hi2 = prior2.window(k)
-    nodes = np.linspace(min(lo1, lo2), max(hi1, hi2), cfg.nodes)
+    nodes = pair_grid(prior1, prior2, cfg)
     r_noise = noise_tail_radius(model.state_noise)
-
-    def init_on(prior):
-        log_w = _prior_log_on_grid(prior, nodes) + _loglik(model, nodes, ys[0])
-        return FilterState(kind="grid", step=0, nodes=nodes,
-                           log_weights=_normalize_grid(log_w, trap_weights(nodes), 0))
-
-    s1, s2 = init_on(prior1), init_on(prior2)
+    s1, s2 = grid_init(model, prior1, ys[0], nodes), grid_init(model, prior2, ys[0], nodes)
     tvs = np.empty(len(ys))
     tvs[0] = tv_distance(s1, s2)
     try:
@@ -326,22 +320,11 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
             # shared target window covering both predictives, then one shared
             # rectangular kernel from the current window into it
             tgt_lo, tgt_hi = _predictive_window(model, [grid_moments(s1), grid_moments(s2)],
-                                                k, r_noise, cfg.min_halfwidth)
+                                                cfg.coverage_k, r_noise, cfg.min_halfwidth)
             tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
             kern = grid_kernel(model, nodes, tgt)
-            tau = trap_weights(nodes)
-            tau_t = trap_weights(tgt)
-            glog = _loglik(model, tgt, ys[step])
-
-            def advance(state):
-                w = np.exp(state.log_weights - state.log_weights.max())
-                pred = kern @ (tau * w)
-                with np.errstate(divide="ignore"):
-                    log_w = np.log(pred) + glog
-                return FilterState(kind="grid", step=step, nodes=tgt,
-                                   log_weights=_normalize_grid(log_w, tau_t, step))
-
-            s1, s2 = advance(s1), advance(s2)
+            log_g = loglik(model, tgt, ys[step])
+            s1, s2 = grid_step(s1, kern, tgt, log_g), grid_step(s2, kern, tgt, log_g)
             nodes = tgt
             tvs[step] = tv_distance(s1, s2)
     except LabError as exc:
@@ -381,28 +364,10 @@ def _particle_pair_tv(s1, s2, cfg):
     hi = float(max(s1.positions.max(), s2.positions.max()))
     pad = max(1e-6, 1e-3 * (hi - lo))
     nodes = np.linspace(lo - pad, hi + pad, cfg.nodes)
-    d1 = _deposit_smooth(s1, nodes, cfg)
-    d2 = _deposit_smooth(s2, nodes, cfg)
+    d1, d2 = (project_particles_to_grid(s, nodes, cfg.smooth_cells, cfg.smooth_halfwidth)
+              for s in (s1, s2))
     tau = trap_weights(nodes)
     return 0.5 * float(np.sum(np.abs(d1 - d2) * tau))
-
-
-def _deposit_smooth(state, nodes, cfg):
-    from scipy.special import logsumexp
-
-    n = len(nodes)
-    dx = nodes[1] - nodes[0]
-    w = np.exp(state.log_weights - logsumexp(state.log_weights))
-    pos = np.clip((state.positions - nodes[0]) / dx, 0.0, n - 1.0)
-    i0 = np.floor(pos).astype(int)
-    frac = pos - i0
-    i1 = np.minimum(i0 + 1, n - 1)
-    mass = np.bincount(i0, weights=w * (1.0 - frac), minlength=n)
-    mass += np.bincount(i1, weights=w * frac, minlength=n)
-    mass = np.convolve(mass, _smooth_taps(cfg.smooth_halfwidth, cfg.smooth_cells), mode="same")
-    tau = trap_weights(nodes)
-    dens = mass / tau
-    return dens / (dens * tau).sum()
 
 
 def compare_particle_grid(model, prior, ys, cfg, seed):
@@ -543,11 +508,14 @@ def run_scenario(config, seed=None, out_dir=None):
             diagnostics["h2_delta"] = bound_info.get("delta")
             diagnostics["d_mode"] = bound_info.get("d_mode")
 
+    delta = None
     if model is not None and config.bound is not None and traj is not None:
         eta = config.bound.get("eta", 0.1)
-        if eta == "sweep" and bound_info is not None:
-            eta = bound_info["eta"]
-        delta = delta_for_eta(model, float(eta))
+        if bound_info is not None:
+            delta = bound_info["delta"]
+        elif eta != "sweep":  # a failed run with eta "sweep" chose no eta
+            delta = delta_for_eta(model, float(eta))
+    if delta is not None:
         diagnostics["stability_diag_mean"] = float(np.mean(stability_diag_series(model, traj, delta)))
         if truth is not None:
             diagnostics["misspec_diag_mean"] = float(
@@ -603,17 +571,18 @@ def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys, ns):
     if eta == "sweep":
         sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"),
                           **kwargs)
-        eta_val = float(sweep["best"].parameters["eta"])
         sweep_info = {
             "etas": [float(e) for e in sweep["etas"]],
             "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,
                          "headline": b.headline} for b in sweep["results"]],
         }
+        # the best eta's breakdown is already computed; build its prefixes
+        series = prefix_series(sweep["best"])
     else:
-        eta_val = float(eta)
-    series = bound_series(model, prior1, prior2, ys, alpha, eta_val, **kwargs)
+        series = bound_series(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
     bound_log[series["n"]] = series["log_total"]
     full = series["full"]
+    eta_val = float(full.parameters["eta"])
     info = {"eta": eta_val, "alpha": alpha, "delta": full.parameters["delta"],
             "d_mode": full.parameters["d_mode"], "final": full.to_json_dict(),
             "sweep": sweep_info}
@@ -679,7 +648,9 @@ def monte_carlo_expectation(config, replicates, thresholds=None, out_dir=None):
         raise ConfigError("replicate seeds must be unique")
 
     # replicates run in parallel; the reduction below walks them in seed
-    # order, so the assembled report is deterministic either way
+    # order, so the assembled report is deterministic either way. The pool
+    # pays: an 8-replicate rw-gauss mc took 1.52 s with it and 2.03 s without
+    # (medians of 6 alternating runs on 2 CPUs, identical results)
     workers = min(len(seeds), max(1, os.cpu_count() or 1), 8)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -278,7 +278,7 @@ def test_eta_sweep_best_minimizes_log_total():
     totals = [r.log_total for r in out["results"]]
     assert out["best"].log_total == min(totals)
     assert list(out["etas"]) == [0.05, 0.1, 0.3, 0.6]
-    # results arrive in input order regardless of the thread pool
+    # results come back in input order
     assert [r.parameters["eta"] for r in out["results"]] == [0.05, 0.1, 0.3, 0.6]
 
 

@@ -127,11 +127,12 @@ def test_failed_run_exits_three_with_partial_report(tmp_path):
     bad["prior2"] = {"family": "normal", "mean": 5.0, "std": 0.1}
     p = tmp_path / "degen.json"
     p.write_text(json.dumps(bad))
-    out = tmp_path / "degen"
-    r = _run("experiment", "--config", str(p), "--out", str(out), cwd=tmp_path)
-    assert r.returncode == 3
-    report = json.loads((out / "report.json").read_text())
-    assert report["failure"] is not None
+    for name, eta in (("degen", []), ("degen-sweep", ["--eta", "sweep"])):
+        out = tmp_path / name
+        r = _run("experiment", "--config", str(p), "--out", str(out), *eta, cwd=tmp_path)
+        assert r.returncode == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure"] is not None
 
 
 def test_mc_subcommand(tmp_path, config_file):
@@ -160,8 +161,7 @@ def test_seed_override_changes_output(tmp_path, config_file):
     assert json.loads((out2 / "report.json").read_text())["seed"] == 99
 
 
-def test_version_flag():
-    r = subprocess.run([sys.executable, "-m", "ldlab.cli", "--version"],
-                       capture_output=True, text=True)
+def test_version_flag(tmp_path):
+    r = _run("--version", cwd=tmp_path)
     assert r.returncode == 0
     assert r.stdout.strip()

@@ -1,4 +1,4 @@
-"""Noise density families: radial envelopes, tail radii, tabulated fallback."""
+"""Noise density families: radial envelopes, tail radii, in-place log densities."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from ldlab.densities import (
     GaussianDensity,
     StudentTDensity,
-    TabulatedDensity,
     density_from_spec,
 )
 from ldlab.errors import H2FailureError, ModelValidationError
@@ -105,50 +104,6 @@ def test_student_t_heavier_than_gaussian_far_out():
     t = StudentTDensity(df=3.0, scale=1.0)
     g = GaussianDensity(sigma=1.0)
     assert t.pdf(8.0) > g.pdf(8.0)
-
-
-def test_tabulated_matches_gaussian_envelopes():
-    g = GaussianDensity(sigma=1.0)
-    tab = TabulatedDensity(pdf_fn=g.pdf, r_max=12.0, n_grid=4001)
-    cell = 12.0 / 4000  # quantities are reported at grid resolution
-    for r in (0.5, 1.0, 2.0, 3.5):
-        lo = float(tab.radial_min(r))
-        # table reads the last node <= r, so its min can only overshoot,
-        # and by at most one cell of pdf variation
-        assert g.radial_min(r) <= lo <= g.radial_min(r - cell) + 1e-15
-        assert tab.radial_max(r) == pytest.approx(g.radial_max(r), rel=1e-12)
-    assert tab.sup() == pytest.approx(g.sup(), rel=1e-12)
-    assert tab.delta_for_tail_ratio(0.1) == pytest.approx(
-        g.delta_for_tail_ratio(0.1), abs=cell)
-
-
-def test_tabulated_radial_fns_vectorize():
-    tab = TabulatedDensity(pdf_fn=GaussianDensity(sigma=1.0).pdf, r_max=10.0, n_grid=1001)
-    r = np.array([0.0, 1.0, 2.0, 50.0])  # beyond r_max clips to the table edge
-    vals = tab.radial_min(r)
-    assert vals.shape == (4,)
-    assert vals[3] == pytest.approx(tab.radial_min(10.0))
-
-
-def test_tabulated_asymmetric_density_uses_worse_side():
-    # skewed bimodal-ish: value at -r differs from +r
-    def pdf(u):
-        u = np.asarray(u, dtype=float)
-        return 0.6 * np.exp(-0.5 * (u - 0.5) ** 2) / math.sqrt(2 * math.pi) + \
-            0.4 * np.exp(-0.5 * (u + 1.5) ** 2) / math.sqrt(2 * math.pi)
-
-    tab = TabulatedDensity(pdf_fn=pdf, r_max=10.0, n_grid=20001)
-    r = 1.0
-    xs = np.linspace(-r, r, 40001)
-    dense_min = pdf(xs).min()
-    dense_max = pdf(xs).max()
-    assert tab.radial_min(r) <= dense_min * (1 + 1e-6)
-    assert tab.radial_max(r) >= dense_max * (1 - 1e-6)
-
-
-def test_tabulated_requires_positive_values():
-    with pytest.raises(ModelValidationError):
-        TabulatedDensity(pdf_fn=lambda u: np.maximum(1.0 - np.abs(u), 0.0), r_max=5.0)
 
 
 def test_density_from_spec_roundtrip():

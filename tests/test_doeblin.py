@@ -7,27 +7,20 @@ import pytest
 
 from ldlab.dists import NormalPrior
 from ldlab.doeblin import (
-    contraction_coeff,
     delta_for_eta,
     distance_series,
     envelope_fns,
     envelope_pair,
     envelope_radius,
     eta_for_delta,
-    exact_distance_series,
     finite_ld_construct,
     interval_ld_family,
     ld_set,
-    likelihood_sup,
-    likelihood_sup_complement,
     log_contraction_from_logs,
-    log_envelope_series,
     misspec_diag_series,
     misspec_distance_series,
-    preimage_distance,
+    preimage_distance_exact,
     preimage_distance_recorded,
-    psi_floor,
-    recorded_distance_series,
     stability_diag_series,
     verify_ld_property,
     verify_ld_property_finite,
@@ -42,7 +35,6 @@ from ldlab.models import (
 from ldlab.modelspec import model_from_spec
 
 N01_AT_0 = 0.3989422804014327
-N01_AT_1 = 0.24197072451914337
 N01_AT_3 = 0.0044318484119380075
 
 
@@ -102,21 +94,12 @@ def test_envelope_pair_exact_mode_values():
     assert hi == pytest.approx(N01_AT_0, rel=1e-12)
 
 
-def test_envelope_fns_audit():
-    report = envelope_fns(_rw_model()).audit(r_max=10.0, n=2000)
-    assert report["order_ok"]
-    assert report["lower_nonincreasing"]
-    assert report["upper_nonincreasing_beyond_peak"]
-
-
 def test_contraction_coeff_and_log_form_agree():
-    lo, hi = 0.1, 0.4
-    rho = contraction_coeff(lo, hi)
-    assert rho == pytest.approx(1.0 - 0.0625)
-    log_rho = log_contraction_from_logs(math.log(lo), math.log(hi))
-    assert float(log_rho) == pytest.approx(math.log(rho), rel=1e-12)
+    # rho = 1 - (lower/upper)^2 = 1 - 0.0625
+    log_rho = log_contraction_from_logs(math.log(0.1), math.log(0.4))
+    assert float(log_rho) == pytest.approx(math.log(1.0 - 0.0625), rel=1e-12)
     with pytest.raises(EnvelopeOrderError):
-        contraction_coeff(0.5, 0.4)
+        log_contraction_from_logs(math.log(0.5), math.log(0.4))
     with pytest.raises(EnvelopeOrderError):
         log_contraction_from_logs(np.log([0.5]), np.log([0.4]))
 
@@ -149,8 +132,8 @@ def test_log_contraction_keeps_precision_below_minus_ln2():
 def test_recorded_distance_dominates_exact_for_identity_pair():
     m = _rw_model()
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=200, seed=42)
-    d_rec = recorded_distance_series(m, traj)
-    d_ex = exact_distance_series(m, traj)
+    d_rec, _ = distance_series(m, traj.observations, mode="recorded", traj=traj)
+    d_ex, _ = distance_series(m, traj.observations, mode="exact")
     assert d_rec.shape == d_ex.shape == (200,)
     # |f(y_{k-1}) - y_k| <= a|eps_{k-1}| + |zeta_k| + |eps_k| pathwise
     assert np.all(d_rec >= d_ex - 1e-12)
@@ -159,10 +142,9 @@ def test_recorded_distance_dominates_exact_for_identity_pair():
 
 def test_preimage_distance_mode_dispatch():
     m = _rw_model()
-    assert preimage_distance(m, 1.0, 3.0) == pytest.approx(2.0)  # auto -> exact
-    d = preimage_distance(m, 1.0, 3.0, mode="recorded", noises=(0.5, 1.0, 0.25))
+    assert preimage_distance_exact(m, 1.0, 3.0) == pytest.approx(2.0)
+    d = preimage_distance_recorded(m, 0.5, 1.0, 0.25)
     assert d == pytest.approx(1.0 * 0.5 + 1.0 + 0.25)
-    assert preimage_distance_recorded(m, 0.5, 1.0, 0.25) == pytest.approx(1.75)
 
 
 def test_distance_series_auto_prefers_exact():
@@ -199,27 +181,11 @@ def test_misspec_distance_takes_max_of_both_forms():
     assert np.all(d + 1e-12 >= d_true)
 
 
-def test_likelihood_sup_regions():
-    m = _rw_model()
-    assert likelihood_sup(m, y=0.7) == pytest.approx(N01_AT_0, rel=1e-12)
-    c = ld_set(m, y=3.0, delta=1.0)  # states in [2, 4]
-    # best state in the region is x = 2, one unit from y = 1
-    val = likelihood_sup(m, y=1.0, region=c)
-    assert val == pytest.approx(N01_AT_1, rel=1e-6)
-    assert likelihood_sup_complement(m, y=0.0, delta=2.0) == pytest.approx(
-        m.obs_noise.tail_sup(2.0), rel=1e-12)
-
-
 def test_delta_eta_roundtrip_frozen_value():
     m = _rw_model()
     delta = delta_for_eta(m, 0.1)
     assert delta == pytest.approx(2.145966026289347, rel=1e-14)
     assert eta_for_delta(m, delta) == pytest.approx(0.1, rel=1e-12)
-
-
-def test_psi_floor_identity_model():
-    m = _rw_model()
-    assert psi_floor(m, yp=0.3, delta=1.0) == pytest.approx(2.0 * N01_AT_1, rel=1e-12)
 
 
 def test_verify_ld_property_zero_violations():
@@ -278,7 +244,8 @@ def test_stability_diag_matches_envelope_series():
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=60, seed=9)
     delta = 1.3
     z = stability_diag_series(m, traj, delta)
-    log_lo, _ = log_envelope_series(m, traj, delta, d_mode="recorded")
+    d, _ = distance_series(m, traj.observations, mode="recorded", traj=traj)
+    log_lo = envelope_fns(m).log_lower(envelope_radius(m, delta, d))
     assert np.allclose(z, -log_lo, atol=0, rtol=0)
     assert np.all(z > 0)  # lower envelope below 1 at these radii
 

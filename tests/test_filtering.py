@@ -262,7 +262,7 @@ def test_project_particles_normalizes_on_grid():
     pcfg = ReprConfig(kind="particles", particles=50_000)
     g = filter_init(model, NormalPrior(0.0, 1.0), 0.2, gcfg)
     p = filter_init(model, NormalPrior(0.0, 1.0), 0.2, pcfg, rng=rng)
-    proj = project_particles_to_grid(p, g)
+    proj = project_particles_to_grid(p, g.nodes)
     tau = trap_weights(g.nodes)
     assert (proj * tau).sum() == pytest.approx(1.0, rel=1e-9)
     # both represent the same posterior; deposition noise stays small

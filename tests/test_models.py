@@ -180,8 +180,3 @@ def test_dependent_noise_sampler_matches_density():
     q = np.exp(noise.log_q(x, us))
     mean_q = np.trapezoid(us * q, us) / np.trapezoid(q, us)
     assert draws.mean() == pytest.approx(mean_q, abs=0.05)
-
-
-def test_state_dim_defaults():
-    model = _rw_model()
-    assert model.state_dim == 1 and model.obs_dim == 1

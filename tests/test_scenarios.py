@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ldlab.dists import NormalPrior
-from ldlab.errors import ConfigError
+from ldlab.errors import ConfigError, DegenerateInitError
 from ldlab.filtering import ReprConfig, exact_filter_finite, run_grid_pair, tv_half_l1
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
-from ldlab import scenarios
+from ldlab import bounds, scenarios
 from ldlab.scenarios import (
     PRESETS,
     compare_particle_grid,
@@ -125,31 +125,52 @@ def test_run_scenario_writes_stable_files(tmp_path):
     assert report["tv_summary"]["n_max"] == 12
 
 
+# prior and first likelihood do not overlap on either grid: the pair fails at
+# initialization
+DEGENERATE_SCENARIO = {
+    "name": "degenerate",
+    "model": {
+        "kind": "linear_gaussian",
+        "f": {"type": "identity"},
+        "h": {"type": "identity"},
+        "state_noise": {"kind": "iid",
+                        "density": {"family": "gaussian", "sigma": 0.01}},
+        "obs_noise": {"family": "gaussian", "sigma": 0.01},
+    },
+    "prior1": {"family": "normal", "mean": -5.0, "std": 0.1},
+    "prior2": {"family": "normal", "mean": 5.0, "std": 0.1},
+    "horizon": 10,
+    "seeds": [1],
+    "repr": {"kind": "grid", "nodes": 64, "paired": True},
+}
+
+
 def test_run_scenario_records_failures_instead_of_raising():
-    cfg = scenario_from_dict({
-        "name": "degenerate",
-        "model": {
-            "kind": "linear_gaussian",
-            "f": {"type": "identity"},
-            "h": {"type": "identity"},
-            "state_noise": {"kind": "iid",
-                            "density": {"family": "gaussian", "sigma": 0.01}},
-            "obs_noise": {"family": "gaussian", "sigma": 0.01},
-        },
-        "prior1": {"family": "normal", "mean": -5.0, "std": 0.1},
-        "prior2": {"family": "normal", "mean": 5.0, "std": 0.1},
-        "horizon": 10,
-        "seeds": [1],
-        "repr": {"kind": "grid", "nodes": 64, "paired": True},
-    })
-    rep = run_scenario(cfg, seed=1)
-    assert rep.failure is not None
-    assert rep.failure["error"]
-    assert rep.failure["message"]
-    # the tv series keeps its full length, padded with NaN
-    assert rep.tv.tv.shape == (11,)
-    assert np.isnan(rep.tv.tv).all()
-    assert rep.fit is None
+    # with eta "sweep" a failed run chooses no eta, so the envelope
+    # diagnostics are skipped rather than evaluated at float("sweep")
+    for bound in (None, {"eta": "sweep"}):
+        cfg = scenario_from_dict(dict(DEGENERATE_SCENARIO, bound=bound))
+        rep = run_scenario(cfg, seed=1)
+        assert rep.failure is not None
+        assert rep.failure["error"]
+        assert rep.failure["message"]
+        assert rep.bound is None
+        assert "stability_diag_mean" not in rep.diagnostics
+        # the tv series keeps its full length, padded with NaN
+        assert rep.tv.tv.shape == (11,)
+        assert np.isnan(rep.tv.tv).all()
+        assert rep.fit is None
+
+
+def test_unpaired_route_rejects_a_degenerate_start():
+    # the same init check as the paired route and filter_init
+    cfg = scenario_from_dict(DEGENERATE_SCENARIO)
+    model = model_from_spec(cfg.model)
+    p1, p2 = NormalPrior(-5.0, 0.1), NormalPrior(5.0, 0.1)
+    traj = simulate_trajectory(model, p1, n=3, seed=1)
+    for run in (run_grid_pair, run_grid_pair_unpaired):
+        with pytest.raises(DegenerateInitError):
+            run(model, p1, p2, traj.observations, ReprConfig(nodes=64))
 
 
 @pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
@@ -262,12 +283,22 @@ def test_monte_carlo_extends_seed_list_uniquely():
         monte_carlo_expectation(cfg, replicates=1)
 
 
-def test_eta_sweep_scenario_reports_best():
+def test_eta_sweep_scenario_reports_best(monkeypatch):
     d = json.loads(json.dumps(SMALL_SCENARIO))
     d["bound"] = {"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
                   "d_mode": "recorded"}
     cfg = scenario_from_dict(d)
+    calls = []
+    real_bound = bounds.forgetting_bound
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])
+        return real_bound(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "forgetting_bound", counted)
     rep = run_scenario(cfg, seed=7)
+    # one full bound per sweep point; the best one's prefixes reuse it
+    assert calls == [0.1, 0.3]
     assert rep.bound is not None
     sweep = rep.bound.get("sweep")
     assert sweep is not None
