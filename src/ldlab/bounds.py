@@ -227,6 +227,57 @@ def _assemble(log_lambda, log_remainder):
     return log_total, headline
 
 
+def _remainder(log_em, log_psi, log_ups, log_phi1, log_phi2, alpha, eta):
+    """Log remainder over the n = len(log_em) pairs given, and its components.
+
+    A zero prior mass (log phi = -inf) makes the remainder +inf, so the total
+    is +inf and the headline 1.
+    """
+    c = {
+        "a_n": math.floor((1.0 - alpha) * len(log_em) / 2.0),
+        "sum_log_eps_minus": float(log_em[1:].sum()),  # pairs i = 2..n
+        "sum_log_psi": float(log_psi[1:].sum()),
+        "sum_log_upsilon": float(log_ups.sum()),
+        "log_phi_nu": log_phi1,
+        "log_phi_nu_prime": log_phi2,
+    }
+    log_remainder = (c["a_n"] * math.log(eta)
+                     - 2.0 * (c["sum_log_eps_minus"] + c["sum_log_psi"])
+                     + 2.0 * c["sum_log_upsilon"]
+                     - log_phi1 - log_phi2)
+    return log_remainder, c
+
+
+def _breakdown(log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
+               parameters, diagnostics):
+    """Assemble the bound from per-step log terms; both model kinds end here.
+
+    ``log_em``, ``log_ep`` and ``log_psi`` hold the pairs i = 1..n, ``log_ups``
+    the observations 0..n.
+    """
+    log_rho = log_contraction_from_logs(log_em, log_ep)
+    log_lambda = max_product_with_quota(log_rho, alpha)
+    log_remainder, components = _remainder(log_em, log_psi, log_ups, log_phi1, log_phi2,
+                                           alpha, eta)
+    log_total, headline = _assemble(log_lambda, log_remainder)
+    return BoundBreakdown(
+        log_lambda=log_lambda,
+        log_remainder=log_remainder,
+        log_total=log_total,
+        headline=headline,
+        components=components,
+        parameters={"eta": eta, "alpha": alpha, "n": len(log_em), **parameters},
+        per_step={
+            "log_eps_minus": log_em,
+            "log_eps_plus": log_ep,
+            "log_psi": log_psi,
+            "log_rho": log_rho,
+            "log_upsilon": log_ups,
+        },
+        diagnostics={**diagnostics, "vacuous": bool(log_total >= 0.0)},
+    )
+
+
 def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
                      truth=None, phi_method="quad", phi_budget=100_000, seed=0):
     """Assembled observation-path bound on the TV gap of two filters.
@@ -245,55 +296,19 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=
     d, mode_used = distance_series(model, ys, mode=d_mode, traj=traj, truth=truth)
     env = envelope_fns(model)
     r = envelope_radius(model, delta, d)
-    log_em = np.asarray(env.log_lower(r), dtype=float)
-    log_ep = np.asarray(env.log_upper(r), dtype=float)
-    log_rho = log_contraction_from_logs(log_em, log_ep)
-    log_lambda = max_product_with_quota(log_rho, alpha)
-
     log_psi = np.array([math.log(set_likelihood_mass(model, ys[k - 1], ys[k], delta))
                         for k in range(1, n + 1)])
-    log_ups = np.full(n + 1, math.log(model.obs_noise.sup()))
-    a_n = math.floor((1.0 - alpha) * n / 2.0)
     phi1 = two_step_prior_mass(model, prior1, ys[0], ys[1], delta,
                                method=phi_method, budget=phi_budget, seed=seed)
     phi2 = two_step_prior_mass(model, prior2, ys[0], ys[1], delta,
                                method=phi_method, budget=phi_budget, seed=seed + 1)
-
-    sum_log_em = float(log_em[1:].sum())  # pairs i = 2..n
-    sum_log_psi = float(log_psi[1:].sum())
-    sum_log_ups = float(log_ups.sum())
-    log_remainder = (a_n * math.log(eta)
-                     - 2.0 * (sum_log_em + sum_log_psi)
-                     + 2.0 * sum_log_ups
-                     - phi1.log_value - phi2.log_value)
-    log_total, headline = _assemble(log_lambda, log_remainder)
-    return BoundBreakdown(
-        log_lambda=log_lambda,
-        log_remainder=log_remainder,
-        log_total=log_total,
-        headline=headline,
-        components={
-            "a_n": a_n,
-            "sum_log_eps_minus": sum_log_em,
-            "sum_log_psi": sum_log_psi,
-            "sum_log_upsilon": sum_log_ups,
-            "log_phi_nu": phi1.log_value,
-            "log_phi_nu_prime": phi2.log_value,
-        },
-        parameters={"eta": eta, "alpha": alpha, "delta": delta, "n": n,
-                    "d_mode": mode_used, "phi_method": phi_method},
-        per_step={
-            "log_eps_minus": log_em,
-            "log_eps_plus": log_ep,
-            "log_psi": log_psi,
-            "log_rho": log_rho,
-            "log_upsilon": log_ups,
-        },
-        diagnostics={
-            "phi_underflow": bool(phi1.underflow or phi2.underflow),
-            "vacuous": bool(log_total >= 0.0),
-            "achieved_eta": eta_for_delta(model, delta),
-        },
+    return _breakdown(
+        np.asarray(env.log_lower(r), dtype=float), np.asarray(env.log_upper(r), dtype=float),
+        log_psi, np.full(n + 1, math.log(model.obs_noise.sup())),
+        phi1.log_value, phi2.log_value, alpha, eta,
+        parameters={"delta": delta, "d_mode": mode_used, "phi_method": phi_method},
+        diagnostics={"phi_underflow": bool(phi1.underflow or phi2.underflow),
+                     "achieved_eta": eta_for_delta(model, delta)},
     )
 
 
@@ -321,51 +336,14 @@ def forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha, eta):
         log_em[k - 1] = math.log(lo)
         log_ep[k - 1] = math.log(hi)
         log_psi[k - 1] = math.log(set_likelihood_mass_finite(fmodel, ld, ys[k - 1], ys[k]))
-    log_rho = log_contraction_from_logs(log_em, log_ep)
-    log_lambda = max_product_with_quota(log_rho, alpha)
     log_ups = np.array([math.log(fmodel.emission_vector(y).max()) for y in ys])
-    a_n = math.floor((1.0 - alpha) * n / 2.0)
-    phi1 = two_step_prior_mass_finite(fmodel, nu, ys[0], ys[1], ld.set_for(ys[1]))
-    phi2 = two_step_prior_mass_finite(fmodel, nup, ys[0], ys[1], ld.set_for(ys[1]))
-    if phi1 <= 0.0 or phi2 <= 0.0:
-        log_total, headline = math.inf, 1.0
-        log_phi1 = -math.inf if phi1 <= 0 else math.log(phi1)
-        log_phi2 = -math.inf if phi2 <= 0 else math.log(phi2)
-        log_remainder = math.inf
-    else:
-        log_phi1, log_phi2 = math.log(phi1), math.log(phi2)
-        log_remainder = (a_n * math.log(eta)
-                         - 2.0 * float(log_em[1:].sum() + log_psi[1:].sum())
-                         + 2.0 * float(log_ups.sum())
-                         - log_phi1 - log_phi2)
-        log_total, headline = _assemble(log_lambda, log_remainder)
-    return BoundBreakdown(
-        log_lambda=log_lambda,
-        log_remainder=log_remainder,
-        log_total=log_total,
-        headline=headline,
-        components={
-            "a_n": a_n,
-            "sum_log_eps_minus": float(log_em[1:].sum()),
-            "sum_log_psi": float(log_psi[1:].sum()),
-            "sum_log_upsilon": float(log_ups.sum()),
-            "log_phi_nu": log_phi1,
-            "log_phi_nu_prime": log_phi2,
-        },
-        parameters={"eta": eta, "alpha": alpha, "delta": None, "n": n,
-                    "d_mode": "finite-exact", "phi_method": "finite-exact"},
-        per_step={
-            "log_eps_minus": log_em,
-            "log_eps_plus": log_ep,
-            "log_psi": log_psi,
-            "log_rho": log_rho,
-            "log_upsilon": log_ups,
-        },
-        diagnostics={
-            "phi_underflow": bool(phi1 <= 0 or phi2 <= 0),
-            "vacuous": bool(log_total >= 0.0),
-            "required_eta": required,
-        },
+    phis = [two_step_prior_mass_finite(fmodel, p, ys[0], ys[1], ld.set_for(ys[1]))
+            for p in (nu, nup)]
+    log_phi1, log_phi2 = (math.log(p) if p > 0.0 else -math.inf for p in phis)
+    return _breakdown(
+        log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
+        parameters={"delta": None, "d_mode": "finite-exact", "phi_method": "finite-exact"},
+        diagnostics={"phi_underflow": min(phis) <= 0.0, "required_eta": required},
     )
 
 
@@ -417,21 +395,18 @@ def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None
 def prefix_series(full):
     """The prefix bounds of ``bound_series`` from a full-horizon breakdown.
 
-    Every prefix reuses the breakdown's per-step terms, its alpha and its eta.
+    Every prefix reuses the breakdown's per-step terms, its alpha and its eta,
+    and goes through the same remainder as the breakdown, so the last prefix
+    reproduces its ``log_total`` exactly.
     """
     ps = full.per_step
     alpha, eta = full.parameters["alpha"], full.parameters["eta"]
-    log_phi = full.components["log_phi_nu"] + full.components["log_phi_nu_prime"]
+    log_phi1, log_phi2 = full.components["log_phi_nu"], full.components["log_phi_nu_prime"]
     out = {"n": [], "log_lambda": [], "log_remainder": [], "log_total": [], "headline": []}
-    n = full.parameters["n"]
-    for k in range(2, n + 1):
-        log_rho_k = ps["log_rho"][:k]
-        log_lam = max_product_with_quota(log_rho_k, alpha)
-        a_k = math.floor((1.0 - alpha) * k / 2.0)
-        rem = (a_k * math.log(eta)
-               - 2.0 * float(ps["log_eps_minus"][1:k].sum() + ps["log_psi"][1:k].sum())
-               + 2.0 * float(ps["log_upsilon"][: k + 1].sum())
-               - log_phi)
+    for k in range(2, full.parameters["n"] + 1):
+        log_lam = max_product_with_quota(ps["log_rho"][:k], alpha)
+        rem, _ = _remainder(ps["log_eps_minus"][:k], ps["log_psi"][:k],
+                            ps["log_upsilon"][: k + 1], log_phi1, log_phi2, alpha, eta)
         tot, head = _assemble(log_lam, rem)
         out["n"].append(k)
         out["log_lambda"].append(log_lam)

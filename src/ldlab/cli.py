@@ -20,16 +20,15 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .bounds import eta_sweep, forgetting_bound, forgetting_bound_finite, write_bound_csv
-from .dists import prior_from_spec
+from .bounds import write_bound_csv
 from .errors import ConfigError, LabError
+from .models import simulate_finite
 from .scenarios import (
+    _build_models,
+    _evaluate_bound,
     _finite_prior,
     _json_default,
     _simulate,
-    build_finite,
-    build_model,
-    build_truth,
     config_hash,
     monte_carlo_expectation,
     preset_config,
@@ -99,20 +98,15 @@ def cmd_simulate(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"sim-seed{seed}")
     os.makedirs(out, exist_ok=True)
+    model, truth, fmodel, _ = _build_models(config)
     if config.is_finite:
-        fmodel, _ = build_finite(config)
-        from .models import simulate_finite
-
         states, ys = simulate_finite(fmodel, _finite_prior(config.prior1, fmodel.m),
                                      config.horizon, seed)
-        lines = ["n,state,obs"] + [f"{k},{int(states[k])},{ys[k]:.17g}" for k in range(len(ys))]
+        cells = [str(int(x)) for x in states]
     else:
-        model = build_model(config)
-        truth = build_truth(config, model)
         traj, ys = _simulate(config, model, truth, None, seed)
-        lines = ["n,state,obs"] + [
-            f"{k},{traj.states[k]:.17g},{ys[k]:.17g}" for k in range(len(ys))
-        ]
+        cells = [f"{x:.17g}" for x in traj.states]
+    lines = ["n,state,obs"] + [f"{k},{cells[k]},{ys[k]:.17g}" for k in range(len(ys))]
     with open(os.path.join(out, "sim.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_json(os.path.join(out, "report.json"), {
@@ -135,7 +129,7 @@ def _run_and_report(args, config, out):
     if report.fit is not None:
         line += f"  slope={report.fit.slope:.4f} R2={report.fit.r_squared:.3f}"
     print(line)
-    if report.bound is not None and report.bound.get("final"):
+    if report.bound is not None:
         print(f"bound headline={report.bound['final']['headline']:.6g} "
               f"(eta={report.bound['eta']:.4g}, alpha={report.bound['alpha']})")
     return 0
@@ -163,38 +157,17 @@ def cmd_bound(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"bound-seed{seed}")
     os.makedirs(out, exist_ok=True)
-    alpha = float(config.bound.get("alpha", 0.5))
-    eta = config.bound.get("eta", 0.1)
-    if config.is_finite:
-        fmodel, ld = build_finite(config)
-        _, ys = _simulate(config, None, None, fmodel, seed)
-        nu1 = _finite_prior(config.prior1, fmodel.m)
-        nu2 = _finite_prior(config.prior2, fmodel.m)
-        bd = forgetting_bound_finite(fmodel, ld, nu1, nu2, ys,
-                                     alpha, float(eta) if eta != "sweep" else 0.5)
-        sweep_info = None
-    else:
-        model = build_model(config)
-        truth = build_truth(config, model)
-        traj, ys = _simulate(config, model, truth, None, seed)
-        d_mode = config.bound.get("d_mode", "recorded")
-        kwargs = dict(d_mode=d_mode, traj=traj, truth=truth)
-        if eta == "sweep":
-            sweep = eta_sweep(model, prior_from_spec(config.prior1),
-                              prior_from_spec(config.prior2), ys, alpha, **kwargs)
-            bd = sweep["best"]
-            sweep_info = {"etas": sweep["etas"],
-                          "log_totals": [b.log_total for b in sweep["results"]]}
-        else:
-            bd = forgetting_bound(model, prior_from_spec(config.prior1),
-                                  prior_from_spec(config.prior2), ys, alpha,
-                                  float(eta), **kwargs)
-            sweep_info = None
+    model, truth, fmodel, ld = _build_models(config)
+    traj, ys = _simulate(config, model, truth, fmodel, seed)
+    _, info, bd = _evaluate_bound(config, model, truth, fmodel, ld, traj, ys)
+    sweep = info.get("sweep")
+    if sweep is not None:
+        sweep = {"etas": sweep["etas"], "log_totals": [r["log_total"] for r in sweep["results"]]}
     write_bound_csv(bd, os.path.join(out, "bound.csv"))
     _write_json(os.path.join(out, "report.json"), {
         "config": config.raw, "config_hash": config_hash(config.raw),
         "seed": seed, "version": __version__,
-        "bound": bd.to_json_dict(), "eta_sweep": sweep_info,
+        "bound": info["final"], "eta_sweep": sweep,
     })
     print(f"wrote {out}/bound.csv  headline={bd.headline:.6g} "
           f"log_total={bd.log_total:.4f} (eta={bd.parameters['eta']:.4g})")

@@ -111,8 +111,11 @@ def scenario_from_dict(d):
     if prior2 is None:
         errors.append("'prior2' is required")
     horizon = d.get("horizon", 100)
+    bound = d.get("bound")
     if not isinstance(horizon, int) or horizon < 1:
         errors.append("'horizon' must be a positive integer")
+    elif bound is not None and horizon < 2:
+        errors.append("a bound needs 'horizon' >= 2 (two steps)")
     seeds = d.get("seeds", [0])
     if not seeds or not all(isinstance(s, int) for s in seeds):
         errors.append("'seeds' must be a non-empty list of integers")
@@ -122,13 +125,16 @@ def scenario_from_dict(d):
     if prior1 is not None and prior2 is not None and prior1 == prior2 and not allow_equal:
         errors.append("identical priors need allow_equal_priors: true")
     repr_cfg = d.get("repr", {})
-    bound = d.get("bound")
     if bound is not None:
         alpha = bound.get("alpha", 0.5)
         if not (0.0 < alpha < 1.0):
             errors.append("bound.alpha must lie in (0, 1)")
         eta = bound.get("eta", 0.1)
-        if eta != "sweep" and not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
+        if eta == "sweep":
+            if finite is not None:
+                errors.append("bound.eta 'sweep' needs a continuous model; "
+                              "a finite bound takes one eta in (0, 1)")
+        elif not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
             errors.append("bound.eta must lie in (0, 1) or be 'sweep'")
     if errors:
         raise ConfigError("invalid scenario config: " + "; ".join(errors))
@@ -277,6 +283,14 @@ def build_finite(config):
     obs_to_bin = _threshold_binner(thr, len(f["set_table"]))
     ld = finite_ld_construct(fmodel, f["set_table"], obs_to_bin=obs_to_bin)
     return fmodel, ld
+
+
+def _build_models(config):
+    """(model, truth, fmodel, ld) of a scenario; the other model kind's pair is None."""
+    if config.is_finite:
+        return (None, None, *build_finite(config))
+    model = build_model(config)
+    return model, build_truth(config, model), None, None
 
 
 def _threshold_binner(thr, n_bins):
@@ -455,10 +469,9 @@ def run_scenario(config, seed=None, out_dir=None):
     diagnostics = {}
     failure = None
 
+    model, truth, fmodel, ld = _build_models(config)
+    traj, ys = _simulate(config, model, truth, fmodel, seed)
     if config.is_finite:
-        fmodel, ld = build_finite(config)
-        model = truth = None
-        traj, ys = _simulate(config, None, None, fmodel, seed)
         nu1 = _finite_prior(config.prior1, fmodel.m)
         nu2 = _finite_prior(config.prior2, fmodel.m)
         filt1, _ = exact_filter_finite(fmodel, nu1, ys)
@@ -467,10 +480,6 @@ def run_scenario(config, seed=None, out_dir=None):
         with np.errstate(divide="ignore"):
             log_tvs = np.log(tvs)
     else:
-        model = build_model(config)
-        truth = build_truth(config, model)
-        fmodel = ld = None
-        traj, ys = _simulate(config, model, truth, None, seed)
         prior1 = prior_from_spec(config.prior1)
         prior2 = prior_from_spec(config.prior2)
         try:
@@ -502,11 +511,10 @@ def run_scenario(config, seed=None, out_dir=None):
     bound_log = None
     bound_info = None
     if config.bound is not None and failure is None:
-        bound_log, bound_info = _evaluate_bound(config, model, truth, fmodel, ld,
-                                                traj, ys, ns)
-        if bound_info is not None:
-            diagnostics["h2_delta"] = bound_info.get("delta")
-            diagnostics["d_mode"] = bound_info.get("d_mode")
+        bound_log, bound_info, _ = _evaluate_bound(config, model, truth, fmodel, ld,
+                                                   traj, ys)
+        diagnostics["h2_delta"] = bound_info["delta"]
+        diagnostics["d_mode"] = bound_info["d_mode"]
 
     delta = None
     if model is not None and config.bound is not None and traj is not None:
@@ -546,47 +554,45 @@ def run_scenario(config, seed=None, out_dir=None):
     return report
 
 
-def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys, ns):
+def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys):
+    """The bound of one stream: its prefix series, its report entry, its breakdown.
+
+    One full-horizon breakdown per run (the best one of an eta sweep); every
+    prefix bound is taken from it by ``prefix_series``.
+    """
     bc = config.bound
     alpha = float(bc.get("alpha", 0.5))
     eta = bc.get("eta", 0.1)
-    bound_log = np.full(len(ns), np.nan)
-    if config.is_finite:
-        nu1 = _finite_prior(config.prior1, fmodel.m)
-        nu2 = _finite_prior(config.prior2, fmodel.m)
-        eta_val = float(eta) if eta != "sweep" else 0.5
-        last = None
-        for k in range(2, len(ys)):
-            bd = forgetting_bound_finite(fmodel, ld, nu1, nu2, ys[: k + 1], alpha, eta_val)
-            bound_log[k] = bd.log_total
-            last = bd
-        info = {"eta": eta_val, "alpha": alpha, "delta": None, "d_mode": "finite-exact",
-                "final": last.to_json_dict() if last else None}
-        return bound_log, info
-    prior1 = prior_from_spec(config.prior1)
-    prior2 = prior_from_spec(config.prior2)
-    d_mode = bc.get("d_mode", "recorded")
-    kwargs = dict(d_mode=d_mode, traj=traj, truth=truth)
     sweep_info = None
-    if eta == "sweep":
-        sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"),
-                          **kwargs)
-        sweep_info = {
-            "etas": [float(e) for e in sweep["etas"]],
-            "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,
-                         "headline": b.headline} for b in sweep["results"]],
-        }
-        # the best eta's breakdown is already computed; build its prefixes
-        series = prefix_series(sweep["best"])
+    if config.is_finite:
+        full = forgetting_bound_finite(fmodel, ld, _finite_prior(config.prior1, fmodel.m),
+                                       _finite_prior(config.prior2, fmodel.m), ys,
+                                       alpha, float(eta))
+        series = prefix_series(full)
     else:
-        series = bound_series(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
+        prior1 = prior_from_spec(config.prior1)
+        prior2 = prior_from_spec(config.prior2)
+        kwargs = dict(d_mode=bc.get("d_mode", "recorded"), traj=traj, truth=truth)
+        if eta == "sweep":
+            sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"),
+                              **kwargs)
+            sweep_info = {
+                "etas": [float(e) for e in sweep["etas"]],
+                "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,
+                             "headline": b.headline} for b in sweep["results"]],
+            }
+            series = prefix_series(sweep["best"])
+        else:
+            series = bound_series(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
+    bound_log = np.full(len(ys), np.nan)
     bound_log[series["n"]] = series["log_total"]
     full = series["full"]
-    eta_val = float(full.parameters["eta"])
-    info = {"eta": eta_val, "alpha": alpha, "delta": full.parameters["delta"],
-            "d_mode": full.parameters["d_mode"], "final": full.to_json_dict(),
-            "sweep": sweep_info}
-    return bound_log, info
+    info = {"eta": float(full.parameters["eta"]), "alpha": alpha,
+            "delta": full.parameters["delta"], "d_mode": full.parameters["d_mode"],
+            "final": full.to_json_dict()}
+    if not config.is_finite:  # a finite bound takes one eta and never sweeps
+        info["sweep"] = sweep_info
+    return bound_log, info, full
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +698,6 @@ def monte_carlo_expectation(config, replicates, thresholds=None, out_dir=None):
 def _exceedance_frequencies(reports, thresholds):
     events = {key: [] for key in ("r1", "r2", "r3", "r4", "r0_nu", "r0_nu_prime")}
     for rep in reports:
-        if rep.bound is None or rep.bound.get("final") is None:
-            continue
         comp = rep.bound["final"]["components"]
         n = rep.bound["final"]["parameters"]["n"]
         log_lambda = rep.bound["final"]["log_lambda"]

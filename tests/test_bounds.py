@@ -227,6 +227,28 @@ def test_finite_bound_rejects_eta_below_achieved_ratio():
                                 alpha=0.4, eta=required / 2.0)
 
 
+def test_finite_bound_with_zero_prior_mass_is_vacuous():
+    # prior 1 sits on state 0, which never moves into the set {1, 2}, so its
+    # two-step mass is exactly zero and the remainder is +inf
+    fm = gaussian_finite_model(
+        Q=np.array([[1.0, 0.0, 0.0],
+                    [0.0, 0.6, 0.4],
+                    [0.0, 0.3, 0.7]]),
+        means=np.array([-10.0, 0.0, 1.0]),
+        stds=np.array([1.0, 1.0, 1.0]))
+    ld = finite_ld_construct(fm, [[1, 2]], obs_to_bin=lambda y: 0)
+    ys = np.array([0.0, 0.5, 1.0, 0.2])
+    b = forgetting_bound_finite(fm, ld, np.array([1.0, 0.0, 0.0]),
+                                np.array([0.0, 0.5, 0.5]), ys, alpha=0.4, eta=0.5)
+    assert b.components["log_phi_nu"] == -math.inf
+    assert np.isfinite(b.components["log_phi_nu_prime"])
+    assert b.log_remainder == math.inf
+    assert b.log_total == math.inf
+    assert b.headline == 1.0
+    assert b.diagnostics["phi_underflow"] is True
+    assert b.diagnostics["vacuous"] is True
+
+
 def test_numerator_gap_holds_and_routes_agree():
     fm, ld = _chain3()
     rng = np.random.default_rng(3)
@@ -260,8 +282,9 @@ def test_bound_series_last_point_matches_full_bound():
     series = bound_series(m, p1, p2, traj.observations, alpha=0.5, eta=0.3)
     full = forgetting_bound(m, p1, p2, traj.observations, alpha=0.5, eta=0.3)
     assert series["n"][-1] == 8
-    assert series["log_total"][-1] == pytest.approx(full.log_total, rel=1e-12)
-    assert series["headline"][-1] == pytest.approx(full.headline, rel=1e-12)
+    # the last prefix goes through the breakdown's own remainder, bit for bit
+    assert series["log_total"][-1] == full.log_total
+    assert series["headline"][-1] == full.headline
     # the breakdown behind the series is the full-horizon bound itself
     assert series["full"].to_json_dict() == full.to_json_dict()
     # prefixes get monotonically more data, not monotonically better bounds;

@@ -94,6 +94,28 @@ def test_bound_subcommand_and_eta_override(tmp_path, config_file):
     assert lines[0].startswith("i,")
 
 
+def test_bound_subcommand_sweeps_the_configured_etas(tmp_path):
+    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
+                             "d_mode": "recorded"})
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "bnd"
+    r = _run("bound", "--config", str(p), "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["eta_sweep"]["etas"] == [0.1, 0.3]
+    assert len(report["eta_sweep"]["log_totals"]) == 2
+    assert report["bound"]["log_total"] == min(report["eta_sweep"]["log_totals"])
+
+
+def test_finite_bound_rejects_an_eta_sweep(tmp_path):
+    r = _run("bound", "--preset", "finite-oracle", "--eta", "sweep",
+             "--out", str(tmp_path / "fo"), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "bound.eta 'sweep' needs a continuous model" in r.stderr
+    assert not (tmp_path / "fo").exists()
+
+
 def test_preset_and_config_are_exclusive(tmp_path, config_file):
     r = _run("experiment", "--config", str(config_file), "--preset", "rw-gauss",
              cwd=tmp_path)

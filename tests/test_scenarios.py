@@ -55,6 +55,18 @@ def test_scenario_from_dict_collects_every_error():
     assert "'prior2' is required" in msg
     assert "'horizon' must be a positive integer" in msg
     assert "duplicates" in msg
+    # a finite bound cannot sweep eta, and no bound runs on a single step;
+    # both are reported with the other problems, for either model kind
+    finite = json.loads(json.dumps(PRESETS["finite-oracle"]))
+    finite.update(horizon=1, seeds=[1, 1], bound={"alpha": 0.3, "eta": "sweep"})
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(finite)
+    msg = str(err.value)
+    assert "bound.eta 'sweep' needs a continuous model" in msg
+    assert "a bound needs 'horizon' >= 2" in msg
+    assert "duplicates" in msg
+    with pytest.raises(ConfigError, match="a bound needs 'horizon' >= 2"):
+        scenario_from_dict(dict(SMALL_SCENARIO, horizon=1))
 
 
 def test_equal_priors_need_explicit_opt_in():
@@ -210,6 +222,39 @@ def test_finite_scenario_runs_exactly():
     assert rep.fit is not None
     assert rep.fit.slope < -0.05
     assert rep.bound is not None
+
+
+def _finite_oracle_stream(cfg, seed):
+    fmodel, ld = scenarios.build_finite(cfg)
+    _, ys = scenarios._simulate(cfg, None, None, fmodel, seed)
+    nus = [np.asarray(p["probs"], dtype=float) for p in (cfg.prior1, cfg.prior2)]
+    return fmodel, ld, nus, ys
+
+
+def test_finite_bound_log_is_the_per_prefix_bound():
+    cfg = preset_config("finite-oracle")
+    for seed in (501, 502):
+        rep = run_scenario(cfg, seed=seed)
+        fmodel, ld, (nu1, nu2), ys = _finite_oracle_stream(cfg, seed)
+        assert np.all(np.isnan(rep.tv.bound_log[:2]))
+        for k in range(2, len(ys)):
+            bd = bounds.forgetting_bound_finite(fmodel, ld, nu1, nu2, ys[: k + 1],
+                                                alpha=0.3, eta=0.5)
+            assert rep.tv.bound_log[k] == bd.log_total, (seed, k)
+        assert rep.bound["final"] == bd.to_json_dict()
+
+
+def test_finite_run_assembles_one_bound(monkeypatch):
+    calls = []
+    real_bound = scenarios.forgetting_bound_finite
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return real_bound(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "forgetting_bound_finite", counted)
+    run_scenario(preset_config("finite-oracle"), seed=501)
+    assert calls == [41]  # the full stream once; every prefix comes from it
 
 
 def test_unpaired_route_confirms_paired_route():
