@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+# quad is not called here; it stays importable for benchmarks/tracer.py
+from scipy.integrate import quad  # noqa: F401
+from scipy.special import logsumexp
 
 from .dists import PointMassPrior
 from .doeblin import (
@@ -31,7 +33,8 @@ from .errors import (
     OracleScaleError,
 )
 from .filtering import _path_log_weights, _propagate_particles
-from .models import loglik, transition_density
+# transition_density, likewise, stays importable for benchmarks/tracer.py
+from .models import loglik, transition_density  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +85,24 @@ def max_product_with_quota_bruteforce(log_factors, alpha):
 # the two prior-dependent masses
 
 
+# phi and psi come from one composite Gauss-Legendre rule summed in log domain,
+# _GL_POINTS nodes on each equal panel. Each mass is evaluated again at twice
+# the points; the change in its log is the rule's error estimate.
+_GL_POINTS = 16
+_PRIOR_PANELS, _SET_PANELS = 8, 4  # over prior.quad_bounds(), over an LD set
+_GL_NODES = {p: np.polynomial.legendre.leggauss(p) for p in (_GL_POINTS, 2 * _GL_POINTS)}
+
+
+def _gl_rule(lo, hi, panels, points):
+    """Nodes and log weights on [lo, hi]; array bounds give one row per interval."""
+    t, w = _GL_NODES[points]
+    lo = np.asarray(lo, dtype=float)[..., None, None]
+    half = (np.asarray(hi, dtype=float)[..., None, None] - lo) / (2.0 * panels)
+    nodes = lo + half * (2.0 * np.arange(panels)[:, None] + 1.0 + t)
+    shape = nodes.shape[:-2] + (-1,)
+    return nodes.reshape(shape), np.broadcast_to(np.log(half * w), nodes.shape).reshape(shape)
+
+
 @dataclass(frozen=True)
 class PhiValue:
     """Two-step prior mass restricted to the second-step set."""
@@ -91,42 +112,25 @@ class PhiValue:
     method: str
     stderr: Optional[float] = None
     underflow: bool = False
+    rule_err: Optional[float] = None
 
 
-def two_step_prior_mass(model, prior, y0, y1, delta, method="quad", budget=100_000,
-                        seed=0, quad_tol=1e-8):
+def two_step_prior_mass(model, prior, y0, y1, delta, method="quad", budget=100_000, seed=0):
     """Prior mass of two likelihood-weighted steps landing in the y1-set.
 
-    Integrates prior(dx) g(x, y0) q(x, x') g(x', y1) over x' in the set at y1,
-    by nested adaptive quadrature or by Monte Carlo with a reported standard
-    error. Values below 1e-300 flip the underflow flag and the log value is
-    recomputed on a fixed log-domain grid.
+    Integrates prior(dx) g(x, y0) q(x, x') g(x', y1) over x' in the set at y1.
+    ``quad`` applies the Gauss-Legendre rule in log domain, with ``rule_err``
+    the change in log phi at doubled order; ``mc`` averages over prior draws
+    and reports a standard error. Values below 1e-300 flip the underflow flag
+    and read 0.0; the quad route keeps their finite log value.
     """
     c1 = ld_set(model, y1, delta)
-    v = model.obs_noise
-
-    def g0(x):
-        return math.exp(float(v.logpdf(y0 - float(model.h(x)))))
-
-    def g1(xp):
-        return math.exp(float(v.logpdf(y1 - float(model.h(xp)))))
-
-    def inner(x):
-        val, _ = quad(lambda xp: transition_density(model, x, xp) * g1(xp),
-                      c1.lo, c1.hi, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        return val
-
     if method == "quad":
-        if isinstance(prior, PointMassPrior):
-            value = g0(prior.x) * inner(prior.x)
-        else:
-            lo, hi = prior.quad_bounds()
-            value, _ = quad(lambda x: math.exp(float(prior.logpdf(x))) * g0(x) * inner(x),
-                            lo, hi, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        if value > 1e-300:
-            return PhiValue(value=value, log_value=math.log(value), method="quad")
-        log_value = _log_phi_grid(model, prior, y0, y1, c1)
-        return PhiValue(value=0.0, log_value=log_value, method="quad+log-grid", underflow=True)
+        log_value = _log_phi(model, prior, y0, y1, c1, _GL_POINTS)
+        rule_err = abs(_log_phi(model, prior, y0, y1, c1, 2 * _GL_POINTS) - log_value)
+        underflow = log_value < math.log(1e-300)
+        return PhiValue(value=0.0 if underflow else math.exp(log_value), log_value=log_value,
+                        method="quad", underflow=underflow, rule_err=rule_err)
     if method == "mc":
         rng = np.random.default_rng(seed)
         xs = np.asarray(prior.sample(rng, budget), dtype=float)
@@ -141,30 +145,19 @@ def two_step_prior_mass(model, prior, y0, y1, delta, method="quad", budget=100_0
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _log_phi_grid(model, prior, y0, y1, c1, n_grid=2001):
-    """Fixed-grid log-domain fallback for severely underflowing masses."""
-    lo, hi = prior.quad_bounds()
-    xs = np.linspace(lo, hi, n_grid)
-    xps = np.linspace(c1.lo, c1.hi, n_grid)
-    log_tau_x = math.log((hi - lo) / (n_grid - 1))
-    log_tau_xp = math.log((c1.hi - c1.lo) / (n_grid - 1))
-    log_g1 = loglik(model, xps, y1)
-    log_prior = np.asarray(prior.logpdf(xs), dtype=float)
-    log_g0 = loglik(model, xs, y0)
-    noise = model.state_noise
-    rows = np.empty(n_grid)
-    for i, x in enumerate(xs):
-        log_q = noise.logpdf(x, xps - float(model.f(x)))
-        rows[i] = _logsumexp(log_q + log_g1) + log_tau_xp
-    return float(_logsumexp(log_prior + log_g0 + rows) + log_tau_x)
-
-
-def _logsumexp(a):
-    a = np.asarray(a, dtype=float)
-    m = np.max(a)
-    if not np.isfinite(m):
-        return -math.inf
-    return float(m + math.log(np.sum(np.exp(a - m))))
+def _log_phi(model, prior, y0, y1, c1, points):
+    """log phi by the tensor rule; a point-mass prior is one node of weight 1."""
+    if isinstance(prior, PointMassPrior):
+        xs, log_w = np.array([prior.x]), np.zeros(1)
+    else:
+        xs, log_w = _gl_rule(*prior.quad_bounds(), _PRIOR_PANELS, points)
+    xps, log_wp = _gl_rule(c1.lo, c1.hi, _SET_PANELS, points)
+    # log q(x_i, x'_j) at [j, i], from the broadcast builder that grid_kernel uses
+    log_q = model.state_noise.log_kernel(
+        xs, np.subtract.outer(xps, np.asarray(model.f(xs), dtype=float)))
+    log_q += log_w + prior.logpdf(xs) + loglik(model, xs, y0)
+    log_q += (log_wp + loglik(model, xps, y1))[:, None]
+    return float(logsumexp(log_q))
 
 
 def two_step_prior_mass_finite(fmodel, nu, y0, y1, set_idx):
@@ -177,12 +170,22 @@ def two_step_prior_mass_finite(fmodel, nu, y0, y1, set_idx):
     return float(nu @ (g0 * (fmodel.Q @ (g1 * mask))))
 
 
-def set_likelihood_mass(model, y, yp, delta, quad_tol=1e-8):
-    """Likelihood mass of the y'-set: integral of v(y' - h(x)) over the set."""
-    c = ld_set(model, yp, delta)
-    val, _ = quad(lambda x: math.exp(float(model.obs_noise.logpdf(yp - float(model.h(x))))),
-                  c.lo, c.hi, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    return val
+def set_likelihood_mass(model, y, yp, delta):
+    """Likelihood mass of the y'-set: integral of v(y' - h(x)) over the set.
+
+    ``yp`` may be an array, one mass per entry, all in one evaluation of the
+    Gauss-Legendre rule; a scalar ``yp`` gives a float.
+    """
+    psi = np.exp(_log_psi(model, yp, delta, _GL_POINTS))
+    return float(psi[0]) if np.ndim(yp) == 0 else psi
+
+
+def _log_psi(model, yp, delta, points):
+    """log psi for each entry of ``yp`` by the rule over its LD set."""
+    yp = np.atleast_1d(np.asarray(yp, dtype=float))
+    sets = [ld_set(model, y, delta) for y in yp]
+    xs, log_w = _gl_rule([c.lo for c in sets], [c.hi for c in sets], _SET_PANELS, points)
+    return logsumexp(log_w + model.obs_noise.logpdf(yp[:, None] - model.h(xs)), axis=-1)
 
 
 def set_likelihood_mass_finite(fmodel, ld, y, yp):
@@ -279,12 +282,14 @@ def _breakdown(log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
 
 
 def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
-                     truth=None, phi_method="quad", phi_budget=100_000, seed=0):
+                     truth=None):
     """Assembled observation-path bound on the TV gap of two filters.
 
     The set radius is derived from ``eta`` through the tail-ratio condition;
     the remainder term is built from the per-pair envelope and mass values
     entirely in log domain and combined with the quota term by log-add-exp.
+    ``mass_rule_err`` in the diagnostics is the largest change of a log phi
+    or log psi when the Gauss-Legendre rule doubles its points.
     """
     ys = np.asarray(ys, dtype=float)
     n = len(ys) - 1
@@ -296,19 +301,17 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=
     d, mode_used = distance_series(model, ys, mode=d_mode, traj=traj, truth=truth)
     env = envelope_fns(model)
     r = envelope_radius(model, delta, d)
-    log_psi = np.array([math.log(set_likelihood_mass(model, ys[k - 1], ys[k], delta))
-                        for k in range(1, n + 1)])
-    phi1 = two_step_prior_mass(model, prior1, ys[0], ys[1], delta,
-                               method=phi_method, budget=phi_budget, seed=seed)
-    phi2 = two_step_prior_mass(model, prior2, ys[0], ys[1], delta,
-                               method=phi_method, budget=phi_budget, seed=seed + 1)
+    log_psi = np.log(set_likelihood_mass(model, ys[:-1], ys[1:], delta))
+    psi_err = np.max(np.abs(_log_psi(model, ys[1:], delta, 2 * _GL_POINTS) - log_psi))
+    phi1, phi2 = (two_step_prior_mass(model, p, ys[0], ys[1], delta) for p in (prior1, prior2))
     return _breakdown(
         np.asarray(env.log_lower(r), dtype=float), np.asarray(env.log_upper(r), dtype=float),
         log_psi, np.full(n + 1, math.log(model.obs_noise.sup())),
         phi1.log_value, phi2.log_value, alpha, eta,
-        parameters={"delta": delta, "d_mode": mode_used, "phi_method": phi_method},
+        parameters={"delta": delta, "d_mode": mode_used, "phi_method": "quad"},
         diagnostics={"phi_underflow": bool(phi1.underflow or phi2.underflow),
-                     "achieved_eta": eta_for_delta(model, delta)},
+                     "achieved_eta": eta_for_delta(model, delta),
+                     "mass_rule_err": float(max(psi_err, phi1.rule_err, phi2.rule_err))},
     )
 
 
@@ -382,13 +385,13 @@ def write_bound_csv(breakdown, path):
 
 
 def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
-                 truth=None, phi_method="quad", seed=0):
+                 truth=None):
     """Assembled bound for every prefix y_{0:k}, k = 2..n, reusing shared terms.
 
     The full-horizon breakdown the series is built from is returned under
     ``"full"``."""
     full = forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode=d_mode,
-                            traj=traj, truth=truth, phi_method=phi_method, seed=seed)
+                            traj=traj, truth=truth)
     return prefix_series(full)
 
 
@@ -575,12 +578,14 @@ def denominator_gap(fmodel, nu, ys, ld):
     if n < 1:
         raise ConfigError("need at least one step")
     _, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
-    lhs_log = _logsumexp(log_w)
+    lhs_log = float(logsumexp(log_w))  # -inf when every path weighs zero
     bins = [int(ld.obs_to_bin(y)) for y in ys]
-    rhs_log = math.log(two_step_prior_mass_finite(fmodel, nu, ys[0], ys[1], ld.set_for(ys[1])))
+    factors = [two_step_prior_mass_finite(fmodel, nu, ys[0], ys[1], ld.set_for(ys[1]))]
     for i in range(2, n + 1):
-        lo, _ = ld.envelopes_for_bins(bins[i - 1], bins[i])
-        rhs_log += math.log(lo) + math.log(set_likelihood_mass_finite(fmodel, ld, ys[i - 1], ys[i]))
+        factors.append(ld.envelopes_for_bins(bins[i - 1], bins[i])[0])
+        factors.append(set_likelihood_mass_finite(fmodel, ld, ys[i - 1], ys[i]))
+    with np.errstate(divide="ignore"):
+        rhs_log = float(np.log(factors).sum())
     lhs = math.exp(lhs_log) if lhs_log < 700 else math.inf
     rhs = math.exp(rhs_log) if rhs_log < 700 else math.inf
     holds = rhs_log <= lhs_log + 1e-10

@@ -330,11 +330,3 @@ def loglik(model, x, y):
     x = np.asarray(x, dtype=float)
     return model.obs_noise.logpdf(y - model.h(x))
 
-
-def audit_lipschitz(model, rng, pairs=1000, box=(-10.0, 10.0)):
-    """Largest violation of |f(x1)-f(x2)| <= f_lip |x1-x2| over random pairs."""
-    x1 = rng.uniform(box[0], box[1], size=pairs)
-    x2 = rng.uniform(box[0], box[1], size=pairs)
-    f = np.vectorize(model.f)
-    gap = np.abs(f(x1) - f(x2)) - model.f_lip * np.abs(x1 - x2)
-    return float(np.max(gap))

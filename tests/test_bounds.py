@@ -1,6 +1,7 @@
 """Bound assembly: quota maximization, mass terms, gap checks, sweeps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from ldlab.bounds import (
     two_step_prior_mass_finite,
     write_bound_csv,
 )
-from ldlab.dists import NormalPrior
-from ldlab.doeblin import finite_ld_construct
+from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
+from ldlab.doeblin import delta_for_eta, finite_ld_construct
 from ldlab.errors import ConfigError, H2FailureError, InfeasibleConstraintError
 from ldlab.filtering import exact_filter_finite, tv_half_l1
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
+from ldlab.scenarios import PRESETS
 
 ERF_1_OVER_SQRT2 = 0.6826894921370859  # standard normal mass of [-1, 1]
 
@@ -139,6 +141,30 @@ def test_two_step_prior_mass_underflow_fallback():
     assert phi.log_value < -700.0
 
 
+@pytest.mark.parametrize("preset", ["rw-gauss", "ar-unstable"])
+def test_masses_match_closed_forms_on_gaussian_presets(preset, references):
+    raw = PRESETS[preset]
+    model = model_from_spec(raw["model"])
+    a, c0, q, r = references.gaussian_params(raw["model"])
+    # (prior, mean, std); a point mass is the closed form's std = 0
+    priors = [(prior_from_spec(p), p["mean"], p["std"]) for p in (raw["prior1"], raw["prior2"])]
+    priors.append((PointMassPrior(-5.0), -5.0, 0.0))
+    for seed in raw["seeds"]:
+        ys = simulate_trajectory(model, priors[0][0], raw["horizon"], seed).observations
+        for eta in (0.1, 1e-3):
+            delta = delta_for_eta(model, eta)
+            for prior, mean, std in priors:
+                phi = two_step_prior_mass(model, prior, ys[0], ys[1], delta)
+                exact = references.log_phi(a, c0, q, r, mean, std, ys[0], ys[1], delta)
+                assert abs(phi.log_value - exact) <= 1e-10, (seed, eta, mean, std)
+                assert phi.rule_err <= 1e-10
+            psi = set_likelihood_mass(model, ys[:-1], ys[1:], delta)
+            assert np.max(np.abs(np.log(psi) - references.log_psi(r, delta))) <= 1e-10
+            # a scalar yp is the same rule on one set, returned as a float
+            one = set_likelihood_mass(model, ys[0], ys[1], delta)
+            assert isinstance(one, float) and one == pytest.approx(psi[0], rel=1e-14)
+
+
 def test_two_step_prior_mass_finite_by_hand():
     fm, ld = _chain3()
     nu = np.array([0.2, 0.5, 0.3])
@@ -188,6 +214,8 @@ def test_forgetting_bound_assembly_identity():
     # per-step arrays span pairs k = 1..n
     assert len(b.per_step["log_eps_minus"]) == n
     assert len(b.per_step["log_upsilon"]) == n + 1
+    # the change of every phi and psi log at doubled rule order
+    assert 0.0 <= b.diagnostics["mass_rule_err"] <= 1e-10
 
 
 def test_forgetting_bound_needs_two_steps():
@@ -273,6 +301,18 @@ def test_denominator_gap_holds():
         gap = denominator_gap(fm, nu, ys, ld)
         assert gap.holds, f"seed {seed}: rhs {gap.rhs_log} > lhs {gap.lhs_log}"
         assert gap.rhs_log <= gap.lhs_log + 1e-10
+
+
+def test_denominator_gap_with_zero_evidence_is_minus_inf():
+    # every emission underflows at y = 1e3, so every path weighs zero and
+    # both sides are log 0, without a warning
+    fm, ld = _chain3()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = denominator_gap(fm, np.array([0.6, 0.3, 0.1]), np.array([0.0, 0.5, 1e3]), ld)
+    assert gap.lhs_log == -math.inf
+    assert gap.rhs_log == -math.inf
+    assert gap.holds
 
 
 def test_bound_series_last_point_matches_full_bound():

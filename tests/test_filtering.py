@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ldlab.dists import NormalPrior, PointMassPrior
+from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
 from ldlab.errors import FilterCollapseError
 from ldlab.filtering import (
     FilterState,
@@ -30,6 +30,7 @@ from ldlab.filtering import (
 )
 from ldlab.models import finite_model_make, gaussian_finite_model, simulate_trajectory
 from ldlab.modelspec import model_from_spec
+from ldlab.scenarios import PRESETS
 
 # hand-computed two-step fixture:
 #   nu = (.5, .5), Q = [[.7, .3], [.4, .6]], g(y0) = (.8, .4), g(y1) = (.7, .9)
@@ -194,6 +195,19 @@ def test_paired_runner_matches_steady_state_contraction():
     fit = decay_rate(series, fit_lo=20, fit_hi=100)
     assert fit.slope == pytest.approx(expected_slope, abs=2e-3)
     assert fit.r_squared > 0.999
+
+
+@pytest.mark.parametrize("preset", ["rw-gauss", "ar-unstable"])
+def test_paired_runner_matches_kalman_log_tv_at_every_step(preset, references):
+    # the benchmark's log TV tolerance; the worst error at 512 nodes is O(h^2)
+    raw = PRESETS[preset]
+    model = model_from_spec(raw["model"])
+    p1, p2 = prior_from_spec(raw["prior1"]), prior_from_spec(raw["prior2"])
+    ys = simulate_trajectory(model, p1, raw["horizon"], raw["seeds"][0]).observations
+    res = run_grid_pair(model, p1, p2, ys, ReprConfig(kind="grid", nodes=512, paired=True))
+    a, _, q, r = references.gaussian_params(raw["model"])
+    exact = references.kalman_log_tv(a, q, r, p1.mean, p2.mean, p1.std, raw["horizon"])
+    assert np.max(np.abs(res.log_tv - exact)) <= 1e-3
 
 
 def test_paired_runner_log_tv_reaches_deep_underflow_territory():

@@ -12,9 +12,7 @@ from ldlab.models import (
     FiniteModel,
     IidNoise,
     MisspecifiedTruth,
-    StateSpaceModel,
     Trajectory,
-    audit_lipschitz,
     finite_model_make,
     gaussian_finite_model,
     loglik,
@@ -95,19 +93,6 @@ def test_loglik_vectorizes_over_states():
     out = loglik(model, xs, y)
     expect = GaussianDensity(sigma=2.0).logpdf(y - (1.0 + xs))  # h(x) = 1 + x
     assert np.allclose(out, expect, rtol=1e-14)
-
-
-def test_audit_lipschitz_passes_affine_and_flags_lies():
-    model = _rw_model()
-    # worst violation of the declared constant; <= 0 means it holds
-    assert audit_lipschitz(model, np.random.default_rng(0), pairs=500) <= 1e-12
-
-    lying = StateSpaceModel(
-        f=lambda x: 3.0 * x, f_lip=1.0,
-        h=model.h, h_b0=model.h_b0, h_b=model.h_b,
-        state_noise=model.state_noise, obs_noise=model.obs_noise,
-        h_inverse=model.h_inverse)
-    assert audit_lipschitz(lying, np.random.default_rng(1), pairs=500) > 1.0
 
 
 def test_misspecified_truth_kappa():
