@@ -23,7 +23,6 @@ from .dists import NormalPrior, PointMassPrior, UniformPrior, prior_from_spec
 from .doeblin import (
     delta_for_eta,
     distance_series,
-    envelope_fns,
     envelope_pair,
     envelope_radius,
     eta_for_delta,

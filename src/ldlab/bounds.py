@@ -20,7 +20,6 @@ from .dists import PointMassPrior
 from .doeblin import (
     delta_for_eta,
     distance_series,
-    envelope_fns,
     envelope_radius,
     eta_for_delta,
     ld_set,
@@ -299,13 +298,14 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=
         raise ConfigError("eta must lie in (0, 1)")
     delta = delta_for_eta(model, eta)
     d, mode_used = distance_series(model, ys, mode=d_mode, traj=traj, truth=truth)
-    env = envelope_fns(model)
+    noise = model.state_noise
     r = envelope_radius(model, delta, d)
     log_psi = np.log(set_likelihood_mass(model, ys[:-1], ys[1:], delta))
     psi_err = np.max(np.abs(_log_psi(model, ys[1:], delta, 2 * _GL_POINTS) - log_psi))
     phi1, phi2 = (two_step_prior_mass(model, p, ys[0], ys[1], delta) for p in (prior1, prior2))
     return _breakdown(
-        np.asarray(env.log_lower(r), dtype=float), np.asarray(env.log_upper(r), dtype=float),
+        np.asarray(noise.log_radial_min(r), dtype=float),
+        np.asarray(noise.log_radial_max(r), dtype=float),
         log_psi, np.full(n + 1, math.log(model.obs_noise.sup())),
         phi1.log_value, phi2.log_value, alpha, eta,
         parameters={"delta": delta, "d_mode": mode_used, "phi_method": "quad"},

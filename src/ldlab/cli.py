@@ -22,11 +22,9 @@ import numpy as np
 from ._version import __version__
 from .bounds import write_bound_csv
 from .errors import ConfigError, LabError
-from .models import simulate_finite
 from .scenarios import (
     _build_models,
     _evaluate_bound,
-    _finite_prior,
     _json_default,
     _simulate,
     config_hash,
@@ -99,14 +97,9 @@ def cmd_simulate(args):
     out = _out_dir(args, config, f"sim-seed{seed}")
     os.makedirs(out, exist_ok=True)
     model, truth, fmodel, _ = _build_models(config)
-    if config.is_finite:
-        states, ys = simulate_finite(fmodel, _finite_prior(config.prior1, fmodel.m),
-                                     config.horizon, seed)
-        cells = [str(int(x)) for x in states]
-    else:
-        traj, ys = _simulate(config, model, truth, None, seed)
-        cells = [f"{x:.17g}" for x in traj.states]
-    lines = ["n,state,obs"] + [f"{k},{cells[k]},{ys[k]:.17g}" for k in range(len(ys))]
+    _, states, ys = _simulate(config, model, truth, fmodel, seed)
+    # finite states are integers, which %.17g writes as integers
+    lines = ["n,state,obs"] + [f"{k},{states[k]:.17g},{ys[k]:.17g}" for k in range(len(ys))]
     with open(os.path.join(out, "sim.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_json(os.path.join(out, "report.json"), {
@@ -158,7 +151,7 @@ def cmd_bound(args):
     out = _out_dir(args, config, f"bound-seed{seed}")
     os.makedirs(out, exist_ok=True)
     model, truth, fmodel, ld = _build_models(config)
-    traj, ys = _simulate(config, model, truth, fmodel, seed)
+    traj, _, ys = _simulate(config, model, truth, fmodel, seed)
     _, info, bd = _evaluate_bound(config, model, truth, fmodel, ld, traj, ys)
     sweep = info.get("sweep")
     if sweep is not None:

@@ -2,11 +2,12 @@
 
 Every family exposes the same small surface:
 
-- ``pdf`` / ``logpdf`` of the (centered) noise density; ``logpdf(u, out=)``
-  writes into ``out`` as a numpy ufunc does (``out=u`` evaluates in place),
+- ``logpdf`` of the (centered) noise density; ``logpdf(u, out=)`` writes
+  into ``out`` as a numpy ufunc does (``out=u`` evaluates in place), and
+  without ``out`` it evaluates in place on a fresh copy of ``u``,
 - ``sample`` draws from it,
-- ``radial_min(r)`` / ``radial_max(r)``: inf and sup of the density over the
-  closed ball of radius ``r`` around the origin,
+- ``log_radial_min(r)`` / ``log_radial_max(r)``: log inf and log sup of the
+  density over the closed ball of radius ``r`` around the origin,
 - ``tail_sup(delta)``: sup of the density outside that ball,
 - ``delta_for_tail_ratio(eta)``: smallest radius whose tail sup is at most
   ``eta`` times the global sup.
@@ -40,21 +41,16 @@ class GaussianDensity:
     def logpdf(self, u, out=None):
         """log density; with ``out`` (as for numpy ufuncs) it is written there.
 
-        The ``out`` route keeps the plain expression's order of operations, so
-        both routes give the same bits. Scalar callers such as ``quad`` take
-        the plain route.
+        Without ``out`` it is written to a fresh copy of ``u``, so ``u`` itself
+        is never changed.
         """
-        const = 0.5 * (_LOG_2PI + 2.0 * math.log(self.sigma))
         if out is None:
-            u = np.asarray(u, dtype=float)
-            return -0.5 * (u * u) / self.sigma**2 - const
+            out = np.array(u, dtype=float)
+        const = 0.5 * (_LOG_2PI + 2.0 * math.log(self.sigma))
         np.multiply(u, u, out=out)
         np.multiply(out, -0.5, out=out)
         np.divide(out, self.sigma**2, out=out)
         return np.subtract(out, const, out=out)
-
-    def pdf(self, u):
-        return np.exp(self.logpdf(u))
 
     def sample(self, rng, size=None):
         return rng.normal(0.0, self.sigma, size=size)
@@ -69,12 +65,6 @@ class GaussianDensity:
 
     def _log_peak(self):
         return -0.5 * (_LOG_2PI + 2.0 * math.log(self.sigma))
-
-    def radial_min(self, r):
-        return np.exp(self.log_radial_min(r))
-
-    def radial_max(self, r):
-        return np.exp(self.log_radial_max(r))
 
     def sup(self):
         return math.exp(self._log_peak())
@@ -97,12 +87,11 @@ def student_t_logpdf(u, df, scale, log_norm, out=None):
     """Student-t log density with normalizer ``log_norm`` at offsets ``u``.
 
     ``scale`` and ``log_norm`` may be arrays that broadcast against ``u``, one
-    per column for a kernel whose scale varies with the source node. With
-    ``out`` the steps run in place in the order of the plain expression.
+    per column for a kernel whose scale varies with the source node. The
+    steps run in place in ``out``, by default a fresh copy of ``u``.
     """
     if out is None:
-        z = np.asarray(u, dtype=float) / scale
-        return log_norm - 0.5 * (df + 1.0) * np.log1p(z * z / df)
+        out = np.array(u, dtype=float)
     np.divide(u, scale, out=out)
     np.multiply(out, out, out=out)
     np.divide(out, df, out=out)
@@ -139,30 +128,21 @@ class StudentTDensity:
         """log density; ``out`` works as for GaussianDensity.logpdf."""
         return student_t_logpdf(u, self.df, self.scale, self._log_norm(), out)
 
-    def pdf(self, u):
-        return np.exp(self.logpdf(u))
-
     def sample(self, rng, size=None):
         return rng.standard_t(self.df, size=size) * self.scale
 
     def log_radial_min(self, r):
         # symmetric unimodal: the infimum over the ball sits on the rim
-        return self.logpdf(np.asarray(r, dtype=float))
+        return self.logpdf(r)
 
     def log_radial_max(self, r):
         return np.zeros_like(np.asarray(r, dtype=float)) + self._log_norm()
-
-    def radial_min(self, r):
-        return np.exp(self.log_radial_min(r))
-
-    def radial_max(self, r):
-        return np.exp(self.log_radial_max(r))
 
     def sup(self):
         return math.exp(self._log_norm())
 
     def tail_sup(self, delta):
-        return self.radial_min(delta)
+        return math.exp(self.log_radial_min(delta))
 
     def delta_for_tail_ratio(self, eta):
         if eta >= 1.0:

@@ -86,21 +86,7 @@ def ld_set(model, y, delta):
 
 
 # ---------------------------------------------------------------------------
-# envelope functions of the radius
-
-
-@dataclass(frozen=True)
-class EnvelopeFns:
-    """Radial lower/upper envelopes of the transition noise density."""
-
-    log_lower: Callable
-    log_upper: Callable
-
-
-def envelope_fns(model):
-    """Envelope pair for the model's state noise (iid or dependent)."""
-    noise = model.state_noise
-    return EnvelopeFns(log_lower=noise.log_radial_min, log_upper=noise.log_radial_max)
+# envelope radius; the envelopes are the state noise's log_radial_min/max
 
 
 def envelope_radius(model, delta, d_value):
@@ -142,27 +128,6 @@ def misspec_distance_forms(truth, eps_prev, zeta, eps):
     }
 
 
-def recorded_distance_series(model, traj):
-    """Recorded-noise distance for each observation pair (y_{k-1}, y_k), k = 1..n."""
-    eps = traj.obs_noise
-    zeta = traj.state_noise
-    return preimage_distance_recorded(model, eps[:-1], zeta, eps[1:])
-
-
-def misspec_distance_series(truth, traj):
-    """Per-step mis-specified distance bound plus which form dominated."""
-    eps = traj.obs_noise
-    zeta = traj.state_noise
-    forms = misspec_distance_forms(truth, eps[:-1], zeta, eps[1:])
-    d = np.maximum(forms["proof_form"], forms["statement_form"])
-    info = {
-        "proof_form_mean": float(np.mean(forms["proof_form"])),
-        "statement_form_mean": float(np.mean(forms["statement_form"])),
-        "statement_form_dominates_frac": float(np.mean(forms["statement_form"] >= forms["proof_form"])),
-    }
-    return d, info
-
-
 def distance_series(model, ys, mode="auto", traj=None, truth=None):
     """Per-pair distance values for (y_{k-1}, y_k), k = 1..n, plus the mode used.
 
@@ -186,11 +151,14 @@ def distance_series(model, ys, mode="auto", traj=None, truth=None):
     elif mode == "recorded":
         if traj is None:
             raise UnavailableModeError("recorded mode needs a simulated trajectory")
-        d = recorded_distance_series(model, traj)
+        eps = traj.obs_noise
+        d = preimage_distance_recorded(model, eps[:-1], traj.state_noise, eps[1:])
     elif mode == "misspec":
         if truth is None or traj is None:
             raise UnavailableModeError("misspec mode needs the truth description and trajectory")
-        d, _ = misspec_distance_series(truth, traj)
+        eps = traj.obs_noise
+        forms = misspec_distance_forms(truth, eps[:-1], traj.state_noise, eps[1:])
+        d = np.maximum(forms["proof_form"], forms["statement_form"])
     else:
         raise ConfigError(f"unknown distance mode {mode!r}")
     if len(d) != len(ys) - 1:
@@ -209,9 +177,9 @@ def envelope_pair(model, y, yp, delta, d_value=None):
     """
     if d_value is None:
         d_value = preimage_distance_exact(model, y, yp)
-    env = envelope_fns(model)
+    noise = model.state_noise
     r = envelope_radius(model, delta, d_value)
-    return math.exp(env.log_lower(r)), math.exp(env.log_upper(r))
+    return math.exp(noise.log_radial_min(r)), math.exp(noise.log_radial_max(r))
 
 
 def log_contraction_from_logs(log_lower, log_upper):
@@ -433,7 +401,7 @@ def stability_diag_series(model, traj, delta):
     """
     d, _ = distance_series(model, traj.observations, mode="recorded", traj=traj)
     r = envelope_radius(model, delta, d)
-    return -np.asarray(envelope_fns(model).log_lower(r), dtype=float)
+    return -np.asarray(model.state_noise.log_radial_min(r), dtype=float)
 
 
 def misspec_diag_series(filter_model, truth, traj, delta):
@@ -446,4 +414,4 @@ def misspec_diag_series(filter_model, truth, traj, delta):
     eps = traj.obs_noise
     d = misspec_distance_forms(truth, eps[:-1], traj.state_noise, eps[1:])["statement_form"]
     r = envelope_radius(filter_model, delta, d)
-    return np.asarray(envelope_fns(filter_model).log_lower(r), dtype=float)
+    return np.asarray(filter_model.state_noise.log_radial_min(r), dtype=float)

@@ -63,12 +63,12 @@ class ReprConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """One filtering distribution in one of three representations.
+    """One filtering distribution in one of two representations.
 
     grid: ``nodes`` are uniformly spaced, ``log_weights`` are log densities at
     the nodes, normalized against trapezoidal quadrature weights.
     particles: ``positions`` plus normalized ``log_weights``.
-    finite: ``log_weights`` are log probabilities.
+    Finite-state filters are plain probability vectors (exact_filter_finite).
     """
 
     kind: str
@@ -77,12 +77,6 @@ class FilterState:
     nodes: Optional[np.ndarray] = None
     positions: Optional[np.ndarray] = None
     ess: Optional[float] = None
-
-    @property
-    def probs(self):
-        if self.kind != "finite":
-            raise RepresentationError("probs is only defined for finite states")
-        return np.exp(self.log_weights)
 
 
 def trap_weights(nodes):
@@ -417,10 +411,6 @@ def tv_distance(a, b, smooth_cells=2.5, smooth_halfwidth=6):
     Grid states must share their grid; particle-vs-grid goes through the
     smoothed grid projection; particle-vs-particle is not defined.
     """
-    if a.kind == "finite" and b.kind == "finite":
-        if len(a.log_weights) != len(b.log_weights):
-            raise RepresentationError("finite states of different sizes")
-        return tv_half_l1(a.probs, b.probs)
     if a.kind == "grid" and b.kind == "grid":
         if len(a.nodes) != len(b.nodes) or not np.allclose(a.nodes, b.nodes, rtol=0, atol=1e-12):
             raise RepresentationError("grid states live on different windows")

@@ -57,12 +57,11 @@ class IidNoise:
 class DependentNoise:
     """State-dependent noise q(x, u) with envelope density ``psi``.
 
-    ``log_q(x, u)`` must be vectorized in ``u``. ``log_kernel(xs, u)`` is its
-    broadcast form for a grid kernel: ``u`` has one column per source node,
-    and the call overwrites ``u[i, j]`` with ``log q(xs[j], u[i, j])`` and
-    returns ``u``. Each entry must carry the same bits as ``log_q(xs[j],
-    u[:, j])``, so per-node constants are computed with the same scalar calls
-    that ``log_q`` makes. Both noise kinds share this method, so
+    ``log_kernel(xs, u)`` is the one definition of log q: ``u`` has one column
+    per source node, and the call overwrites ``u[i, j]`` with
+    ``log q(xs[j], u[i, j])`` and returns ``u``. ``logpdf(x, u)`` is its
+    one-column case, so the grid kernel, the phi rule and the sampler all
+    evaluate q the same way. Both noise kinds share ``log_kernel``, so
     ``IidNoise.log_kernel`` ignores ``xs``.
 
     Sampling is rejection against ``psi`` with acceptance bound ``mu_plus``,
@@ -70,7 +69,6 @@ class DependentNoise:
     can override it.
     """
 
-    log_q: Callable
     log_kernel: Callable
     psi: object
     mu_minus: float
@@ -85,7 +83,8 @@ class DependentNoise:
             raise ModelValidationError("need 0 < mu_minus <= mu_plus")
 
     def logpdf(self, x, u):
-        return self.log_q(x, u)
+        # log_kernel overwrites its argument, so it gets a one-column copy of u
+        return self.log_kernel([x], np.array(u, dtype=float)[..., None])[..., 0]
 
     def sample(self, rng, x):
         if self.sampler is not None:
@@ -93,7 +92,7 @@ class DependentNoise:
         log_mu = math.log(self.mu_plus)
         while True:
             u = self.psi.sample(rng)
-            if math.log(rng.random()) <= float(self.log_q(x, u)) - self.psi.logpdf(u) - log_mu:
+            if math.log(rng.random()) <= float(self.logpdf(x, u)) - self.psi.logpdf(u) - log_mu:
                 return u
 
     def log_radial_min(self, r):

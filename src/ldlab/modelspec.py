@@ -105,18 +105,13 @@ def _sine_modulated_noise(spec):
         raise ConfigError("sine_modulated needs 0 < c < 1")
     psi = density_from_spec(spec.get("psi", {"family": "gaussian", "sigma": 1.0}))
 
-    def log_q(x, u):
-        u = np.asarray(u, dtype=float)
-        return psi.logpdf(u) + np.log1p(c * math.sin(x) * np.sin(u))
-
     def log_kernel(xs, u):
         mod = np.sin(u)
         mod *= np.array([c * math.sin(x) for x in xs])
         np.log1p(mod, out=mod)
         return np.add(psi.logpdf(u, out=u), mod, out=u)
 
-    return DependentNoise(log_q=log_q, log_kernel=log_kernel, psi=psi,
-                          mu_minus=1.0 - c, mu_plus=1.0 + c)
+    return DependentNoise(log_kernel=log_kernel, psi=psi, mu_minus=1.0 - c, mu_plus=1.0 + c)
 
 
 def _scaled_t_noise(spec):
@@ -141,10 +136,6 @@ def _scaled_t_noise(spec):
     def sigma(x):
         return s0 + s1 * math.sin(x)
 
-    def log_q(x, u):
-        s = sigma(x)
-        return StudentTDensity(df=df, scale=s).logpdf(u)
-
     # StudentTDensity's normalizer less its final "- log(scale)" term
     log_norm_unit = StudentTDensity(df=df, scale=1.0)._log_norm()
 
@@ -159,8 +150,8 @@ def _scaled_t_noise(spec):
     def sampler_vec(rng, xs):
         return (s0 + s1 * np.sin(xs)) * rng.standard_t(df, size=len(xs))
 
-    return DependentNoise(log_q=log_q, log_kernel=log_kernel, psi=psi, mu_minus=mu_minus,
-                          mu_plus=mu_plus, sampler=sampler, sampler_vec=sampler_vec)
+    return DependentNoise(log_kernel=log_kernel, psi=psi, mu_minus=mu_minus, mu_plus=mu_plus,
+                          sampler=sampler, sampler_vec=sampler_vec)
 
 
 def _state_noise_from_spec(spec):

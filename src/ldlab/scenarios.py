@@ -106,10 +106,20 @@ def scenario_from_dict(d):
                 errors.append(f"truth spec needs '{key}' (sup-norm gap to the filter model)")
     prior1 = d.get("prior1")
     prior2 = d.get("prior2")
-    if prior1 is None:
-        errors.append("'prior1' is required")
-    if prior2 is None:
-        errors.append("'prior2' is required")
+    for key, prior in (("prior1", prior1), ("prior2", prior2)):
+        if prior is None:
+            errors.append(f"'{key}' is required")
+        elif (model is None) != (finite is None):
+            # build the prior as a run would, so that a bad one fails here
+            try:
+                if finite is None:
+                    prior_from_spec(prior)
+                else:
+                    _finite_prior(prior, len(finite.get("Q", [])))
+            except ConfigError as exc:
+                errors.append(f"'{key}': {exc}")
+            except (KeyError, TypeError, ValueError) as exc:
+                errors.append(f"'{key}' has a missing or malformed field: {exc!r}")
     horizon = d.get("horizon", 100)
     bound = d.get("bound")
     if not isinstance(horizon, int) or horizon < 1:
@@ -442,17 +452,17 @@ class RunReport:
 
 
 def _simulate(config, model, truth, fmodel, seed):
-    """Returns (traj_or_None, observations); traj is None for finite models."""
+    """Returns (traj_or_None, states, observations); traj is None for finite models."""
     if config.is_finite:
         nu_truth = _finite_prior(config.prior1, fmodel.m)
-        _, ys = simulate_finite(fmodel, nu_truth, config.horizon, seed)
-        return None, ys
+        states, ys = simulate_finite(fmodel, nu_truth, config.horizon, seed)
+        return None, states, ys
     init = prior_from_spec(config.prior1)
     if truth is not None:
         traj = simulate_misspecified(truth, init, config.horizon, seed)
     else:
         traj = simulate_trajectory(model, init, config.horizon, seed)
-    return traj, traj.observations
+    return traj, traj.states, traj.observations
 
 
 def run_scenario(config, seed=None, out_dir=None):
@@ -470,7 +480,7 @@ def run_scenario(config, seed=None, out_dir=None):
     failure = None
 
     model, truth, fmodel, ld = _build_models(config)
-    traj, ys = _simulate(config, model, truth, fmodel, seed)
+    traj, _, ys = _simulate(config, model, truth, fmodel, seed)
     if config.is_finite:
         nu1 = _finite_prior(config.prior1, fmodel.m)
         nu2 = _finite_prior(config.prior2, fmodel.m)

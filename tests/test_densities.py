@@ -20,9 +20,18 @@ N01_AT_2 = 0.05399096651318806
 
 def test_gaussian_pdf_reference_values():
     g = GaussianDensity(sigma=1.0)
-    assert g.pdf(0.0) == pytest.approx(N01_AT_0, abs=1e-15)
-    assert g.pdf(1.0) == pytest.approx(N01_AT_1, abs=1e-15)
-    assert g.pdf(-2.0) == pytest.approx(N01_AT_2, abs=1e-15)
+    assert math.exp(g.logpdf(0.0)) == pytest.approx(N01_AT_0, abs=1e-15)
+    assert math.exp(g.logpdf(1.0)) == pytest.approx(N01_AT_1, abs=1e-15)
+    assert math.exp(g.logpdf(-2.0)) == pytest.approx(N01_AT_2, abs=1e-15)
+
+
+def _plain_logpdf(density, u):
+    """The out-of-place expression whose order of operations logpdf follows."""
+    if isinstance(density, GaussianDensity):
+        const = 0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(density.sigma))
+        return -0.5 * (u * u) / density.sigma**2 - const
+    z = u / density.scale
+    return density._log_norm() - 0.5 * (density.df + 1.0) * np.log1p(z * z / density.df)
 
 
 @pytest.mark.parametrize("density", [GaussianDensity(sigma=0.7),
@@ -30,7 +39,11 @@ def test_gaussian_pdf_reference_values():
                          ids=["gaussian", "student-t"])
 def test_logpdf_out_is_bitwise_the_plain_route(density):
     u = np.random.default_rng(3).normal(scale=5.0, size=(37, 23))
+    before = u.copy()
     plain = density.logpdf(u)
+    assert np.array_equal(plain, _plain_logpdf(density, u))
+    # without out the evaluation runs on a copy: the argument is left alone
+    assert np.array_equal(u, before)
     buf = np.empty_like(u)
     assert density.logpdf(u, out=buf) is buf
     assert np.array_equal(buf, plain)
@@ -45,14 +58,17 @@ def test_logpdf_out_is_bitwise_the_plain_route(density):
         out0 = np.empty(())
         density.logpdf(np.array(x), out=out0)
         assert out0 == val
+    zero_d = np.array(0.4)
+    density.logpdf(zero_d)
+    assert zero_d == 0.4
 
 
 def test_gaussian_radial_envelopes():
     g = GaussianDensity(sigma=1.0)
     # unimodal symmetric: min over the ball sits on the rim, max at the center
-    assert g.radial_min(1.0) == pytest.approx(N01_AT_1, rel=1e-14)
-    assert g.radial_min(2.0) == pytest.approx(N01_AT_2, rel=1e-14)
-    assert g.radial_max(2.0) == pytest.approx(N01_AT_0, rel=1e-14)
+    assert math.exp(g.log_radial_min(1.0)) == pytest.approx(N01_AT_1, rel=1e-14)
+    assert math.exp(g.log_radial_min(2.0)) == pytest.approx(N01_AT_2, rel=1e-14)
+    assert math.exp(g.log_radial_max(2.0)) == pytest.approx(N01_AT_0, rel=1e-14)
     assert g.sup() == pytest.approx(N01_AT_0, rel=1e-14)
     assert g.tail_sup(2.0) == pytest.approx(N01_AT_2, rel=1e-14)
 
@@ -97,13 +113,13 @@ def test_student_t_radial_fns_vectorize():
     lo = np.asarray(t.log_radial_min(r))
     assert lo.shape == r.shape
     assert np.all(np.diff(lo) < 0)  # strictly decaying tail
-    assert float(t.radial_max(5.0)) == pytest.approx(t.sup(), rel=1e-14)
+    assert math.exp(t.log_radial_max(5.0)) == pytest.approx(t.sup(), rel=1e-14)
 
 
 def test_student_t_heavier_than_gaussian_far_out():
     t = StudentTDensity(df=3.0, scale=1.0)
     g = GaussianDensity(sigma=1.0)
-    assert t.pdf(8.0) > g.pdf(8.0)
+    assert t.logpdf(8.0) > g.logpdf(8.0)
 
 
 def test_density_from_spec_roundtrip():

@@ -9,7 +9,6 @@ from ldlab.dists import NormalPrior
 from ldlab.doeblin import (
     delta_for_eta,
     distance_series,
-    envelope_fns,
     envelope_pair,
     envelope_radius,
     eta_for_delta,
@@ -18,7 +17,7 @@ from ldlab.doeblin import (
     ld_set,
     log_contraction_from_logs,
     misspec_diag_series,
-    misspec_distance_series,
+    misspec_distance_forms,
     preimage_distance_exact,
     preimage_distance_recorded,
     stability_diag_series,
@@ -169,12 +168,14 @@ def test_misspec_distance_takes_max_of_both_forms():
     })
     mt = make_misspecified_truth(filt, truth_model, f_gap=1.0, h_gap=0.0)
     traj = simulate_misspecified(mt, NormalPrior(0.0, 1.0), n=150, seed=17)
-    d, info = misspec_distance_series(mt, traj)
-    assert d.shape == (150,)
+    d, mode = distance_series(filt, traj.observations, mode="misspec", traj=traj, truth=mt)
+    assert mode == "misspec" and d.shape == (150,)
+    eps = traj.obs_noise
+    forms = misspec_distance_forms(mt, eps[:-1], traj.state_noise, eps[1:])
+    assert np.array_equal(d, np.maximum(forms["proof_form"], forms["statement_form"]))
     # statement head: kappa + 2 a* b* = 2 + 4; proof head: kappa + 0
     # with b0* = 0 the statement form dominates at every step
-    assert info["statement_form_dominates_frac"] == 1.0
-    assert info["statement_form_mean"] > info["proof_form_mean"]
+    assert np.all(forms["statement_form"] > forms["proof_form"])
     # the reported distance upper-bounds the exact preimage gap pathwise
     ys = traj.observations
     d_true = np.abs(ys[:-1] - ys[1:])  # identity filter maps
@@ -245,7 +246,7 @@ def test_stability_diag_matches_envelope_series():
     delta = 1.3
     z = stability_diag_series(m, traj, delta)
     d, _ = distance_series(m, traj.observations, mode="recorded", traj=traj)
-    log_lo = envelope_fns(m).log_lower(envelope_radius(m, delta, d))
+    log_lo = m.state_noise.log_radial_min(envelope_radius(m, delta, d))
     assert np.allclose(z, -log_lo, atol=0, rtol=0)
     assert np.all(z > 0)  # lower envelope below 1 at these radii
 

@@ -162,6 +162,6 @@ def test_dependent_noise_sampler_matches_density():
     draws = np.array([noise.sample(rng, x) for _ in range(4000)])
     # compare mean of draws to the density's mean by quadrature
     us = np.linspace(-10, 10, 4001)
-    q = np.exp(noise.log_q(x, us))
+    q = np.exp(noise.logpdf(x, us))
     mean_q = np.trapezoid(us * q, us) / np.trapezoid(q, us)
     assert draws.mean() == pytest.approx(mean_q, abs=0.05)

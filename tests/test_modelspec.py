@@ -1,8 +1,11 @@
 """Model construction from JSON-style dicts."""
 
+import math
+
 import numpy as np
 import pytest
 
+from ldlab.densities import StudentTDensity
 from ldlab.errors import ConfigError
 from ldlab.modelspec import model_from_spec
 
@@ -116,7 +119,7 @@ def test_sine_modulated_envelopes_are_tight():
     us = np.linspace(-6, 6, 401)
     ratios = []
     for x in xs:
-        ratios.append(np.exp(noise.log_q(x, us) - noise.psi.logpdf(us)))
+        ratios.append(np.exp(noise.logpdf(x, us) - noise.psi.logpdf(us)))
     ratios = np.array(ratios)
     assert ratios.min() >= 0.75 - 1e-12
     assert ratios.max() <= 1.25 + 1e-12
@@ -140,11 +143,36 @@ def test_scaled_t_envelopes_cover_grid():
     us = np.linspace(-30, 30, 1201)
     worst_lo, worst_hi = np.inf, -np.inf
     for x in xs:
-        ratio = np.exp(noise.log_q(x, us) - noise.psi.logpdf(us))
+        ratio = np.exp(noise.logpdf(x, us) - noise.psi.logpdf(us))
         worst_lo = min(worst_lo, ratio.min())
         worst_hi = max(worst_hi, ratio.max())
     assert worst_lo >= noise.mu_minus - 1e-12
     assert worst_hi <= noise.mu_plus + 1e-12
+
+
+def test_dependent_logpdf_is_bitwise_the_closed_forms():
+    # log q(x, u) comes from log_kernel alone; these are its closed forms
+    scaled = model_from_spec({
+        "kind": "dependent_noise",
+        "state_noise": {"kind": "scaled_t", "df": 4.0, "s0": 1.0, "s1": 0.3},
+    }).state_noise
+    sine = model_from_spec({
+        "kind": "dependent_noise",
+        "state_noise": {"kind": "sine_modulated", "c": 0.25},
+    }).state_noise
+    us = np.linspace(-12.0, 12.0, 257)
+    before = us.copy()
+    for x in np.linspace(-6.0, 6.0, 200):
+        t = StudentTDensity(df=4.0, scale=1.0 + 0.3 * math.sin(x))
+        assert np.array_equal(scaled.logpdf(x, us), t.logpdf(us))
+        closed = sine.psi.logpdf(us) + np.log1p(0.25 * math.sin(x) * np.sin(us))
+        assert np.array_equal(sine.logpdf(x, us), closed)
+        for u in (-2.5, 0.0, 7.25):
+            assert np.ndim(scaled.logpdf(x, u)) == 0
+            assert scaled.logpdf(x, u) == t.logpdf(u)
+            assert sine.logpdf(x, u) == sine.psi.logpdf(u) + np.log1p(
+                0.25 * math.sin(x) * np.sin(u))
+    assert np.array_equal(us, before)
 
 
 def test_scaled_t_conditional_density_normalizes():
@@ -157,7 +185,7 @@ def test_scaled_t_conditional_density_normalizes():
     })
     us = np.linspace(-200, 200, 400_001)
     for x in (-1.3, 0.0, 2.0):
-        mass = np.trapezoid(np.exp(m.state_noise.log_q(x, us)), us)
+        mass = np.trapezoid(np.exp(m.state_noise.logpdf(x, us)), us)
         assert mass == pytest.approx(1.0, abs=1e-4)
 
 

@@ -67,6 +67,20 @@ def test_scenario_from_dict_collects_every_error():
     assert "duplicates" in msg
     with pytest.raises(ConfigError, match="a bound needs 'horizon' >= 2"):
         scenario_from_dict(dict(SMALL_SCENARIO, horizon=1))
+    # priors are built when the config is read, not first inside run_scenario
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, horizon=-3, prior2={"family": "cauchy"},
+                                prior1={"family": "normal", "mean": 0.0}))
+    msg = str(err.value)
+    assert "'prior2': unknown prior family: 'cauchy'" in msg
+    assert "'prior1' has a missing or malformed field: KeyError('std')" in msg
+    assert "'horizon' must be a positive integer" in msg
+    finite.update(prior1={"family": "normal", "mean": 0.0, "std": 1.0})
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(finite)
+    msg = str(err.value)
+    assert "'prior1': finite scenarios need finite priors" in msg
+    assert "bound.eta 'sweep' needs a continuous model" in msg
 
 
 def test_equal_priors_need_explicit_opt_in():
@@ -190,10 +204,10 @@ def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch, paired):
     real_simulate = scenarios._simulate
 
     def poisoned(*args):
-        traj, ys = real_simulate(*args)
+        traj, states, ys = real_simulate(*args)
         ys = ys.copy()
         ys[-1] = np.inf  # zero likelihood on every node: the last step collapses
-        return traj, ys
+        return traj, states, ys
 
     monkeypatch.setattr(scenarios, "_simulate", poisoned)
     raw = dict(SMALL_SCENARIO, bound=None, repr={"kind": "grid", "nodes": 128, "paired": paired})
@@ -202,7 +216,7 @@ def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch, paired):
     cfg = scenario_from_dict(raw)
     model = model_from_spec(cfg.model)
     p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
-    _, ys = real_simulate(cfg, model, None, None, 7)
+    _, _, ys = real_simulate(cfg, model, None, None, 7)
     rc = repr_config(cfg.repr)
     if paired:
         short = run_grid_pair(model, p1, p2, ys[:-1], rc)
@@ -226,7 +240,7 @@ def test_finite_scenario_runs_exactly():
 
 def _finite_oracle_stream(cfg, seed):
     fmodel, ld = scenarios.build_finite(cfg)
-    _, ys = scenarios._simulate(cfg, None, None, fmodel, seed)
+    _, _, ys = scenarios._simulate(cfg, None, None, fmodel, seed)
     nus = [np.asarray(p["probs"], dtype=float) for p in (cfg.prior1, cfg.prior2)]
     return fmodel, ld, nus, ys
 
@@ -294,6 +308,23 @@ def test_particle_route_tracks_grid_route():
                                 traj.observations, cfg, seed=3)
     assert len(tvs) == 26
     assert max(tvs) < 0.06
+
+
+def test_run_scenario_particle_route(tmp_path):
+    raw = dict(SMALL_SCENARIO, horizon=20, bound=None,
+               repr={"kind": "particles", "particles": 2000})
+    rep = run_scenario(raw, seed=7, out_dir=tmp_path / "a")
+    assert rep.failure is None
+    assert 0.0 < rep.diagnostics["ess_min"] <= 2000.0
+    assert rep.tv.tv.shape == (21,)
+    assert rep.tv.tv[-1] < rep.tv.tv[0]
+    # a rerun writes the same bytes
+    run_scenario(raw, seed=7, out_dir=tmp_path / "b")
+    for rel in ("tv.csv", "report.json", "plotdata/tv.dat", "plotdata/log_tv.dat"):
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+    # equal priors share their random streams, so the two filters coincide
+    same = dict(raw, prior2=dict(raw["prior1"]), allow_equal_priors=True)
+    assert np.all(run_scenario(same, seed=7).tv.tv == 0.0)
 
 
 def test_monte_carlo_mean_is_exact_average(tmp_path):
