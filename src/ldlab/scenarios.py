@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -34,10 +34,11 @@ from .doeblin import (
     stability_diag_series,
 )
 from .dists import prior_from_spec
-from .errors import ConfigError, LabError
+from .errors import ConfigError, LabError, ModelValidationError
 from .filtering import (
     ReprConfig,
     TvSeries,
+    _half_l1,
     _predictive_window,
     decay_rate,
     exact_filter_finite,
@@ -52,7 +53,6 @@ from .filtering import (
     pair_grid,
     project_particles_to_grid,
     run_grid_pair,
-    trap_weights,
     tv_distance,
     tv_half_l1,
 )
@@ -109,17 +109,10 @@ def scenario_from_dict(d):
     for key, prior in (("prior1", prior1), ("prior2", prior2)):
         if prior is None:
             errors.append(f"'{key}' is required")
-        elif (model is None) != (finite is None):
-            # build the prior as a run would, so that a bad one fails here
-            try:
-                if finite is None:
-                    prior_from_spec(prior)
-                else:
-                    _finite_prior(prior, len(finite.get("Q", [])))
-            except ConfigError as exc:
-                errors.append(f"'{key}': {exc}")
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"'{key}' has a missing or malformed field: {exc!r}")
+        elif finite is None and model is not None:
+            _collect(errors, key, prior_from_spec, prior)
+        elif finite is not None and model is None:
+            _collect(errors, key, _finite_prior, prior, len(finite.get("Q", [])))
     horizon = d.get("horizon", 100)
     bound = d.get("bound")
     if not isinstance(horizon, int) or horizon < 1:
@@ -146,13 +139,36 @@ def scenario_from_dict(d):
                               "a finite bound takes one eta in (0, 1)")
         elif not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
             errors.append("bound.eta must lie in (0, 1) or be 'sweep'")
-    if errors:
-        raise ConfigError("invalid scenario config: " + "; ".join(errors))
-    return ScenarioConfig(
+    config = ScenarioConfig(
         name=name, model=model, finite=finite, truth=truth,
-        prior1=prior1, prior2=prior2, horizon=int(horizon), seeds=list(seeds),
+        prior1=prior1, prior2=prior2, horizon=horizon, seeds=seeds,
         repr=repr_cfg, bound=bound, allow_equal_priors=allow_equal, raw=dict(d),
     )
+    # build the parts a run builds, so that a bad one fails here
+    rc = _collect(errors, "repr", repr_config, repr_cfg)
+    if rc is not None and model is not None and rc.kind == "finite":
+        errors.append("'repr': a continuous model runs on kind 'grid' or 'particles'")
+    if finite is None and model is not None:
+        built = _collect(errors, "model", build_model, config)
+        if built is not None and truth is not None and {"f_gap", "h_gap"} <= set(truth):
+            _collect(errors, "truth", build_truth, config, built)
+    elif finite is not None and model is None:
+        _collect(errors, "finite", build_finite, config)
+    if errors:
+        raise ConfigError("invalid scenario config: " + "; ".join(errors))
+    config.horizon, config.seeds = int(horizon), list(seeds)
+    return config
+
+
+def _collect(errors, key, build, *args):
+    """``build(*args)``, or None with the reason it failed appended to ``errors``."""
+    try:
+        return build(*args)
+    except (ConfigError, ModelValidationError) as exc:
+        errors.append(f"'{key}': {exc}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        errors.append(f"'{key}' has a missing or malformed field: {exc!r}")
+    return None
 
 
 def config_hash(raw):
@@ -162,11 +178,19 @@ def config_hash(raw):
 
 def repr_config(d):
     base = ReprConfig()
-    allowed = {f for f in base.__dataclass_fields__}
-    unknown = set(d) - allowed
+    problems = []
+    unknown = set(d) - set(base.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown repr fields: {sorted(unknown)}")
-    return ReprConfig(**{**{f: getattr(base, f) for f in allowed}, **d})
+        problems.append(f"unknown repr fields: {sorted(unknown)}")
+    if d.get("kind", base.kind) not in ("grid", "particles", "finite"):
+        problems.append(f"unknown repr kind: {d['kind']!r}")
+    nodes = d.get("nodes", base.nodes)
+    # the grid TV rule fits a cubic through four nodes
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
+        problems.append(f"repr nodes must be an integer >= 4, got {nodes!r}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return replace(base, **d)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +215,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(101, 121)),
-        "repr": {"kind": "grid", "nodes": 512, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256, "paired": True},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "ar-unstable": {
@@ -201,7 +225,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(201, 221)),
-        "repr": {"kind": "grid", "nodes": 512, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256, "paired": True},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "dep-noise": {
@@ -233,7 +257,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(401, 421)),
-        "repr": {"kind": "grid", "nodes": 512, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256, "paired": True},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "misspec"},
     },
     "finite-oracle": {
@@ -390,8 +414,7 @@ def _particle_pair_tv(s1, s2, cfg):
     nodes = np.linspace(lo - pad, hi + pad, cfg.nodes)
     d1, d2 = (project_particles_to_grid(s, nodes, cfg.smooth_cells, cfg.smooth_halfwidth)
               for s in (s1, s2))
-    tau = trap_weights(nodes)
-    return 0.5 * float(np.sum(np.abs(d1 - d2) * tau))
+    return _half_l1(d1 - d2, nodes[1] - nodes[0])
 
 
 def compare_particle_grid(model, prior, ys, cfg, seed):

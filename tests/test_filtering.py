@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
+from ldlab.dists import NormalPrior, PointMassPrior
 from ldlab.errors import FilterCollapseError
 from ldlab.filtering import (
     FilterState,
     ReprConfig,
     TvSeries,
+    _half_l1,
     decay_rate,
     exact_filter_finite,
     exhaustive_filter_finite,
@@ -30,7 +31,7 @@ from ldlab.filtering import (
 )
 from ldlab.models import finite_model_make, gaussian_finite_model, simulate_trajectory
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS
+from ldlab.scenarios import PRESETS, run_scenario
 
 # hand-computed two-step fixture:
 #   nu = (.5, .5), Q = [[.7, .3], [.4, .6]], g(y0) = (.8, .4), g(y1) = (.7, .9)
@@ -197,17 +198,61 @@ def test_paired_runner_matches_steady_state_contraction():
     assert fit.r_squared > 0.999
 
 
-@pytest.mark.parametrize("preset", ["rw-gauss", "ar-unstable"])
+@pytest.mark.parametrize("preset", ["rw-gauss", "ar-unstable", "misspec"])
 def test_paired_runner_matches_kalman_log_tv_at_every_step(preset, references):
-    # the benchmark's log TV tolerance; the worst error at 512 nodes is O(h^2)
-    raw = PRESETS[preset]
-    model = model_from_spec(raw["model"])
-    p1, p2 = prior_from_spec(raw["prior1"]), prior_from_spec(raw["prior2"])
-    ys = simulate_trajectory(model, p1, raw["horizon"], raw["seeds"][0]).observations
-    res = run_grid_pair(model, p1, p2, ys, ReprConfig(kind="grid", nodes=512, paired=True))
+    # each preset at its configured nodes (worst error 3.9e-7 at 256 nodes);
+    # misspec's filter model is linear-Gaussian, so its Kalman log TV does
+    # not depend on the data its misspecified truth produced
+    raw = dict(PRESETS[preset], bound=None)
+    rep = run_scenario(raw)
+    p1, p2 = raw["prior1"], raw["prior2"]
     a, _, q, r = references.gaussian_params(raw["model"])
-    exact = references.kalman_log_tv(a, q, r, p1.mean, p2.mean, p1.std, raw["horizon"])
-    assert np.max(np.abs(res.log_tv - exact)) <= 1e-3
+    exact = references.kalman_log_tv(a, q, r, p1["mean"], p2["mean"], p1["std"], raw["horizon"])
+    assert np.max(np.abs(rep.tv.log_tv - exact)) <= 1e-5
+    assert rep.diagnostics["min_cells_per_std"] > 5.0
+
+
+def _gauss_difference(a, x):
+    """N(-a, 1) - N(a, 1) at x; half its L1 norm is erf(a / sqrt(2))."""
+    return (np.exp(-0.5 * (x + a) ** 2) - np.exp(-0.5 * (x - a) ** 2)) / math.sqrt(2.0 * math.pi)
+
+
+def test_half_l1_error_falls_faster_than_h4():
+    exact = math.erf(1.0 / math.sqrt(2.0))
+    errors = []
+    for n in (64, 128, 256):
+        h = 20.0 / n
+        x = -10.013 + h * np.arange(n)  # the root at 0 falls inside a cell
+        errors.append(abs(_half_l1(_gauss_difference(1.0, x), h) - exact))
+    # h halves at each refinement
+    assert errors[1] <= errors[0] / 16.0
+    assert errors[2] <= errors[1] / 16.0
+    assert errors[2] <= 1e-6
+
+
+def test_half_l1_roots_on_nodes_no_roots_and_three_roots():
+    h = 20.0 / 256
+    x = h * np.arange(-128, 129)
+    D = _gauss_difference(1.0, x)
+    assert D[128] == 0.0  # the root is a node
+    assert _half_l1(D, h) == pytest.approx(math.erf(1.0 / math.sqrt(2.0)), abs=1e-8)
+    bump = np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+    assert _half_l1(bump, h) == pytest.approx(0.5, abs=1e-12)
+    assert _half_l1(-bump, h) == pytest.approx(0.5, abs=1e-12)
+    assert _half_l1(np.zeros_like(x), h) == 0.0
+    # (x^3 - x) e^{-x^2/2} changes sign at -1, 0 and 1; half its L1 norm is
+    # 4 e^{-1/2} - 1
+    x = np.linspace(-9.7, 10.3, 256)
+    D = (x**3 - x) * np.exp(-0.5 * x**2)
+    assert _half_l1(D, x[1] - x[0]) == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=1e-6)
+
+
+def test_half_l1_is_absolutely_homogeneous():
+    x = np.linspace(-9.7, 10.3, 256)
+    D = _gauss_difference(1.0, x)
+    base = _half_l1(D, x[1] - x[0])
+    for c in (3.7, -2.0, 1e-200, 1e250):
+        assert _half_l1(c * D, x[1] - x[0]) == pytest.approx(abs(c) * base, rel=1e-14, abs=0.0)
 
 
 def test_paired_runner_log_tv_reaches_deep_underflow_territory():

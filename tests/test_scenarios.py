@@ -81,6 +81,23 @@ def test_scenario_from_dict_collects_every_error():
     msg = str(err.value)
     assert "'prior1': finite scenarios need finite priors" in msg
     assert "bound.eta 'sweep' needs a continuous model" in msg
+    # the representation, the model and the truth are built when the config
+    # is read too, and a grid needs four nodes for its TV rule
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "grid", "nodez": 64, "nodes": 3},
+                                model=dict(SMALL_SCENARIO["model"], f={"type": "bogus"})))
+    msg = str(err.value)
+    assert "'repr': unknown repr fields: ['nodez']" in msg
+    assert "repr nodes must be an integer >= 4, got 3" in msg
+    assert "'model': unknown map type: 'bogus'" in msg
+    misspec = json.loads(json.dumps(PRESETS["misspec"]))
+    misspec["truth"]["f"] = {"type": "bogus"}
+    with pytest.raises(ConfigError, match="'truth': unknown map type: 'bogus'"):
+        scenario_from_dict(misspec)
+    with pytest.raises(ConfigError, match="'repr': unknown repr kind: 'gird'"):
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "gird"}))
+    with pytest.raises(ConfigError, match="a continuous model runs on kind 'grid' or 'particles'"):
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "finite"}))
 
 
 def test_equal_priors_need_explicit_opt_in():
