@@ -227,7 +227,7 @@ def test_half_l1_error_falls_faster_than_h4():
     # h halves at each refinement
     assert errors[1] <= errors[0] / 16.0
     assert errors[2] <= errors[1] / 16.0
-    assert errors[2] <= 1e-6
+    assert errors[2] <= 1e-8  # about h^6 here: 2.6e-10
 
 
 def test_half_l1_roots_on_nodes_no_roots_and_three_roots():
@@ -245,6 +245,13 @@ def test_half_l1_roots_on_nodes_no_roots_and_three_roots():
     x = np.linspace(-9.7, 10.3, 256)
     D = (x**3 - x) * np.exp(-0.5 * x**2)
     assert _half_l1(D, x[1] - x[0]) == pytest.approx(4.0 * math.exp(-0.5) - 1.0, abs=1e-6)
+    # the rule is exact on a cubic, also with roots in the first and last cells
+    roots = [0.5, 4.2, 6.7]
+    x = np.arange(8.0)
+    G = np.polyint(np.poly(roots))
+    ends = np.polyval(G, [0.0, *roots, 7.0])
+    exact = 0.5 * float(np.sum(np.abs(np.diff(ends))))
+    assert _half_l1(np.polyval(np.poly(roots), x), 1.0) == pytest.approx(exact, rel=1e-13)
 
 
 def test_half_l1_is_absolutely_homogeneous():
