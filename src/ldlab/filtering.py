@@ -12,11 +12,19 @@ The difference of two normalized filter recursions is exactly linear in the
 difference vector, so total-variation values keep full relative precision long
 after the two weight arrays would have collided in float64.
 
+Each step's grid window (paired and unpaired) covers both filters'
+predictives, clipped to the local Doeblin set {x : |h(x) - y| <= r} of the
+step's observation y, off which the likelihood is below 1e-12 times its peak.
+A step whose posterior mass off the set may exceed 1e-10, an observation far
+out in a filter's predictive, is rerun on a wider set. The window then
+follows the posterior, not the state noise's tail: on dep-noise's Student-t
+noise that tail alone spans about 1650.
+
 Every grid TV (paired, unpaired, particle projections) is half the L1 norm of
 a difference D on uniform nodes, taken by one kink-aware rule, ``_half_l1``: D
 is integrated between its sign changes, located on a four-node cubic, so the
 kink of |D| costs no accuracy. On the Gaussian presets at their 256 nodes the
-paired log TV is within 4e-7 of the closed-form Kalman value at every step; a
+paired log TV is within 1e-8 of the closed-form Kalman value at every step; a
 trapezoid sum of |D| is O(h^2) and was 4e-4 off at 512 nodes.
 """
 
@@ -31,6 +39,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dists import PointMassPrior
+from .doeblin import delta_for_eta, ld_set
 from .errors import (
     ConfigError,
     DegenerateInitError,
@@ -43,6 +52,11 @@ from .errors import (
 from .models import loglik
 
 LOG_FLOOR = -745.0  # below this, exp underflows float64
+# Tail ratio of the LD set that clips each grid window (the same ratio as
+# noise_tail_radius's default), and the bound on the posterior mass off that
+# set above which a step is rerun on a wider one (see _ld_clipped_step).
+LD_TAIL_RATIO = 1e-12
+LD_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,10 +110,11 @@ def trap_weights(nodes):
 
 
 def _normalize_grid(log_w, tau, step):
+    """Normalized log weights, and the log of the trapezoid sum divided out."""
     lse = logsumexp(log_w + np.log(tau))
     if not np.isfinite(lse):
         raise FilterCollapseError(step)
-    return log_w - lse
+    return log_w - lse, lse
 
 
 def grid_moments(state):
@@ -124,7 +139,7 @@ def grid_init(model, prior, y0, nodes):
     if np.all(log_w <= LOG_FLOOR):
         raise DegenerateInitError("prior and first likelihood do not overlap on the grid")
     return FilterState(kind="grid", step=0, nodes=nodes,
-                       log_weights=_normalize_grid(log_w, trap_weights(nodes), 0))
+                       log_weights=_normalize_grid(log_w, trap_weights(nodes), 0)[0])
 
 
 def pair_grid(prior1, prior2, cfg):
@@ -213,21 +228,23 @@ def grid_step(state, kernel, tgt, log_g):
 
     ``kernel`` is ``grid_kernel(model, state.nodes, tgt)`` and ``log_g`` the
     log likelihood at ``tgt``; both are passed in so that filters sharing a
-    window share them too.
+    window share them too. Returns the new state and the log evidence of the
+    observation, the trapezoid sum on ``tgt`` of predictive times likelihood.
     """
-    w = np.exp(state.log_weights - state.log_weights.max())
+    peak = state.log_weights.max()
+    w = np.exp(state.log_weights - peak)
     pred = kernel @ (trap_weights(state.nodes) * w)
     with np.errstate(divide="ignore"):
         log_w = np.log(pred) + log_g
-    log_w = _normalize_grid(log_w, trap_weights(tgt), state.step + 1)
-    return replace(state, step=state.step + 1, nodes=tgt, log_weights=log_w)
+    log_w, log_z = _normalize_grid(log_w, trap_weights(tgt), state.step + 1)
+    return replace(state, step=state.step + 1, nodes=tgt, log_weights=log_w), log_z + peak
 
 
 def filter_step(model, state, y, cfg=None, rng=None):
     """Advance one observation: predict through the kernel, then reweight."""
     if state.kind == "grid":
         nodes = state.nodes
-        return grid_step(state, grid_kernel(model, nodes), nodes, loglik(model, nodes, y))
+        return grid_step(state, grid_kernel(model, nodes), nodes, loglik(model, nodes, y))[0]
     if state.kind == "particles":
         if rng is None or cfg is None:
             raise ConfigError("particle steps need cfg and an RNG")
@@ -294,7 +311,8 @@ def grid_adapt(state, policy=None):
     if loss > 1e-8:
         raise FilterCollapseError(state.step, f"window adaptation lost {loss:.3e} mass")
     tau = trap_weights(new_nodes)
-    return replace(state, nodes=new_nodes, log_weights=_normalize_grid(new_log_w, tau, state.step))
+    return replace(state, nodes=new_nodes,
+                   log_weights=_normalize_grid(new_log_w, tau, state.step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +599,8 @@ def _pair_quotient_update(u, uD, s, tau, step):
 
     phi' = L phi / <L phi>; the difference d = e^s D obeys
     d' = (L d <L phi> - L phi <L d>) / (<L phi> <L phi + L d>).
+    Returns (phi', D', s') and the log of the smaller of the two filters'
+    masses <L phi> and <L phi + L d>, their evidence when L holds the likelihood.
     """
     z = float((u * tau).sum())
     if z <= 0 or not np.isfinite(z):
@@ -588,12 +608,13 @@ def _pair_quotient_update(u, uD, s, tau, step):
     zD = float((uD * tau).sum())
     es = 0.0 if s == -np.inf else math.exp(s)
     denom2 = z + es * zD
+    log_z = math.log(min(z, denom2)) if denom2 > 0 else -math.inf
     phi = u / z
     Dt = (uD * z - u * zD) / (z * denom2)
     c = float(np.max(np.abs(Dt)))
     if c <= 0.0 or not np.isfinite(c):
-        return phi, np.zeros_like(u), -np.inf
-    return phi, Dt / c, s + math.log(c)
+        return (phi, np.zeros_like(u), -np.inf), log_z
+    return (phi, Dt / c, s + math.log(c)), log_z
 
 
 def _pair_tv(D, s, h):
@@ -611,7 +632,6 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     float64 relative precision regardless of how small it gets.
     """
     ys = np.asarray(ys, dtype=float)
-    k = cfg.coverage_k
     nodes = pair_grid(prior1, prior2, cfg)
     tau = trap_weights(nodes)
     phi = np.exp(grid_init(model, prior1, ys[0], nodes).log_weights)
@@ -628,52 +648,87 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     tvs[0], log_tvs[0] = _pair_tv(D, s, nodes[1] - nodes[0])
     adapt_count = 0
     min_cells = math.inf
+    edge_max = 0.0
     r_noise = noise_tail_radius(model.state_noise)
 
     try:
         for step in range(1, len(ys)):
             # target window covering the predictive support of BOTH filters:
             # the image of mean +/- k std under f spreads at most f_lip * k * std,
-            # plus the state-noise tail radius
-            moments = _pair_moments(nodes, phi, D, s, tau)
+            # plus the state-noise tail radius; clipped to the observation's LD set
+            dens = _pair_densities(phi, D, s, tau)
+            moments = [_density_moments(nodes, d, tau) for d in dens]
             dx = nodes[1] - nodes[0]
             min_cells = min(min_cells, min(std for _, std in moments) / dx)
-            tgt_lo, tgt_hi = _predictive_window(model, moments, k, r_noise, cfg.min_halfwidth)
-            if abs(tgt_lo - nodes[0]) > 0.05 * dx or abs(tgt_hi - nodes[-1]) > 0.05 * dx:
+            edge_max = max(edge_max, *map(_edge_ratio, dens))
+
+            def advance(tgt):
+                K = grid_kernel(model, nodes, tgt)
+                g = np.exp(loglik(model, tgt, ys[step]))
+                return _pair_quotient_update(g * (K @ (tau * phi)), g * (K @ (tau * D)), s,
+                                             trap_weights(tgt), step)
+
+            tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg, r_noise, ys[step], advance)
+            if abs(tgt[0] - nodes[0]) > 0.05 * dx or abs(tgt[-1] - nodes[-1]) > 0.05 * dx:
                 adapt_count += 1
-            tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
-            K = grid_kernel(model, nodes, tgt)
-            g = np.exp(loglik(model, tgt, ys[step]))
-            u = g * (K @ (tau * phi))
-            uD = g * (K @ (tau * D))
             nodes = tgt
             tau = trap_weights(nodes)
-            phi, D, s = _pair_quotient_update(u, uD, s, tau, step)
             tvs[step], log_tvs[step] = _pair_tv(D, s, nodes[1] - nodes[0])
     except LabError as exc:
         exc.tv_prefix = (tvs[:step], log_tvs[:step])
         raise
 
-    moments = _pair_moments(nodes, phi, D, s, tau)
+    dens = _pair_densities(phi, D, s, tau)
+    moments = [_density_moments(nodes, d, tau) for d in dens]
     min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
-    es = 0.0 if s == -np.inf else math.exp(s)
-    phi_other = np.maximum(phi + es * D, 0.0)
-    phi_other /= (phi_other * tau).sum()
+    edge_max = max(edge_max, *map(_edge_ratio, dens))
     with np.errstate(divide="ignore"):
-        state1 = FilterState(kind="grid", step=len(ys) - 1, log_weights=np.log(phi), nodes=nodes)
-        state2 = FilterState(kind="grid", step=len(ys) - 1, log_weights=np.log(phi_other), nodes=nodes)
+        state1, state2 = (FilterState(kind="grid", step=len(ys) - 1, log_weights=np.log(d),
+                                      nodes=nodes) for d in dens)
     diag = {
         "adapt_count": adapt_count,
         "final_window": [float(nodes[0]), float(nodes[-1])],
         "final_posterior_mean_std": list(moments[0]),
         # grid resolution of the narrowest posterior of either filter at any step
         "min_cells_per_std": float(min_cells),
+        # window truncation: largest density at a window end node over its
+        # peak, of either filter at any step
+        "edge_density_max": float(edge_max),
     }
     return PairedGridResult(tv=tvs, log_tv=log_tvs, state1=state1, state2=state2, diagnostics=diag)
 
 
-def _predictive_window(model, moment_pairs, k, r_noise, min_halfwidth):
-    """Window containing the one-step predictive mass of every listed filter."""
+def _ld_clipped_step(model, moment_pairs, cfg, r_noise, y, advance):
+    """Take one grid step of a pair of filters into an LD-clipped window.
+
+    ``advance(tgt)`` steps both filters into the nodes ``tgt`` and returns
+    (result, log_z), log_z the smaller log evidence of y. The window is
+    clipped at tail ratio LD_TAIL_RATIO; when the mass bound ratio * g_max / Z
+    then exceeds LD_MASS_TOL, with the clipped run's Z (a lower bound), the
+    step is rerun at the ratio that meets it. Returns (tgt, result).
+    """
+    def window(eta):
+        lo, hi = _predictive_window(model, moment_pairs, cfg.coverage_k, r_noise,
+                                    cfg.min_halfwidth, y, eta)
+        return np.linspace(lo, hi, cfg.nodes)
+
+    tgt = window(LD_TAIL_RATIO)
+    result, log_z = advance(tgt)
+    eta = math.exp(math.log(LD_MASS_TOL) + log_z) / model.obs_noise.sup()
+    if eta < LD_TAIL_RATIO:
+        tgt = window(eta)
+        result, _ = advance(tgt)
+    return tgt, result
+
+
+def _predictive_window(model, moment_pairs, k, r_noise, min_halfwidth, y, eta):
+    """Window containing the one-step posterior mass of every listed filter.
+
+    It covers each filter's predictive, clipped to the LD set C(y, r) of the
+    observation y that reweights it, r the observation noise's radius at tail
+    ratio ``eta``: off that set the likelihood is below eta times its peak.
+    An empty intersection, or eta = 0, keeps the predictive window.
+    """
     lo = math.inf
     hi = -math.inf
     for mean, std in moment_pairs:
@@ -681,19 +736,27 @@ def _predictive_window(model, moment_pairs, k, r_noise, min_halfwidth):
         half = max(k * model.f_lip * std, min_halfwidth) + r_noise
         lo = min(lo, center - half)
         hi = max(hi, center + half)
+    if eta > 0.0:
+        ld = ld_set(model, y, delta_for_eta(model, eta))
+        if ld.is_interval and max(lo, ld.lo) < min(hi, ld.hi):
+            return max(lo, ld.lo), min(hi, ld.hi)
     return lo, hi
 
 
-def _pair_moments(nodes, phi, D, s, tau):
-    """(mean, std) of both filters of a pair; the second is phi + e^s D, clipped at 0.
+def _pair_densities(phi, D, s, tau):
+    """Both normalized filters of a pair; the second is phi + e^s D, clipped at 0.
 
-    A second filter without mass takes the first one's moments.
+    A second filter without mass is taken to be the first.
     """
-    first = _density_moments(nodes, phi, tau)
     es = 0.0 if s == -np.inf else math.exp(s)
     other = np.maximum(phi + es * D, 0.0)
     mass = float((other * tau).sum())
-    return [first, _density_moments(nodes, other / mass, tau) if mass > 0 else first]
+    return [phi, other / mass if mass > 0 else phi]
+
+
+def _edge_ratio(dens):
+    """Larger end-node density of a window over the density's peak."""
+    return float(max(dens[0], dens[-1]) / dens.max())
 
 
 def _density_moments(nodes, dens, tau):

@@ -107,7 +107,7 @@ def _sine_modulated_noise(spec):
 
     def log_kernel(xs, u):
         mod = np.sin(u)
-        mod *= np.array([c * math.sin(x) for x in xs])
+        mod *= c * np.sin(xs)
         np.log1p(mod, out=mod)
         return np.add(psi.logpdf(u, out=u), mod, out=u)
 
@@ -140,8 +140,10 @@ def _scaled_t_noise(spec):
     log_norm_unit = StudentTDensity(df=df, scale=1.0)._log_norm()
 
     def log_kernel(xs, u):
-        scales = np.array([sigma(x) for x in xs])
-        log_norms = np.array([log_norm_unit - math.log(s) for s in scales])
+        scales = s0 + s1 * np.sin(xs)
+        # math.log, not np.log: np.log differs from it in the last bit on
+        # some scales, and the kernel keeps the bits of the scalar closed form
+        log_norms = log_norm_unit - np.array(list(map(math.log, scales.tolist())))
         return student_t_logpdf(u, df, scales, log_norms, out=u)
 
     def sampler(rng, x):

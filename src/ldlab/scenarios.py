@@ -39,7 +39,7 @@ from .filtering import (
     ReprConfig,
     TvSeries,
     _half_l1,
-    _predictive_window,
+    _ld_clipped_step,
     decay_rate,
     exact_filter_finite,
     filter_init,
@@ -241,7 +241,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 80,
         "seeds": list(range(301, 321)),
-        "repr": {"kind": "grid", "nodes": 512, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256, "paired": True},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "misspec": {
@@ -365,15 +365,17 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
     tvs[0] = tv_distance(s1, s2)
     try:
         for step in range(1, len(ys)):
-            # shared target window covering both predictives, then one shared
-            # rectangular kernel from the current window into it
-            tgt_lo, tgt_hi = _predictive_window(model, [grid_moments(s1), grid_moments(s2)],
-                                                cfg.coverage_k, r_noise, cfg.min_halfwidth)
-            tgt = np.linspace(tgt_lo, tgt_hi, cfg.nodes)
-            kern = grid_kernel(model, nodes, tgt)
-            log_g = loglik(model, tgt, ys[step])
-            s1, s2 = grid_step(s1, kern, tgt, log_g), grid_step(s2, kern, tgt, log_g)
-            nodes = tgt
+            # shared target window covering both predictives on the
+            # observation's LD set, then one shared rectangular kernel from
+            # the current window into it
+            def advance(tgt):
+                kern = grid_kernel(model, nodes, tgt)
+                log_g = loglik(model, tgt, ys[step])
+                (a, log_za), (b, log_zb) = (grid_step(s, kern, tgt, log_g) for s in (s1, s2))
+                return (a, b), min(log_za, log_zb)
+
+            nodes, (s1, s2) = _ld_clipped_step(model, [grid_moments(s1), grid_moments(s2)],
+                                               cfg, r_noise, ys[step], advance)
             tvs[step] = tv_distance(s1, s2)
     except LabError as exc:
         with np.errstate(divide="ignore"):

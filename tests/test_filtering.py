@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ldlab import filtering
 from ldlab.dists import NormalPrior, PointMassPrior
 from ldlab.errors import FilterCollapseError
 from ldlab.filtering import (
@@ -200,7 +201,7 @@ def test_paired_runner_matches_steady_state_contraction():
 
 @pytest.mark.parametrize("preset", ["rw-gauss", "ar-unstable", "misspec"])
 def test_paired_runner_matches_kalman_log_tv_at_every_step(preset, references):
-    # each preset at its configured nodes (worst error 3.9e-7 at 256 nodes);
+    # each preset at its configured nodes (worst error 7.8e-9 at 256 nodes);
     # misspec's filter model is linear-Gaussian, so its Kalman log TV does
     # not depend on the data its misspecified truth produced
     raw = dict(PRESETS[preset], bound=None)
@@ -208,8 +209,45 @@ def test_paired_runner_matches_kalman_log_tv_at_every_step(preset, references):
     p1, p2 = raw["prior1"], raw["prior2"]
     a, _, q, r = references.gaussian_params(raw["model"])
     exact = references.kalman_log_tv(a, q, r, p1["mean"], p2["mean"], p1["std"], raw["horizon"])
-    assert np.max(np.abs(rep.tv.log_tv - exact)) <= 1e-5
+    assert np.max(np.abs(rep.tv.log_tv - exact)) <= 1e-7
     assert rep.diagnostics["min_cells_per_std"] > 5.0
+    assert 0.0 < rep.diagnostics["edge_density_max"] < 1e-6
+
+
+def test_ld_clip_widens_when_an_observation_conflicts_with_a_predictive(references):
+    # y1 = -10 lies 8 predictive std from the far filter, whose posterior
+    # then reaches past the LD set at ratio 1e-12 (edge density 5e-5 of its
+    # peak, log TV off by 5.5e-7); the mass bound reruns that step on a wider
+    # set. The Kalman log TV does not depend on the data.
+    raw = PRESETS["rw-gauss"]
+    model = model_from_spec(raw["model"])
+    ys = np.array([-5.0] + [-10.0] * 20)
+    res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0), ys,
+                        ReprConfig(nodes=256))
+    a, _, q, r = references.gaussian_params(raw["model"])
+    exact = references.kalman_log_tv(a, q, r, -5.0, 5.0, 1.0, len(ys) - 1)
+    assert np.max(np.abs(res.log_tv - exact)) <= 1e-7
+    assert res.diagnostics["edge_density_max"] < 1e-6
+
+
+@pytest.mark.parametrize("seed", PRESETS["dep-noise"]["seeds"][:2])
+def test_dep_noise_log_tv_converges_on_ld_clipped_windows(seed, monkeypatch):
+    # no closed form here: the preset's 256 nodes must match 1024 nodes (worst
+    # 4.1e-7 over the 20 preset seeds), and widening the observation's LD set
+    # from radius 7.4 to 16.6 at about the same cell size must not move log TV
+    raw = dict(PRESETS["dep-noise"], bound=None)
+
+    def run(nodes):
+        return run_scenario(dict(raw, repr=dict(raw["repr"], nodes=nodes)), seed=seed)
+
+    base, fine = run(256), run(1024)
+    assert raw["repr"]["nodes"] == 256
+    assert np.max(np.abs(base.tv.log_tv - fine.tv.log_tv)) <= 1e-5
+    assert base.diagnostics["min_cells_per_std"] > 5.0
+    assert 0.0 < base.diagnostics["edge_density_max"] < 1e-6
+    monkeypatch.setattr(filtering, "LD_TAIL_RATIO", 1e-60)
+    wide = run(2048)
+    assert np.max(np.abs(wide.tv.log_tv - fine.tv.log_tv)) <= 1e-8
 
 
 def _gauss_difference(a, x):
