@@ -57,7 +57,7 @@ from .filtering import (
     exhaustive_filter_finite,
     filter_init,
     filter_step,
-    grid_adapt,
+    grid_filters,
     run_grid_pair,
     tv_distance,
     tv_half_l1,

@@ -12,8 +12,10 @@ The difference of two normalized filter recursions is exactly linear in the
 difference vector, so total-variation values keep full relative precision long
 after the two weight arrays would have collided in float64.
 
-Each step's grid window (paired and unpaired) covers both filters'
-predictives, clipped to the local Doeblin set {x : |h(x) - y| <= r} of the
+Every grid filter steps by one of two routes, ``run_grid_pair`` (the pair
+and its difference) or ``grid_filters`` (any number of filters, each stepped
+on its own). Each step's window, the same in both, covers every filter's
+predictive, clipped to the local Doeblin set {x : |h(x) - y| <= r} of the
 step's observation y, off which the likelihood is below 1e-12 times its peak.
 A step whose posterior mass off the set may exceed 1e-10, an observation far
 out in a filter's predictive, is rerun on a wider set. The window then
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,28 +60,32 @@ LOG_FLOOR = -745.0  # below this, exp underflows float64
 # set above which a step is rerun on a wider one (see _ld_clipped_step).
 LD_TAIL_RATIO = 1e-12
 LD_MASS_TOL = 1e-10
+# A grid window covers mean +/- COVERAGE_K std of a prior or, mapped through
+# f, of a predictive, and is never narrower than +/- MIN_HALFWIDTH.
+COVERAGE_K = 8.0
+MIN_HALFWIDTH = 1e-3
+# A particle filter resamples when its ESS falls below this share of its count.
+ESS_FRACTION = 0.5
+# Gaussian smoothing of particle-vs-grid projections: std in cells, half-width
+# of the taps in cells.
+SMOOTH_CELLS = 2.5
+SMOOTH_HALFWIDTH = 6
 
 
 @dataclass(frozen=True)
 class ReprConfig:
-    """How a filter is represented and stepped."""
+    """How a filter is represented: grid nodes or particle count."""
 
     kind: str = "grid"
     nodes: int = 512
-    coverage_k: float = 8.0
-    min_halfwidth: float = 1e-3
     particles: int = 10_000
-    ess_fraction: float = 0.5
-    smooth_cells: float = 2.5
-    smooth_halfwidth: int = 6
-    paired: bool = True
 
     def spec(self):
         d = {"kind": self.kind}
         if self.kind == "grid":
-            d.update(nodes=self.nodes, coverage_k=self.coverage_k, paired=self.paired)
+            d.update(nodes=self.nodes)
         elif self.kind == "particles":
-            d.update(particles=self.particles, ess_fraction=self.ess_fraction)
+            d.update(particles=self.particles)
         return d
 
 
@@ -142,33 +149,29 @@ def grid_init(model, prior, y0, nodes):
                        log_weights=_normalize_grid(log_w, trap_weights(nodes), 0)[0])
 
 
-def pair_grid(prior1, prior2, cfg):
-    """Shared initial window of a filter pair: the union of both prior windows."""
-    lo1, hi1 = prior1.window(cfg.coverage_k)
-    lo2, hi2 = prior2.window(cfg.coverage_k)
-    return np.linspace(min(lo1, lo2), max(hi1, hi2), cfg.nodes)
+def prior_grid(priors, n):
+    """``n`` uniform nodes over the union of the priors' windows."""
+    lo, hi = zip(*(prior.window(COVERAGE_K) for prior in priors))
+    return np.linspace(min(lo), max(hi), n)
 
 
 def filter_init(model, prior, y0, cfg, rng=None):
-    """Initial filter: prior reweighted by the first likelihood."""
-    if cfg.kind == "grid":
-        lo, hi = prior.window(cfg.coverage_k)
-        if hi - lo < 2.0 * cfg.min_halfwidth:
-            c = 0.5 * (lo + hi)
-            lo, hi = c - cfg.min_halfwidth, c + cfg.min_halfwidth
-        return grid_init(model, prior, y0, np.linspace(lo, hi, cfg.nodes))
-    if cfg.kind == "particles":
-        if rng is None:
-            raise ConfigError("particle filters need an RNG")
-        pos = np.asarray(prior.sample(rng, cfg.particles), dtype=float)
-        log_w = np.asarray(loglik(model, pos, y0), dtype=float)
-        if np.all(log_w <= LOG_FLOOR):
-            raise DegenerateInitError("no particle received positive likelihood mass")
-        log_w = log_w - logsumexp(log_w)
-        state = FilterState(kind="particles", step=0, log_weights=log_w, positions=pos,
-                            ess=_ess(log_w))
-        return _maybe_resample(state, cfg, rng)
-    raise ConfigError(f"filter_init does not handle kind {cfg.kind!r}")
+    """Initial particle filter: prior draws reweighted by the first likelihood.
+
+    Grid filters start in ``grid_init`` and step in ``grid_filters``.
+    """
+    if cfg.kind != "particles":
+        raise ConfigError(f"filter_init runs particle filters, not kind {cfg.kind!r}")
+    if rng is None:
+        raise ConfigError("particle filters need an RNG")
+    pos = np.asarray(prior.sample(rng, cfg.particles), dtype=float)
+    log_w = np.asarray(loglik(model, pos, y0), dtype=float)
+    if np.all(log_w <= LOG_FLOOR):
+        raise DegenerateInitError("no particle received positive likelihood mass")
+    log_w = log_w - logsumexp(log_w)
+    state = FilterState(kind="particles", step=0, log_weights=log_w, positions=pos,
+                        ess=_ess(log_w))
+    return _maybe_resample(state, cfg, rng)
 
 
 def _ess(log_w):
@@ -188,7 +191,7 @@ def systematic_resample(log_w, rng):
 
 
 def _maybe_resample(state, cfg, rng):
-    if state.ess is not None and state.ess < cfg.ess_fraction * cfg.particles:
+    if state.ess is not None and state.ess < ESS_FRACTION * cfg.particles:
         idx = systematic_resample(state.log_weights, rng)
         m = len(idx)
         return replace(
@@ -224,7 +227,7 @@ def noise_tail_radius(noise, eta=1e-12):
 
 
 def grid_step(state, kernel, tgt, log_g):
-    """The grid branch of ``filter_step``, from the state's window into ``tgt``.
+    """One grid filter step, from the state's window into ``tgt``.
 
     ``kernel`` is ``grid_kernel(model, state.nodes, tgt)`` and ``log_g`` the
     log likelihood at ``tgt``; both are passed in so that filters sharing a
@@ -241,23 +244,20 @@ def grid_step(state, kernel, tgt, log_g):
 
 
 def filter_step(model, state, y, cfg=None, rng=None):
-    """Advance one observation: predict through the kernel, then reweight."""
-    if state.kind == "grid":
-        nodes = state.nodes
-        return grid_step(state, grid_kernel(model, nodes), nodes, loglik(model, nodes, y))[0]
-    if state.kind == "particles":
-        if rng is None or cfg is None:
-            raise ConfigError("particle steps need cfg and an RNG")
-        pos = _propagate_particles(model, state.positions, rng)
-        log_w = state.log_weights + loglik(model, pos, y)
-        lse = logsumexp(log_w)
-        if not np.isfinite(lse):
-            raise FilterCollapseError(state.step + 1)
-        log_w = log_w - lse
-        new = FilterState(kind="particles", step=state.step + 1, log_weights=log_w,
-                          positions=pos, ess=_ess(log_w))
-        return _maybe_resample(new, cfg, rng)
-    raise RepresentationError(f"filter_step does not handle kind {state.kind!r}")
+    """Advance a particle filter one observation: propagate, then reweight."""
+    if state.kind != "particles":
+        raise RepresentationError(f"filter_step runs particle filters, not kind {state.kind!r}")
+    if rng is None or cfg is None:
+        raise ConfigError("particle steps need cfg and an RNG")
+    pos = _propagate_particles(model, state.positions, rng)
+    log_w = state.log_weights + loglik(model, pos, y)
+    lse = logsumexp(log_w)
+    if not np.isfinite(lse):
+        raise FilterCollapseError(state.step + 1)
+    log_w = log_w - lse
+    new = FilterState(kind="particles", step=state.step + 1, log_weights=log_w,
+                      positions=pos, ess=_ess(log_w))
+    return _maybe_resample(new, cfg, rng)
 
 
 def _propagate_particles(model, positions, rng):
@@ -269,50 +269,6 @@ def _propagate_particles(model, positions, rng):
     if sampler_vec is not None:
         return f_vals + sampler_vec(rng, positions)
     return f_vals + np.array([noise.sample(rng, x) for x in positions])
-
-
-# ---------------------------------------------------------------------------
-# window adaptation
-
-
-@dataclass(frozen=True)
-class AdaptPolicy:
-    coverage_k: float = 8.0
-    min_halfwidth: float = 1e-3
-    keep_log_drop: float = 46.0  # nodes within this log range of the peak stay covered
-
-
-def grid_adapt(state, policy=None):
-    """Recenter the grid window at mean +/- k std, log-linear re-interpolation.
-
-    Keeps any node whose log-weight is within ``keep_log_drop`` of the peak,
-    so off-window mass loss stays below 1e-8. Returns the state unchanged when
-    the window already matches the target.
-    """
-    policy = policy or AdaptPolicy()
-    mean, std = grid_moments(state)
-    half = max(policy.coverage_k * std, policy.min_halfwidth)
-    lo, hi = mean - half, mean + half
-    # never cut off nodes that still carry weight
-    peak = state.log_weights.max()
-    alive = state.nodes[state.log_weights > peak - policy.keep_log_drop]
-    if alive.size:
-        lo = min(lo, float(alive.min()))
-        hi = max(hi, float(alive.max()))
-    dx = state.nodes[1] - state.nodes[0]
-    if abs(lo - state.nodes[0]) < 0.05 * dx and abs(hi - state.nodes[-1]) < 0.05 * dx:
-        return state
-    new_nodes = np.linspace(lo, hi, len(state.nodes))
-    new_log_w = np.interp(new_nodes, state.nodes, state.log_weights,
-                          left=-np.inf, right=-np.inf)
-    tau_old = trap_weights(state.nodes)
-    outside = (state.nodes < lo) | (state.nodes > hi)
-    loss = float(np.sum(np.exp(state.log_weights[outside]) * tau_old[outside]))
-    if loss > 1e-8:
-        raise FilterCollapseError(state.step, f"window adaptation lost {loss:.3e} mass")
-    tau = trap_weights(new_nodes)
-    return replace(state, nodes=new_nodes,
-                   log_weights=_normalize_grid(new_log_w, tau, state.step)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +357,16 @@ def tv_half_l1(p, q):
     return 0.5 * float(np.sum(np.abs(np.asarray(p) - np.asarray(q))))
 
 
-def _smooth_taps(halfwidth, sigma_cells):
-    z = np.arange(-halfwidth, halfwidth + 1, dtype=float)
-    t = np.exp(-0.5 * (z / sigma_cells) ** 2)
-    return t / t.sum()
+def _smoothed_density(mass, tau):
+    """Node masses smoothed by a Gaussian of SMOOTH_CELLS cells, cut at
+    SMOOTH_HALFWIDTH cells, as a density normalized against ``tau``."""
+    z = np.arange(-SMOOTH_HALFWIDTH, SMOOTH_HALFWIDTH + 1, dtype=float)
+    taps = np.exp(-0.5 * (z / SMOOTH_CELLS) ** 2)
+    dens = np.convolve(mass, taps / taps.sum(), mode="same") / tau
+    return dens / (dens * tau).sum()
 
 
-def project_particles_to_grid(state, nodes, smooth_cells=2.5, smooth_halfwidth=6):
+def project_particles_to_grid(state, nodes):
     """Deposit particle mass on uniform ``nodes`` and smooth it.
 
     Linear two-node deposition followed by a narrow Gaussian kernel; the same
@@ -423,14 +382,10 @@ def project_particles_to_grid(state, nodes, smooth_cells=2.5, smooth_halfwidth=6
     i1 = np.minimum(i0 + 1, n - 1)
     mass = np.bincount(i0, weights=w * (1.0 - frac), minlength=n)
     mass += np.bincount(i1, weights=w * frac, minlength=n)
-    taps = _smooth_taps(smooth_halfwidth, smooth_cells)
-    mass = np.convolve(mass, taps, mode="same")
-    tau = trap_weights(nodes)
-    dens = mass / tau
-    return dens / (dens * tau).sum()
+    return _smoothed_density(mass, trap_weights(nodes))
 
 
-def tv_distance(a, b, smooth_cells=2.5, smooth_halfwidth=6):
+def tv_distance(a, b):
     """Total variation distance, sup_A |a(A) - b(A)| = half L1 of densities.
 
     Grid states must share their grid; particle-vs-grid goes through the
@@ -442,13 +397,10 @@ def tv_distance(a, b, smooth_cells=2.5, smooth_halfwidth=6):
         return _half_l1(np.exp(a.log_weights) - np.exp(b.log_weights), a.nodes[1] - a.nodes[0])
     if {a.kind, b.kind} == {"particles", "grid"}:
         part, grid = (a, b) if a.kind == "particles" else (b, a)
-        dens = project_particles_to_grid(part, grid.nodes, smooth_cells, smooth_halfwidth)
         tau = trap_weights(grid.nodes)
-        taps = _smooth_taps(smooth_halfwidth, smooth_cells)
-        gmass = np.convolve(np.exp(grid.log_weights) * tau, taps, mode="same")
-        gdens = gmass / tau
-        gdens = gdens / (gdens * tau).sum()
-        return _half_l1(dens - gdens, grid.nodes[1] - grid.nodes[0])
+        gdens = _smoothed_density(np.exp(grid.log_weights) * tau, tau)
+        return _half_l1(project_particles_to_grid(part, grid.nodes) - gdens,
+                        grid.nodes[1] - grid.nodes[0])
     raise RepresentationError(f"tv_distance undefined for {a.kind!r} vs {b.kind!r}")
 
 
@@ -535,9 +487,7 @@ class TvSeries:
             lines.append(row)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        meta_path = str(path)
-        meta_path = meta_path[: meta_path.rfind(".")] + ".meta.json" if "." in meta_path else meta_path + ".meta.json"
-        with open(meta_path, "w") as fh:
+        with open(os.path.splitext(path)[0] + ".meta.json", "w") as fh:
             json.dump(self.meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -589,8 +539,6 @@ def decay_rate(series, fit_lo=None, fit_hi=None):
 class PairedGridResult:
     tv: np.ndarray
     log_tv: np.ndarray
-    state1: FilterState
-    state2: FilterState
     diagnostics: dict
 
 
@@ -632,7 +580,7 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     float64 relative precision regardless of how small it gets.
     """
     ys = np.asarray(ys, dtype=float)
-    nodes = pair_grid(prior1, prior2, cfg)
+    nodes = prior_grid([prior1, prior2], cfg.nodes)
     tau = trap_weights(nodes)
     phi = np.exp(grid_init(model, prior1, ys[0], nodes).log_weights)
     phi2 = np.exp(grid_init(model, prior2, ys[0], nodes).log_weights)
@@ -668,7 +616,8 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
                 return _pair_quotient_update(g * (K @ (tau * phi)), g * (K @ (tau * D)), s,
                                              trap_weights(tgt), step)
 
-            tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg, r_noise, ys[step], advance)
+            tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg.nodes, r_noise, ys[step],
+                                                advance)
             if abs(tgt[0] - nodes[0]) > 0.05 * dx or abs(tgt[-1] - nodes[-1]) > 0.05 * dx:
                 adapt_count += 1
             nodes = tgt
@@ -682,9 +631,6 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     moments = [_density_moments(nodes, d, tau) for d in dens]
     min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
     edge_max = max(edge_max, *map(_edge_ratio, dens))
-    with np.errstate(divide="ignore"):
-        state1, state2 = (FilterState(kind="grid", step=len(ys) - 1, log_weights=np.log(d),
-                                      nodes=nodes) for d in dens)
     diag = {
         "adapt_count": adapt_count,
         "final_window": [float(nodes[0]), float(nodes[-1])],
@@ -695,22 +641,45 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
         # peak, of either filter at any step
         "edge_density_max": float(edge_max),
     }
-    return PairedGridResult(tv=tvs, log_tv=log_tvs, state1=state1, state2=state2, diagnostics=diag)
+    return PairedGridResult(tv=tvs, log_tv=log_tvs, diagnostics=diag)
 
 
-def _ld_clipped_step(model, moment_pairs, cfg, r_noise, y, advance):
-    """Take one grid step of a pair of filters into an LD-clipped window.
+def grid_filters(model, priors, ys, cfg):
+    """Grid filters started from ``priors``, stepped together through ``ys``.
 
-    ``advance(tgt)`` steps both filters into the nodes ``tgt`` and returns
-    (result, log_z), log_z the smaller log evidence of y. The window is
+    Yields the list of their states after each observation, y0 included. They
+    start on the union of the prior windows; each later step's window covers
+    every filter's predictive on the observation's LD set (``_ld_clipped_step``),
+    and one kernel from the current window into it carries all of them.
+    """
+    ys = np.asarray(ys, dtype=float)
+    nodes = prior_grid(priors, cfg.nodes)
+    states = [grid_init(model, prior, ys[0], nodes) for prior in priors]
+    yield states
+    r_noise = noise_tail_radius(model.state_noise)
+    for step in range(1, len(ys)):
+        def advance(tgt):
+            kern = grid_kernel(model, nodes, tgt)
+            log_g = loglik(model, tgt, ys[step])
+            stepped = [grid_step(state, kern, tgt, log_g) for state in states]
+            return [new for new, _ in stepped], min(log_z for _, log_z in stepped)
+
+        nodes, states = _ld_clipped_step(model, [grid_moments(s) for s in states], cfg.nodes,
+                                         r_noise, ys[step], advance)
+        yield states
+
+
+def _ld_clipped_step(model, moment_pairs, n, r_noise, y, advance):
+    """Take one grid step of every listed filter into an LD-clipped window.
+
+    ``advance(tgt)`` steps the filters into the ``n`` nodes ``tgt`` and returns
+    (result, log_z), log_z the smallest log evidence of y. The window is
     clipped at tail ratio LD_TAIL_RATIO; when the mass bound ratio * g_max / Z
     then exceeds LD_MASS_TOL, with the clipped run's Z (a lower bound), the
     step is rerun at the ratio that meets it. Returns (tgt, result).
     """
     def window(eta):
-        lo, hi = _predictive_window(model, moment_pairs, cfg.coverage_k, r_noise,
-                                    cfg.min_halfwidth, y, eta)
-        return np.linspace(lo, hi, cfg.nodes)
+        return np.linspace(*_predictive_window(model, moment_pairs, r_noise, y, eta), n)
 
     tgt = window(LD_TAIL_RATIO)
     result, log_z = advance(tgt)
@@ -721,7 +690,7 @@ def _ld_clipped_step(model, moment_pairs, cfg, r_noise, y, advance):
     return tgt, result
 
 
-def _predictive_window(model, moment_pairs, k, r_noise, min_halfwidth, y, eta):
+def _predictive_window(model, moment_pairs, r_noise, y, eta):
     """Window containing the one-step posterior mass of every listed filter.
 
     It covers each filter's predictive, clipped to the LD set C(y, r) of the
@@ -733,7 +702,7 @@ def _predictive_window(model, moment_pairs, k, r_noise, min_halfwidth, y, eta):
     hi = -math.inf
     for mean, std in moment_pairs:
         center = float(model.f(mean))
-        half = max(k * model.f_lip * std, min_halfwidth) + r_noise
+        half = max(COVERAGE_K * model.f_lip * std, MIN_HALFWIDTH) + r_noise
         lo = min(lo, center - half)
         hi = max(hi, center + half)
     if eta > 0.0:

@@ -39,18 +39,11 @@ from .filtering import (
     ReprConfig,
     TvSeries,
     _half_l1,
-    _ld_clipped_step,
     decay_rate,
     exact_filter_finite,
     filter_init,
     filter_step,
-    grid_adapt,
-    grid_init,
-    grid_kernel,
-    grid_moments,
-    grid_step,
-    noise_tail_radius,
-    pair_grid,
+    grid_filters,
     project_particles_to_grid,
     run_grid_pair,
     tv_distance,
@@ -58,7 +51,6 @@ from .filtering import (
 )
 from .models import (
     gaussian_finite_model,
-    loglik,
     make_misspecified_truth,
     simulate_finite,
     simulate_misspecified,
@@ -184,10 +176,11 @@ def repr_config(d):
         problems.append(f"unknown repr fields: {sorted(unknown)}")
     if d.get("kind", base.kind) not in ("grid", "particles", "finite"):
         problems.append(f"unknown repr kind: {d['kind']!r}")
-    nodes = d.get("nodes", base.nodes)
     # the grid TV rule fits a cubic through four nodes
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
-        problems.append(f"repr nodes must be an integer >= 4, got {nodes!r}")
+    for key, least in (("nodes", 4), ("particles", 1)):
+        value = d.get(key, getattr(base, key))
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            problems.append(f"repr {key} must be an integer >= {least}, got {value!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return replace(base, **d)
@@ -215,7 +208,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(101, 121)),
-        "repr": {"kind": "grid", "nodes": 256, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "ar-unstable": {
@@ -225,7 +218,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(201, 221)),
-        "repr": {"kind": "grid", "nodes": 256, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "dep-noise": {
@@ -241,7 +234,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 80,
         "seeds": list(range(301, 321)),
-        "repr": {"kind": "grid", "nodes": 256, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "misspec": {
@@ -257,7 +250,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(401, 421)),
-        "repr": {"kind": "grid", "nodes": 256, "paired": True},
+        "repr": {"kind": "grid", "nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "misspec"},
     },
     "finite-oracle": {
@@ -357,33 +350,18 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
     TV values bottom out at the float64 collision floor, so it is only
     meaningful over short horizons or large separations.
     """
-    ys = np.asarray(ys, dtype=float)
-    nodes = pair_grid(prior1, prior2, cfg)
-    r_noise = noise_tail_radius(model.state_noise)
-    s1, s2 = grid_init(model, prior1, ys[0], nodes), grid_init(model, prior2, ys[0], nodes)
-    tvs = np.empty(len(ys))
-    tvs[0] = tv_distance(s1, s2)
+    tvs = []
     try:
-        for step in range(1, len(ys)):
-            # shared target window covering both predictives on the
-            # observation's LD set, then one shared rectangular kernel from
-            # the current window into it
-            def advance(tgt):
-                kern = grid_kernel(model, nodes, tgt)
-                log_g = loglik(model, tgt, ys[step])
-                (a, log_za), (b, log_zb) = (grid_step(s, kern, tgt, log_g) for s in (s1, s2))
-                return (a, b), min(log_za, log_zb)
-
-            nodes, (s1, s2) = _ld_clipped_step(model, [grid_moments(s1), grid_moments(s2)],
-                                               cfg, r_noise, ys[step], advance)
-            tvs[step] = tv_distance(s1, s2)
+        for s1, s2 in grid_filters(model, [prior1, prior2], ys, cfg):
+            tvs.append(tv_distance(s1, s2))
     except LabError as exc:
         with np.errstate(divide="ignore"):
-            exc.tv_prefix = (tvs[:step], np.log(tvs[:step]))
+            exc.tv_prefix = (np.array(tvs), np.log(tvs))
         raise
+    tvs = np.array(tvs)
     with np.errstate(divide="ignore"):
         log_tvs = np.log(tvs)
-    return tvs, log_tvs, {"final_window": [float(nodes[0]), float(nodes[-1])]}
+    return tvs, log_tvs, {"final_window": [float(s1.nodes[0]), float(s1.nodes[-1])]}
 
 
 def run_particle_pair(model, prior1, prior2, ys, cfg, seed, shared_streams):
@@ -414,25 +392,20 @@ def _particle_pair_tv(s1, s2, cfg):
     hi = float(max(s1.positions.max(), s2.positions.max()))
     pad = max(1e-6, 1e-3 * (hi - lo))
     nodes = np.linspace(lo - pad, hi + pad, cfg.nodes)
-    d1, d2 = (project_particles_to_grid(s, nodes, cfg.smooth_cells, cfg.smooth_halfwidth)
-              for s in (s1, s2))
+    d1, d2 = (project_particles_to_grid(s, nodes) for s in (s1, s2))
     return _half_l1(d1 - d2, nodes[1] - nodes[0])
 
 
 def compare_particle_grid(model, prior, ys, cfg, seed):
     """Per-step TV between a particle filter and a grid filter, same prior."""
     ys = np.asarray(ys, dtype=float)
-    grid_cfg = ReprConfig(kind="grid", nodes=cfg.nodes, coverage_k=cfg.coverage_k,
-                          smooth_cells=cfg.smooth_cells, smooth_halfwidth=cfg.smooth_halfwidth)
     rng = np.random.default_rng([int(seed), 777])
-    grid = filter_init(model, prior, ys[0], grid_cfg)
     part = filter_init(model, prior, ys[0], cfg, rng)
     tvs = np.empty(len(ys))
-    tvs[0] = tv_distance(part, grid, cfg.smooth_cells, cfg.smooth_halfwidth)
-    for step in range(1, len(ys)):
-        grid = grid_adapt(filter_step(model, grid, ys[step]))
-        part = filter_step(model, part, ys[step], cfg=cfg, rng=rng)
-        tvs[step] = tv_distance(part, grid, cfg.smooth_cells, cfg.smooth_halfwidth)
+    for step, (grid,) in enumerate(grid_filters(model, [prior], ys, cfg)):
+        if step:
+            part = filter_step(model, part, ys[step], cfg=cfg, rng=rng)
+        tvs[step] = tv_distance(part, grid)
     return tvs
 
 
@@ -518,20 +491,15 @@ def run_scenario(config, seed=None, out_dir=None):
         prior1 = prior_from_spec(config.prior1)
         prior2 = prior_from_spec(config.prior2)
         try:
-            if cfg.kind == "grid" and cfg.paired:
+            if cfg.kind == "grid":
                 res = run_grid_pair(model, prior1, prior2, ys, cfg)
                 tvs, log_tvs = res.tv, res.log_tv
                 diagnostics.update(res.diagnostics)
-            elif cfg.kind == "grid":
-                tvs, log_tvs, diag = run_grid_pair_unpaired(model, prior1, prior2, ys, cfg)
-                diagnostics.update(diag)
-            elif cfg.kind == "particles":
+            else:
                 shared = config.prior1 == config.prior2
                 tvs, log_tvs, diag = run_particle_pair(model, prior1, prior2,
                                                        ys, cfg, seed, shared)
                 diagnostics.update(diag)
-            else:
-                raise ConfigError(f"unknown representation kind {cfg.kind!r}")
         except LabError as exc:
             failure = {"error": type(exc).__name__, "message": str(exc),
                        "step": getattr(exc, "step", None)}

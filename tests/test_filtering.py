@@ -7,9 +7,8 @@ import pytest
 
 from ldlab import filtering
 from ldlab.dists import NormalPrior, PointMassPrior
-from ldlab.errors import FilterCollapseError
+from ldlab.errors import ConfigError, FilterCollapseError
 from ldlab.filtering import (
-    FilterState,
     ReprConfig,
     TvSeries,
     _half_l1,
@@ -19,10 +18,12 @@ from ldlab.filtering import (
     exhaustive_terminal_sums,
     filter_init,
     filter_step,
-    grid_adapt,
+    grid_filters,
+    grid_init,
     grid_kernel,
     grid_moments,
     noise_tail_radius,
+    prior_grid,
     project_particles_to_grid,
     run_grid_pair,
     systematic_resample,
@@ -96,8 +97,6 @@ def test_tv_half_l1_reference():
 
 def _kalman_filter(ys, m0, p0):
     """Scalar Kalman recursion for the identity random walk, unit noises."""
-    m, p = m0, p0
-    out = [(m0 * p0 + 0, 0)]  # placeholder, replaced below
     # initial update with y0
     k = p0 / (p0 + 1.0)
     m = m0 + k * (ys[0] - m0)
@@ -113,20 +112,17 @@ def _kalman_filter(ys, m0, p0):
 
 
 def test_grid_filter_tracks_kalman_moments():
+    # trapezoid moments of a Gaussian posterior on its LD-clipped window are
+    # exact to rounding (worst 4.4e-15 here); re-interpolating the log
+    # weights onto a recentred window cost 5.2e-7
     model = _rw_model()
-    rng = np.random.default_rng(5)
-    traj = simulate_trajectory(model, PointMassPrior(0.0), n=30, seed=5)
-    ys = traj.observations
-    cfg = ReprConfig(kind="grid", nodes=512)
-    state = filter_init(model, NormalPrior(0.0, 2.0), ys[0], cfg)
+    ys = simulate_trajectory(model, PointMassPrior(0.0), n=30, seed=5).observations
     kalman = _kalman_filter(ys, 0.0, 4.0)
-    for k in range(1, 31):
-        state = filter_step(model, state, ys[k], cfg)
-        state = grid_adapt(state)
-    mean, std = grid_moments(state)
-    km, kp = kalman[-1]
-    assert mean == pytest.approx(km, abs=1e-6)
-    assert std == pytest.approx(math.sqrt(kp), abs=1e-6)
+    steps = grid_filters(model, [NormalPrior(0.0, 2.0)], ys, ReprConfig(nodes=512))
+    for k, ((state,), (km, kp)) in enumerate(zip(steps, kalman, strict=True)):
+        mean, std = grid_moments(state)
+        assert state.step == k
+        assert abs(mean - km) <= 1e-12 and abs(std - math.sqrt(kp)) <= 1e-12, k
 
 
 def test_grid_kernel_source_target_shapes_and_mass():
@@ -178,7 +174,7 @@ def test_noise_tail_radius_gaussian():
 def test_paired_runner_equal_priors_is_exact_zero():
     model = _rw_model()
     traj = simulate_trajectory(model, PointMassPrior(0.0), n=12, seed=3)
-    cfg = ReprConfig(kind="grid", nodes=256, paired=True)
+    cfg = ReprConfig(kind="grid", nodes=256)
     res = run_grid_pair(model, NormalPrior(0.0, 1.0), NormalPrior(0.0, 1.0),
                         traj.observations, cfg)
     assert np.all(res.tv == 0.0)
@@ -190,7 +186,7 @@ def test_paired_runner_matches_steady_state_contraction():
     expected_slope = math.log((3.0 - math.sqrt(5.0)) / 2.0)
     model = _rw_model()
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=101)
-    cfg = ReprConfig(kind="grid", nodes=512, paired=True)
+    cfg = ReprConfig(kind="grid", nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     series = TvSeries(n=np.arange(101), tv=res.tv, log_tv=res.log_tv)
@@ -304,7 +300,7 @@ def test_paired_runner_log_tv_reaches_deep_underflow_territory():
     # the quotient update keeps relative precision far below float floor on tv
     model = _rw_model()
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=102)
-    cfg = ReprConfig(kind="grid", nodes=512, paired=True)
+    cfg = ReprConfig(kind="grid", nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     assert res.log_tv[-1] < -60.0
@@ -335,11 +331,15 @@ def test_unstable_drift_does_not_collapse():
         "obs_noise": {"family": "gaussian", "sigma": 1.0},
     })
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=201)
-    cfg = ReprConfig(kind="grid", nodes=512, paired=True)
+    cfg = ReprConfig(kind="grid", nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     assert np.isfinite(res.log_tv[-1])
     assert res.diagnostics["adapt_count"] > 0
+
+
+def _lone_grid_state(model, prior, y0, nodes):
+    return grid_init(model, prior, y0, prior_grid([prior], nodes))
 
 
 def test_particle_filter_stays_near_grid_filter():
@@ -347,24 +347,23 @@ def test_particle_filter_stays_near_grid_filter():
     traj = simulate_trajectory(model, PointMassPrior(0.0), n=40, seed=7)
     ys = traj.observations
     rng = np.random.default_rng(7)
-    gcfg = ReprConfig(kind="grid", nodes=512)
     pcfg = ReprConfig(kind="particles", particles=20_000)
-    g = filter_init(model, NormalPrior(0.0, 2.0), ys[0], gcfg)
     p = filter_init(model, NormalPrior(0.0, 2.0), ys[0], pcfg, rng=rng)
     worst = 0.0
-    for k in range(1, 41):
-        g = grid_adapt(filter_step(model, g, ys[k], gcfg))
-        p = filter_step(model, p, ys[k], pcfg, rng=rng)
+    for k, (g,) in enumerate(grid_filters(model, [NormalPrior(0.0, 2.0)], ys,
+                                          ReprConfig(nodes=512))):
+        if k:
+            p = filter_step(model, p, ys[k], pcfg, rng=rng)
         worst = max(worst, tv_distance(g, p))
+    assert k == 40
     assert worst < 0.06
 
 
 def test_project_particles_normalizes_on_grid():
     model = _rw_model()
     rng = np.random.default_rng(11)
-    gcfg = ReprConfig(kind="grid", nodes=256)
     pcfg = ReprConfig(kind="particles", particles=50_000)
-    g = filter_init(model, NormalPrior(0.0, 1.0), 0.2, gcfg)
+    g = _lone_grid_state(model, NormalPrior(0.0, 1.0), 0.2, 256)
     p = filter_init(model, NormalPrior(0.0, 1.0), 0.2, pcfg, rng=rng)
     proj = project_particles_to_grid(p, g.nodes)
     tau = trap_weights(g.nodes)
@@ -387,23 +386,23 @@ def test_systematic_resample_uniform_and_degenerate():
 
 def test_filter_state_grid_density_normalized():
     model = _rw_model()
-    cfg = ReprConfig(kind="grid", nodes=128)
-    state = filter_init(model, NormalPrior(0.0, 1.0), 0.3, cfg)
+    state = _lone_grid_state(model, NormalPrior(0.0, 1.0), 0.3, 128)
     tau = trap_weights(state.nodes)
     assert (np.exp(state.log_weights) * tau).sum() == pytest.approx(1.0, rel=1e-12)
+    # grid filters start in grid_init; filter_init runs particles only
+    with pytest.raises(ConfigError, match="particle"):
+        filter_init(model, NormalPrior(0.0, 1.0), 0.3, ReprConfig(nodes=128))
 
 
-def test_grid_adapt_recians_window_after_drift():
-    # posterior mass walks away from the initial window; adapt must follow
+def test_grid_filters_follow_the_posterior_after_drift():
+    # posterior mass walks far out of the initial window; the window follows
     model = _rw_model()
-    cfg = ReprConfig(kind="grid", nodes=256)
-    state = filter_init(model, NormalPrior(0.0, 1.0), 0.0, cfg)
     ys = np.linspace(0.0, 12.0, 25)
-    for y in ys[1:]:
-        state = grid_adapt(filter_step(model, state, y, cfg))
-    mean, std = grid_moments(state)
+    for (state,) in grid_filters(model, [NormalPrior(0.0, 1.0)], ys, ReprConfig(nodes=256)):
+        mean, std = grid_moments(state)
+        assert state.nodes[0] + 5.0 * std < mean < state.nodes[-1] - 5.0 * std
     assert abs(mean - 12.0) < 2.0
-    assert state.nodes.min() < mean < state.nodes.max()
+    assert state.nodes[0] > 0.0  # the start window was [-8, 8]
 
 
 def test_decay_rate_recovers_exact_geometric_sequence():
@@ -429,8 +428,7 @@ def test_decay_rate_clips_nonpositive_tv():
 
 def test_tv_distance_identical_states_is_zero():
     model = _rw_model()
-    cfg = ReprConfig(kind="grid", nodes=128)
-    state = filter_init(model, NormalPrior(0.0, 1.0), 0.1, cfg)
+    state = _lone_grid_state(model, NormalPrior(0.0, 1.0), 0.1, 128)
     assert tv_distance(state, state) == 0.0
 
 
@@ -446,6 +444,17 @@ def test_tv_series_csv_roundtrip(tmp_path):
     assert len(text) == 5
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.allclose(back[:, 1], tv, rtol=0, atol=0)
+
+
+def test_tv_series_sidecar_stays_beside_the_csv_in_a_dotted_directory(tmp_path):
+    series = TvSeries(n=np.arange(2), tv=np.ones(2), log_tv=np.zeros(2), meta={"seed": 1})
+    run = tmp_path / "run.v2"
+    run.mkdir()
+    for name in ("tv", "tv.csv"):
+        series.to_csv(run / name)
+        assert (run / "tv.meta.json").read_text() == '{\n  "seed": 1\n}\n'
+        (run / "tv.meta.json").unlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2"]
 
 
 def test_filter_collapse_raises_cleanly():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldlab.dists import NormalPrior
-from ldlab.errors import ConfigError, DegenerateInitError
+from ldlab.errors import ConfigError, DegenerateInitError, FilterCollapseError
 from ldlab.filtering import ReprConfig, exact_filter_finite, run_grid_pair, tv_half_l1
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
@@ -37,7 +37,7 @@ SMALL_SCENARIO = {
     "prior2": {"family": "normal", "mean": 3.0, "std": 1.0},
     "horizon": 12,
     "seeds": [7, 8, 9],
-    "repr": {"kind": "grid", "nodes": 128, "paired": True},
+    "repr": {"kind": "grid", "nodes": 128},
     "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
 }
 
@@ -123,6 +123,34 @@ def test_repr_config_rejects_unknown_fields():
         repr_config({"kind": "grid", "ndoes": 64})
 
 
+def test_retired_repr_fields_are_rejected_together():
+    # the window coverage, resampling and smoothing settings are module
+    # constants now, and a grid run always takes the paired runner
+    retired = {"coverage_k": 8.0, "min_halfwidth": 1e-3, "ess_fraction": 0.5,
+               "smooth_cells": 2.5, "smooth_halfwidth": 6, "paired": True}
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "grid", "nodes": 64, **retired}))
+    assert str(err.value).count("unknown repr fields") == 1
+    assert f"unknown repr fields: {sorted(retired)}" in str(err.value)
+    assert sorted(ReprConfig.__dataclass_fields__) == ["kind", "nodes", "particles"]
+
+
+def test_repr_config_checks_the_particle_count():
+    for bad in (1.5, True, 0, -2, "100"):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(dict(SMALL_SCENARIO, horizon=-3,
+                                    repr={"kind": "particles", "particles": bad}))
+        msg = str(err.value)
+        assert f"repr particles must be an integer >= 1, got {bad!r}" in msg
+        assert "'horizon' must be a positive integer" in msg
+    # checked for either kind, like nodes, and reported next to it
+    with pytest.raises(ConfigError) as err:
+        repr_config({"kind": "grid", "nodes": 2.0, "particles": 0})
+    assert "repr nodes must be an integer >= 4, got 2.0" in str(err.value)
+    assert "repr particles must be an integer >= 1, got 0" in str(err.value)
+    assert repr_config({"kind": "particles", "particles": 1}).particles == 1
+
+
 def test_presets_all_validate():
     assert set(PRESETS) == {"rw-gauss", "ar-unstable", "dep-noise", "misspec",
                             "finite-oracle"}
@@ -184,7 +212,7 @@ DEGENERATE_SCENARIO = {
     "prior2": {"family": "normal", "mean": 5.0, "std": 0.1},
     "horizon": 10,
     "seeds": [1],
-    "repr": {"kind": "grid", "nodes": 64, "paired": True},
+    "repr": {"kind": "grid", "nodes": 64},
 }
 
 
@@ -216,8 +244,7 @@ def test_unpaired_route_rejects_a_degenerate_start():
             run(model, p1, p2, traj.observations, ReprConfig(nodes=64))
 
 
-@pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
-def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch, paired):
+def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch):
     real_simulate = scenarios._simulate
 
     def poisoned(*args):
@@ -227,22 +254,31 @@ def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch, paired):
         return traj, states, ys
 
     monkeypatch.setattr(scenarios, "_simulate", poisoned)
-    raw = dict(SMALL_SCENARIO, bound=None, repr={"kind": "grid", "nodes": 128, "paired": paired})
+    raw = dict(SMALL_SCENARIO, bound=None)
     rep = run_scenario(raw, seed=7)
     assert rep.failure["step"] == 12
     cfg = scenario_from_dict(raw)
     model = model_from_spec(cfg.model)
     p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
     _, _, ys = real_simulate(cfg, model, None, None, 7)
-    rc = repr_config(cfg.repr)
-    if paired:
-        short = run_grid_pair(model, p1, p2, ys[:-1], rc)
-        tv, log_tv = short.tv, short.log_tv
-    else:
-        tv, log_tv, _ = run_grid_pair_unpaired(model, p1, p2, ys[:-1], rc)
-    assert np.array_equal(rep.tv.tv[:12], tv)
-    assert np.array_equal(rep.tv.log_tv[:12], log_tv)
+    short = run_grid_pair(model, p1, p2, ys[:-1], repr_config(cfg.repr))
+    assert np.array_equal(rep.tv.tv[:12], short.tv)
+    assert np.array_equal(rep.tv.log_tv[:12], short.log_tv)
     assert np.isnan(rep.tv.tv[12]) and np.isnan(rep.tv.log_tv[12])
+
+
+def test_unpaired_route_keeps_the_prefix_it_computed():
+    model = model_from_spec(SMALL_SCENARIO["model"])
+    p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
+    ys = simulate_trajectory(model, p1, n=12, seed=7).observations.copy()
+    ys[-1] = np.inf  # zero likelihood on every node: the last step collapses
+    rc = ReprConfig(nodes=128)
+    with pytest.raises(FilterCollapseError) as err:
+        run_grid_pair_unpaired(model, p1, p2, ys, rc)
+    assert err.value.step == 12
+    tv, log_tv, _ = run_grid_pair_unpaired(model, p1, p2, ys[:-1], rc)
+    assert np.array_equal(err.value.tv_prefix[0], tv)
+    assert np.array_equal(err.value.tv_prefix[1], log_tv)
 
 
 def test_finite_scenario_runs_exactly():
@@ -293,7 +329,7 @@ def test_unpaired_route_confirms_paired_route():
     p1 = NormalPrior(-2.0, 1.0)
     p2 = NormalPrior(2.0, 1.0)
     traj = simulate_trajectory(model, p1, n=15, seed=4)
-    rc = ReprConfig(kind="grid", nodes=512, paired=True)
+    rc = ReprConfig(kind="grid", nodes=512)
     paired = run_grid_pair(model, p1, p2, traj.observations, rc)
     tvs, log_tvs, info = run_grid_pair_unpaired(model, p1, p2, traj.observations, rc)
     mask = paired.tv > 1e-10  # above the direct route's collision floor
