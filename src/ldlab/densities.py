@@ -79,9 +79,6 @@ class GaussianDensity:
             raise H2FailureError("tail ratio must be positive")
         return self.sigma * math.sqrt(2.0 * math.log(1.0 / eta))
 
-    def spec(self):
-        return {"family": "gaussian", "sigma": self.sigma}
-
 
 def student_t_logpdf(u, df, scale, log_norm, out=None):
     """Student-t log density with normalizer ``log_norm`` at offsets ``u``.
@@ -151,9 +148,6 @@ class StudentTDensity:
             raise H2FailureError("tail ratio must be positive")
         v = self.df
         return self.scale * math.sqrt(v * (eta ** (-2.0 / (v + 1.0)) - 1.0))
-
-    def spec(self):
-        return {"family": "student_t", "df": self.df, "scale": self.scale}
 
 
 def density_from_spec(spec):

@@ -38,9 +38,6 @@ class NormalPrior:
     def quad_bounds(self):
         return (self.mean - 12.0 * self.std, self.mean + 12.0 * self.std)
 
-    def spec(self):
-        return {"family": "normal", "mean": self.mean, "std": self.std}
-
 
 @dataclass(frozen=True)
 class UniformPrior:
@@ -67,9 +64,6 @@ class UniformPrior:
     def quad_bounds(self):
         return (self.lo, self.hi)
 
-    def spec(self):
-        return {"family": "uniform", "lo": self.lo, "hi": self.hi}
-
 
 @dataclass(frozen=True)
 class PointMassPrior:
@@ -92,9 +86,6 @@ class PointMassPrior:
 
     def quad_bounds(self):
         return self.window(0)
-
-    def spec(self):
-        return {"family": "point", "x": self.x}
 
 
 def prior_from_spec(spec):

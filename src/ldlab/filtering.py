@@ -74,19 +74,10 @@ SMOOTH_HALFWIDTH = 6
 
 @dataclass(frozen=True)
 class ReprConfig:
-    """How a filter is represented: grid nodes or particle count."""
+    """Grid node count, and the particle count of a particle filter."""
 
-    kind: str = "grid"
     nodes: int = 512
     particles: int = 10_000
-
-    def spec(self):
-        d = {"kind": self.kind}
-        if self.kind == "grid":
-            d.update(nodes=self.nodes)
-        elif self.kind == "particles":
-            d.update(particles=self.particles)
-        return d
 
 
 @dataclass(frozen=True)
@@ -160,8 +151,6 @@ def filter_init(model, prior, y0, cfg, rng=None):
 
     Grid filters start in ``grid_init`` and step in ``grid_filters``.
     """
-    if cfg.kind != "particles":
-        raise ConfigError(f"filter_init runs particle filters, not kind {cfg.kind!r}")
     if rng is None:
         raise ConfigError("particle filters need an RNG")
     pos = np.asarray(prior.sample(rng, cfg.particles), dtype=float)

@@ -17,7 +17,7 @@ derived from (seed, stream), so replays are byte-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,9 +48,6 @@ class IidNoise:
 
     def log_radial_max(self, r):
         return self.density.log_radial_max(r)
-
-    def spec(self):
-        return {"kind": "iid", "density": self.density.spec()}
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,6 @@ class DependentNoise:
     def log_radial_max(self, r):
         return math.log(self.mu_plus) + self.psi.log_radial_max(r)
 
-    def spec(self):
-        return {
-            "kind": "dependent",
-            "psi": self.psi.spec(),
-            "mu_minus": self.mu_minus,
-            "mu_plus": self.mu_plus,
-        }
-
 
 @dataclass(frozen=True)
 class StateSpaceModel:
@@ -122,22 +111,10 @@ class StateSpaceModel:
     state_noise: object
     obs_noise: object
     h_inverse: Optional[Callable] = None
-    spec_dict: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.f_lip < 0 or self.h_b0 < 0 or self.h_b < 0:
             raise ModelValidationError("Lipschitz and preimage constants must be >= 0")
-
-    def spec(self):
-        if self.spec_dict is not None:
-            return self.spec_dict
-        return {
-            "f_lip": self.f_lip,
-            "h_b0": self.h_b0,
-            "h_b": self.h_b,
-            "state_noise": self.state_noise.spec(),
-            "obs_noise": self.obs_noise.spec(),
-        }
 
 
 @dataclass(frozen=True)
@@ -171,7 +148,6 @@ class FiniteModel:
     Q: np.ndarray
     emit: Callable  # emit(y) -> vector of per-state densities
     emit_sample: Optional[Callable] = None  # emit_sample(rng, i) -> y
-    label: str = "finite"
 
     @property
     def m(self):
@@ -183,11 +159,8 @@ class FiniteModel:
             raise ModelValidationError("emission table returned wrong shape")
         return g
 
-    def spec(self):
-        return {"kind": "finite", "m": int(self.m), "label": self.label}
 
-
-def finite_model_make(Q, emission_pdfs, emission_samplers=None, label="finite"):
+def finite_model_make(Q, emission_pdfs, emission_samplers=None):
     """Validate and assemble a finite model.
 
     ``emission_pdfs`` is one callable per state, y -> density value.
@@ -215,10 +188,10 @@ def finite_model_make(Q, emission_pdfs, emission_samplers=None, label="finite"):
         def sampler(rng, i):
             return samplers[i](rng)
 
-    return FiniteModel(Q=Q, emit=emit, emit_sample=sampler, label=label)
+    return FiniteModel(Q=Q, emit=emit, emit_sample=sampler)
 
 
-def gaussian_finite_model(Q, means, stds, label="finite"):
+def gaussian_finite_model(Q, means, stds):
     """Finite model with per-state Gaussian emissions (always positive)."""
     means = [float(v) for v in means]
     stds = [float(s) for s in stds]
@@ -234,8 +207,7 @@ def gaussian_finite_model(Q, means, stds, label="finite"):
 
     pdfs = [make_pdf(mu, s) for mu, s in zip(means, stds)]
     samplers = [make_sampler(mu, s) for mu, s in zip(means, stds)]
-    fm = finite_model_make(Q, pdfs, samplers, label=label)
-    return fm
+    return finite_model_make(Q, pdfs, samplers)
 
 
 @dataclass(frozen=True)

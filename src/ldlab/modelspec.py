@@ -197,5 +197,4 @@ def model_from_spec(spec):
         h_inverse=hmap.inverse,
         state_noise=state_noise,
         obs_noise=obs_noise,
-        spec_dict=spec,
     )

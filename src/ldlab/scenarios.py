@@ -11,8 +11,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,13 +37,11 @@ from .errors import ConfigError, LabError, ModelValidationError
 from .filtering import (
     ReprConfig,
     TvSeries,
-    _half_l1,
     decay_rate,
     exact_filter_finite,
     filter_init,
     filter_step,
     grid_filters,
-    project_particles_to_grid,
     run_grid_pair,
     tv_distance,
     tv_half_l1,
@@ -61,6 +58,11 @@ from .modelspec import model_from_spec
 
 # ---------------------------------------------------------------------------
 # scenario configuration
+
+_FIELDS = {"name", "model", "finite", "truth", "prior1", "prior2", "horizon", "seeds",
+           "repr", "bound", "allow_equal_priors"}
+_BOUND_FIELDS = {"alpha", "eta", "etas", "d_mode", "thresholds"}
+_D_MODES = ("auto", "exact", "recorded", "misspec")
 
 
 @dataclass
@@ -86,6 +88,9 @@ class ScenarioConfig:
 def scenario_from_dict(d):
     """Validate a scenario dict field by field; report every problem at once."""
     errors = []
+    unknown = set(d) - _FIELDS
+    if unknown:
+        errors.append(f"unknown fields: {sorted(unknown)}")
     name = d.get("name", "custom")
     model = d.get("model")
     finite = d.get("finite")
@@ -121,35 +126,59 @@ def scenario_from_dict(d):
         errors.append("identical priors need allow_equal_priors: true")
     repr_cfg = d.get("repr", {})
     if bound is not None:
-        alpha = bound.get("alpha", 0.5)
-        if not (0.0 < alpha < 1.0):
-            errors.append("bound.alpha must lie in (0, 1)")
-        eta = bound.get("eta", 0.1)
-        if eta == "sweep":
-            if finite is not None:
-                errors.append("bound.eta 'sweep' needs a continuous model; "
-                              "a finite bound takes one eta in (0, 1)")
-        elif not (isinstance(eta, (int, float)) and 0.0 < eta < 1.0):
-            errors.append("bound.eta must lie in (0, 1) or be 'sweep'")
+        errors += _bound_errors(bound, finite is not None)
     config = ScenarioConfig(
         name=name, model=model, finite=finite, truth=truth,
         prior1=prior1, prior2=prior2, horizon=horizon, seeds=seeds,
         repr=repr_cfg, bound=bound, allow_equal_priors=allow_equal, raw=dict(d),
     )
     # build the parts a run builds, so that a bad one fails here
-    rc = _collect(errors, "repr", repr_config, repr_cfg)
-    if rc is not None and model is not None and rc.kind == "finite":
-        errors.append("'repr': a continuous model runs on kind 'grid' or 'particles'")
+    _collect(errors, "repr", repr_config, repr_cfg)
     if finite is None and model is not None:
         built = _collect(errors, "model", build_model, config)
         if built is not None and truth is not None and {"f_gap", "h_gap"} <= set(truth):
             _collect(errors, "truth", build_truth, config, built)
+        d_mode = bound.get("d_mode") if isinstance(bound, dict) else None
+        if d_mode == "exact" and built is not None and built.h_inverse is None:
+            errors.append("bound.d_mode 'exact' needs an invertible observation map")
+        if d_mode == "misspec" and truth is None:
+            errors.append("bound.d_mode 'misspec' needs a 'truth' block")
     elif finite is not None and model is None:
         _collect(errors, "finite", build_finite, config)
     if errors:
         raise ConfigError("invalid scenario config: " + "; ".join(errors))
     config.horizon, config.seeds = int(horizon), list(seeds)
     return config
+
+
+def _unit_number(x):
+    """Whether ``x`` is a real number in (0, 1); a bool is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 < x < 1.0
+
+
+def _bound_errors(bound, finite):
+    """Every problem of a ``bound`` block that needs no model to find."""
+    if not isinstance(bound, dict):
+        return ["'bound' must be an object"]
+    errors = []
+    unknown = set(bound) - _BOUND_FIELDS
+    if unknown:
+        errors.append(f"unknown bound fields: {sorted(unknown)}")
+    if not _unit_number(bound.get("alpha", 0.5)):
+        errors.append(f"bound.alpha must be a number in (0, 1), got {bound['alpha']!r}")
+    eta = bound.get("eta", 0.1)
+    if eta == "sweep":
+        if finite:
+            errors.append("bound.eta 'sweep' needs a continuous model; "
+                          "a finite bound takes one eta in (0, 1)")
+    elif not _unit_number(eta):
+        errors.append(f"bound.eta must be a number in (0, 1) or 'sweep', got {eta!r}")
+    etas = bound.get("etas")
+    if etas is not None and not (isinstance(etas, list) and etas and all(map(_unit_number, etas))):
+        errors.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
+    if bound.get("d_mode", "recorded") not in _D_MODES:
+        errors.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {bound['d_mode']!r}")
+    return errors
 
 
 def _collect(errors, key, build, *args):
@@ -169,21 +198,18 @@ def config_hash(raw):
 
 
 def repr_config(d):
-    base = ReprConfig()
+    """The grid of a continuous run; ``nodes`` is its one setting."""
     problems = []
-    unknown = set(d) - set(base.__dataclass_fields__)
+    unknown = set(d) - {"nodes"}
     if unknown:
         problems.append(f"unknown repr fields: {sorted(unknown)}")
-    if d.get("kind", base.kind) not in ("grid", "particles", "finite"):
-        problems.append(f"unknown repr kind: {d['kind']!r}")
     # the grid TV rule fits a cubic through four nodes
-    for key, least in (("nodes", 4), ("particles", 1)):
-        value = d.get(key, getattr(base, key))
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            problems.append(f"repr {key} must be an integer >= {least}, got {value!r}")
+    nodes = d.get("nodes", ReprConfig.nodes)
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
+        problems.append(f"repr nodes must be an integer >= 4, got {nodes!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-    return replace(base, **d)
+    return ReprConfig(nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +234,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(101, 121)),
-        "repr": {"kind": "grid", "nodes": 256},
+        "repr": {"nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "ar-unstable": {
@@ -218,7 +244,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(201, 221)),
-        "repr": {"kind": "grid", "nodes": 256},
+        "repr": {"nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "dep-noise": {
@@ -234,7 +260,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 80,
         "seeds": list(range(301, 321)),
-        "repr": {"kind": "grid", "nodes": 256},
+        "repr": {"nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
     },
     "misspec": {
@@ -250,7 +276,7 @@ PRESETS = {
         "prior2": {"family": "normal", "mean": 5.0, "std": 1.0},
         "horizon": 100,
         "seeds": list(range(401, 421)),
-        "repr": {"kind": "grid", "nodes": 256},
+        "repr": {"nodes": 256},
         "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "misspec"},
     },
     "finite-oracle": {
@@ -266,7 +292,6 @@ PRESETS = {
         "prior2": {"family": "finite", "probs": [0.1, 0.9]},
         "horizon": 40,
         "seeds": list(range(501, 521)),
-        "repr": {"kind": "finite"},
         "bound": {"alpha": 0.3, "eta": 0.5},
     },
 }
@@ -364,38 +389,6 @@ def run_grid_pair_unpaired(model, prior1, prior2, ys, cfg):
     return tvs, log_tvs, {"final_window": [float(s1.nodes[0]), float(s1.nodes[-1])]}
 
 
-def run_particle_pair(model, prior1, prior2, ys, cfg, seed, shared_streams):
-    """Two bootstrap particle filters; equal priors with shared streams match exactly."""
-    ys = np.asarray(ys, dtype=float)
-    stream2 = 301 if shared_streams else 302
-    rng1 = np.random.default_rng([int(seed), 301])
-    rng2 = np.random.default_rng([int(seed), stream2])
-    s1 = filter_init(model, prior1, ys[0], cfg, rng1)
-    s2 = filter_init(model, prior2, ys[0], cfg, rng2)
-    tvs = np.empty(len(ys))
-    ess_min = math.inf
-    tvs[0] = _particle_pair_tv(s1, s2, cfg)
-    for step in range(1, len(ys)):
-        s1 = filter_step(model, s1, ys[step], cfg=cfg, rng=rng1)
-        s2 = filter_step(model, s2, ys[step], cfg=cfg, rng=rng2)
-        ess_min = min(ess_min, s1.ess, s2.ess)
-        tvs[step] = _particle_pair_tv(s1, s2, cfg)
-    with np.errstate(divide="ignore"):
-        log_tvs = np.log(tvs)
-    return tvs, log_tvs, {"ess_min": ess_min}
-
-
-def _particle_pair_tv(s1, s2, cfg):
-    if np.array_equal(s1.positions, s2.positions) and np.array_equal(s1.log_weights, s2.log_weights):
-        return 0.0
-    lo = float(min(s1.positions.min(), s2.positions.min()))
-    hi = float(max(s1.positions.max(), s2.positions.max()))
-    pad = max(1e-6, 1e-3 * (hi - lo))
-    nodes = np.linspace(lo - pad, hi + pad, cfg.nodes)
-    d1, d2 = (project_particles_to_grid(s, nodes) for s in (s1, s2))
-    return _half_l1(d1 - d2, nodes[1] - nodes[0])
-
-
 def compare_particle_grid(model, prior, ys, cfg, seed):
     """Per-step TV between a particle filter and a grid filter, same prior."""
     ys = np.asarray(ys, dtype=float)
@@ -473,7 +466,7 @@ def run_scenario(config, seed=None, out_dir=None):
         config = scenario_from_dict(config)
     seed = config.seeds[0] if seed is None else int(seed)
     h = config_hash(config.raw)
-    cfg = repr_config(config.repr)
+    cfg = None if config.is_finite else repr_config(config.repr)
     diagnostics = {}
     failure = None
 
@@ -491,15 +484,9 @@ def run_scenario(config, seed=None, out_dir=None):
         prior1 = prior_from_spec(config.prior1)
         prior2 = prior_from_spec(config.prior2)
         try:
-            if cfg.kind == "grid":
-                res = run_grid_pair(model, prior1, prior2, ys, cfg)
-                tvs, log_tvs = res.tv, res.log_tv
-                diagnostics.update(res.diagnostics)
-            else:
-                shared = config.prior1 == config.prior2
-                tvs, log_tvs, diag = run_particle_pair(model, prior1, prior2,
-                                                       ys, cfg, seed, shared)
-                diagnostics.update(diag)
+            res = run_grid_pair(model, prior1, prior2, ys, cfg)
+            tvs, log_tvs = res.tv, res.log_tv
+            diagnostics.update(res.diagnostics)
         except LabError as exc:
             failure = {"error": type(exc).__name__, "message": str(exc),
                        "step": getattr(exc, "step", None)}
@@ -538,8 +525,9 @@ def run_scenario(config, seed=None, out_dir=None):
         "config_hash": h,
         "version": __version__,
         "tv_convention": "half L1 distance of densities (sup over sets)",
-        "repr": cfg.spec(),
     }
+    if cfg is not None:
+        meta["repr"] = {"nodes": cfg.nodes}
     series = TvSeries(n=ns, tv=tvs, log_tv=log_tvs, bound_log=bound_log, meta=meta)
 
     fit = None
@@ -656,16 +644,9 @@ def monte_carlo_expectation(config, replicates, thresholds=None, out_dir=None):
     if len(set(seeds)) != len(seeds):
         raise ConfigError("replicate seeds must be unique")
 
-    # replicates run in parallel; the reduction below walks them in seed
-    # order, so the assembled report is deterministic either way. The pool
-    # pays: an 8-replicate rw-gauss mc took 1.52 s with it and 2.03 s without
-    # (medians of 6 alternating runs on 2 CPUs, identical results)
-    workers = min(len(seeds), max(1, os.cpu_count() or 1), 8)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda s: run_scenario(config, seed=s), seeds))
-    else:
-        reports = [run_scenario(config, seed=s) for s in seeds]
+    # replicates run one after another: a thread pool was no faster (8-replicate
+    # rw-gauss mc, medians of 3 alternating runs on 2 vCPUs: 529 ms pooled, 524 serial)
+    reports = [run_scenario(config, seed=s) for s in seeds]
     failures = [{"seed": s, **r.failure}
                 for s, r in zip(seeds, reports) if r.failure is not None]
     ok = [r for r in reports if r.failure is None]

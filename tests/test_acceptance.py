@@ -70,7 +70,7 @@ def _random_fixture(rng, n_lo, n_hi):
     Q /= Q.sum(axis=1, keepdims=True)
     W = rng.uniform(0.05, 1.0, size=(m, n_bins))
     pdfs = [(lambda row: (lambda y: float(row[int(y)])))(W[s]) for s in range(m)]
-    fmodel = finite_model_make(Q, pdfs, label="fixture")
+    fmodel = finite_model_make(Q, pdfs)
     table = []
     for b in range(n_bins):
         size = int(rng.integers(1, m + 1))
@@ -211,7 +211,7 @@ def test_criterion_08_particle_and_grid_posteriors_agree():
     cfg = preset_config("rw-gauss")
     model = build_model(cfg)
     prior = prior_from_spec(cfg.prior1)
-    pcfg = ReprConfig(kind="particles", particles=100_000)
+    pcfg = ReprConfig(particles=100_000)
     t0 = time.perf_counter()
     worst = 0.0
     for seed in (1, 2, 3, 4, 5):

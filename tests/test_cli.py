@@ -24,7 +24,7 @@ SMALL = {
     "prior2": {"family": "normal", "mean": 3.0, "std": 1.0},
     "horizon": 10,
     "seeds": [5, 6],
-    "repr": {"kind": "grid", "nodes": 128},
+    "repr": {"nodes": 128},
     "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
 }
 
@@ -136,11 +136,18 @@ def test_invalid_config_reports_every_problem(tmp_path):
     r = _run("experiment", "--config", str(p), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "prior1" in r.stderr and "horizon" in r.stderr
-    # a particle count of 0 is a config error, not a failed run
-    p.write_text(json.dumps(dict(SMALL, repr={"kind": "particles", "particles": 0})))
+    # no config runs a particle filter: a particle count is an unknown field
+    p.write_text(json.dumps(dict(SMALL, repr={"nodes": 128, "particles": 0})))
     r = _run("filter", "--config", str(p), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
-    assert "repr particles must be an integer >= 1, got 0" in r.stderr
+    assert "unknown repr fields: ['particles']" in r.stderr
+    # a malformed bound is a config error too, found before any filtering
+    p.write_text(json.dumps(dict(SMALL, bound={"alpha": "0.5", "d_mode": "misspec"})))
+    r = _run("experiment", "--config", str(p), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "bound.alpha must be a number in (0, 1), got '0.5'" in r.stderr
+    assert "bound.d_mode 'misspec' needs a 'truth' block" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_failed_run_exits_three_with_partial_report(tmp_path):

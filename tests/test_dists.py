@@ -36,13 +36,9 @@ def test_point_mass_sampling():
 
 
 def test_prior_from_spec_roundtrip():
-    for spec in (
-        {"family": "normal", "mean": -5.0, "std": 1.0},
-        {"family": "uniform", "lo": 0.0, "hi": 3.0},
-        {"family": "point", "x": 1.0},
-    ):
-        p = prior_from_spec(spec)
-        assert p.spec() == spec
+    assert prior_from_spec({"family": "normal", "mean": -5.0, "std": 1.0}) == NormalPrior(-5.0, 1.0)
+    assert prior_from_spec({"family": "uniform", "lo": 0.0, "hi": 3.0}) == UniformPrior(0.0, 3.0)
+    assert prior_from_spec({"family": "point", "x": 1.0}) == PointMassPrior(1.0)
 
 
 def test_prior_from_spec_unknown_family():

@@ -7,7 +7,7 @@ import pytest
 
 from ldlab import filtering
 from ldlab.dists import NormalPrior, PointMassPrior
-from ldlab.errors import ConfigError, FilterCollapseError
+from ldlab.errors import FilterCollapseError
 from ldlab.filtering import (
     ReprConfig,
     TvSeries,
@@ -45,7 +45,7 @@ FIX_PDFS = [lambda y: {0: 0.8, 1: 0.7}[y], lambda y: {0: 0.4, 1: 0.9}[y]]
 
 
 def _toy_finite():
-    return finite_model_make(FIX_Q, FIX_PDFS, label="two-state fixture")
+    return finite_model_make(FIX_Q, FIX_PDFS)
 
 
 def _rw_model():
@@ -174,7 +174,7 @@ def test_noise_tail_radius_gaussian():
 def test_paired_runner_equal_priors_is_exact_zero():
     model = _rw_model()
     traj = simulate_trajectory(model, PointMassPrior(0.0), n=12, seed=3)
-    cfg = ReprConfig(kind="grid", nodes=256)
+    cfg = ReprConfig(nodes=256)
     res = run_grid_pair(model, NormalPrior(0.0, 1.0), NormalPrior(0.0, 1.0),
                         traj.observations, cfg)
     assert np.all(res.tv == 0.0)
@@ -186,7 +186,7 @@ def test_paired_runner_matches_steady_state_contraction():
     expected_slope = math.log((3.0 - math.sqrt(5.0)) / 2.0)
     model = _rw_model()
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=101)
-    cfg = ReprConfig(kind="grid", nodes=512)
+    cfg = ReprConfig(nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     series = TvSeries(n=np.arange(101), tv=res.tv, log_tv=res.log_tv)
@@ -300,7 +300,7 @@ def test_paired_runner_log_tv_reaches_deep_underflow_territory():
     # the quotient update keeps relative precision far below float floor on tv
     model = _rw_model()
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=102)
-    cfg = ReprConfig(kind="grid", nodes=512)
+    cfg = ReprConfig(nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     assert res.log_tv[-1] < -60.0
@@ -312,7 +312,7 @@ def test_failed_pair_run_keeps_the_prefix_it_computed():
     p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
     ys = simulate_trajectory(model, p1, n=10, seed=5).observations.copy()
     ys[-1] = 1e6  # the likelihood underflows to 0 on every node of the last window
-    cfg = ReprConfig(kind="grid", nodes=128)
+    cfg = ReprConfig(nodes=128)
     with pytest.raises(FilterCollapseError) as err:
         run_grid_pair(model, p1, p2, ys, cfg)
     assert err.value.step == 10
@@ -331,7 +331,7 @@ def test_unstable_drift_does_not_collapse():
         "obs_noise": {"family": "gaussian", "sigma": 1.0},
     })
     traj = simulate_trajectory(model, NormalPrior(-5.0, 1.0), n=100, seed=201)
-    cfg = ReprConfig(kind="grid", nodes=512)
+    cfg = ReprConfig(nodes=512)
     res = run_grid_pair(model, NormalPrior(-5.0, 1.0), NormalPrior(5.0, 1.0),
                         traj.observations, cfg)
     assert np.isfinite(res.log_tv[-1])
@@ -347,7 +347,7 @@ def test_particle_filter_stays_near_grid_filter():
     traj = simulate_trajectory(model, PointMassPrior(0.0), n=40, seed=7)
     ys = traj.observations
     rng = np.random.default_rng(7)
-    pcfg = ReprConfig(kind="particles", particles=20_000)
+    pcfg = ReprConfig(particles=20_000)
     p = filter_init(model, NormalPrior(0.0, 2.0), ys[0], pcfg, rng=rng)
     worst = 0.0
     for k, (g,) in enumerate(grid_filters(model, [NormalPrior(0.0, 2.0)], ys,
@@ -362,7 +362,7 @@ def test_particle_filter_stays_near_grid_filter():
 def test_project_particles_normalizes_on_grid():
     model = _rw_model()
     rng = np.random.default_rng(11)
-    pcfg = ReprConfig(kind="particles", particles=50_000)
+    pcfg = ReprConfig(particles=50_000)
     g = _lone_grid_state(model, NormalPrior(0.0, 1.0), 0.2, 256)
     p = filter_init(model, NormalPrior(0.0, 1.0), 0.2, pcfg, rng=rng)
     proj = project_particles_to_grid(p, g.nodes)
@@ -389,9 +389,6 @@ def test_filter_state_grid_density_normalized():
     state = _lone_grid_state(model, NormalPrior(0.0, 1.0), 0.3, 128)
     tau = trap_weights(state.nodes)
     assert (np.exp(state.log_weights) * tau).sum() == pytest.approx(1.0, rel=1e-12)
-    # grid filters start in grid_init; filter_init runs particles only
-    with pytest.raises(ConfigError, match="particle"):
-        filter_init(model, NormalPrior(0.0, 1.0), 0.3, ReprConfig(nodes=128))
 
 
 def test_grid_filters_follow_the_posterior_after_drift():

@@ -121,7 +121,7 @@ def test_finite_model_make_validates():
     Q = np.array([[0.7, 0.3], [0.4, 0.6]])
     pdfs = [lambda y: 0.8 if y == 0 else 0.7,
             lambda y: 0.4 if y == 0 else 0.9]
-    fm = finite_model_make(Q, pdfs, label="toy")
+    fm = finite_model_make(Q, pdfs)
     assert fm.m == 2
     assert np.allclose(fm.emission_vector(0), [0.8, 0.4])
     assert np.allclose(fm.emission_vector(1), [0.7, 0.9])

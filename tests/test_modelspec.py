@@ -187,13 +187,3 @@ def test_scaled_t_conditional_density_normalizes():
     for x in (-1.3, 0.0, 2.0):
         mass = np.trapezoid(np.exp(m.state_noise.logpdf(x, us)), us)
         assert mass == pytest.approx(1.0, abs=1e-4)
-
-
-def test_spec_dict_is_retained():
-    spec = {
-        "kind": "nonlinear",
-        "f": {"type": "identity"},
-        "h": {"type": "identity"},
-    }
-    m = model_from_spec(spec)
-    assert m.spec_dict == spec

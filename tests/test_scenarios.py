@@ -37,7 +37,7 @@ SMALL_SCENARIO = {
     "prior2": {"family": "normal", "mean": 3.0, "std": 1.0},
     "horizon": 12,
     "seeds": [7, 8, 9],
-    "repr": {"kind": "grid", "nodes": 128},
+    "repr": {"nodes": 128},
     "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
 }
 
@@ -84,7 +84,7 @@ def test_scenario_from_dict_collects_every_error():
     # the representation, the model and the truth are built when the config
     # is read too, and a grid needs four nodes for its TV rule
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "grid", "nodez": 64, "nodes": 3},
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"nodez": 64, "nodes": 3},
                                 model=dict(SMALL_SCENARIO["model"], f={"type": "bogus"})))
     msg = str(err.value)
     assert "'repr': unknown repr fields: ['nodez']" in msg
@@ -94,10 +94,37 @@ def test_scenario_from_dict_collects_every_error():
     misspec["truth"]["f"] = {"type": "bogus"}
     with pytest.raises(ConfigError, match="'truth': unknown map type: 'bogus'"):
         scenario_from_dict(misspec)
-    with pytest.raises(ConfigError, match="'repr': unknown repr kind: 'gird'"):
-        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "gird"}))
-    with pytest.raises(ConfigError, match="a continuous model runs on kind 'grid' or 'particles'"):
-        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "finite"}))
+    # the top level and the bound block are checked field by field too: an
+    # unknown field is an error, not a setting that is silently ignored
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, horizn=5, horizon=-3,
+                                bound={"alhpa": 0.3, "alpha": "0.5", "eta": True,
+                                       "etas": [0.1, 2.0], "d_mode": "bogus"}))
+    msg = str(err.value)
+    assert "unknown fields: ['horizn']" in msg
+    assert "'horizon' must be a positive integer" in msg
+    assert "unknown bound fields: ['alhpa']" in msg
+    assert "bound.alpha must be a number in (0, 1), got '0.5'" in msg
+    assert "bound.eta must be a number in (0, 1) or 'sweep', got True" in msg
+    assert "bound.etas must be a non-empty list of numbers in (0, 1), got [0.1, 2.0]" in msg
+    assert ("bound.d_mode must be one of ['auto', 'exact', 'recorded', 'misspec'], "
+            "got 'bogus'") in msg
+    for bound in ({"eta": "sweep", "etas": []}, {"eta": "sweep", "etas": 0.1}):
+        with pytest.raises(ConfigError, match="bound.etas must be a non-empty list"):
+            scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
+    with pytest.raises(ConfigError, match="'bound' must be an object"):
+        scenario_from_dict(dict(SMALL_SCENARIO, bound=[1]))
+    # a distance mode the model cannot serve fails here, not after filtering
+    cubic = dict(SMALL_SCENARIO["model"], kind="nonlinear", h={"type": "cubic_saturating"},
+                 b0=2.0, b=1.0)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": "misspec"}))
+    assert "bound.d_mode 'misspec' needs a 'truth' block" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, model=cubic, bound={"d_mode": "exact"}))
+    assert "bound.d_mode 'exact' needs an invertible observation map" in str(err.value)
+    for d_mode in ("auto", "recorded"):
+        scenario_from_dict(dict(SMALL_SCENARIO, model=cubic, bound={"d_mode": d_mode}))
 
 
 def test_equal_priors_need_explicit_opt_in():
@@ -118,37 +145,39 @@ def test_config_hash_is_order_insensitive():
 
 
 def test_repr_config_rejects_unknown_fields():
-    assert repr_config({"kind": "grid", "nodes": 64}).nodes == 64
+    assert repr_config({"nodes": 64}) == ReprConfig(nodes=64)
+    assert repr_config({}) == ReprConfig()
     with pytest.raises(ConfigError, match="ndoes"):
-        repr_config({"kind": "grid", "ndoes": 64})
+        repr_config({"ndoes": 64})
 
 
 def test_retired_repr_fields_are_rejected_together():
     # the window coverage, resampling and smoothing settings are module
-    # constants now, and a grid run always takes the paired runner
+    # constants now, and a continuous run always takes the paired grid runner
     retired = {"coverage_k": 8.0, "min_halfwidth": 1e-3, "ess_fraction": 0.5,
-               "smooth_cells": 2.5, "smooth_halfwidth": 6, "paired": True}
+               "smooth_cells": 2.5, "smooth_halfwidth": 6, "paired": True,
+               "kind": "grid", "particles": 2000}
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(dict(SMALL_SCENARIO, repr={"kind": "grid", "nodes": 64, **retired}))
+        scenario_from_dict(dict(SMALL_SCENARIO, repr={"nodes": 64, **retired}))
     assert str(err.value).count("unknown repr fields") == 1
     assert f"unknown repr fields: {sorted(retired)}" in str(err.value)
-    assert sorted(ReprConfig.__dataclass_fields__) == ["kind", "nodes", "particles"]
+    assert sorted(ReprConfig.__dataclass_fields__) == ["nodes", "particles"]
 
 
 def test_repr_config_checks_the_particle_count():
-    for bad in (1.5, True, 0, -2, "100"):
+    # no config runs a particle filter: a particle count in 'repr', valid or
+    # not, is an unknown field, reported with every other problem
+    for count in (2000, 1, 1.5, True, 0, -2, "100"):
         with pytest.raises(ConfigError) as err:
             scenario_from_dict(dict(SMALL_SCENARIO, horizon=-3,
-                                    repr={"kind": "particles", "particles": bad}))
+                                    repr={"nodes": 64, "particles": count}))
         msg = str(err.value)
-        assert f"repr particles must be an integer >= 1, got {bad!r}" in msg
+        assert "'repr': unknown repr fields: ['particles']" in msg
         assert "'horizon' must be a positive integer" in msg
-    # checked for either kind, like nodes, and reported next to it
     with pytest.raises(ConfigError) as err:
-        repr_config({"kind": "grid", "nodes": 2.0, "particles": 0})
+        repr_config({"nodes": 2.0, "particles": 0})
+    assert "unknown repr fields: ['particles']" in str(err.value)
     assert "repr nodes must be an integer >= 4, got 2.0" in str(err.value)
-    assert "repr particles must be an integer >= 1, got 0" in str(err.value)
-    assert repr_config({"kind": "particles", "particles": 1}).particles == 1
 
 
 def test_presets_all_validate():
@@ -212,7 +241,7 @@ DEGENERATE_SCENARIO = {
     "prior2": {"family": "normal", "mean": 5.0, "std": 0.1},
     "horizon": 10,
     "seeds": [1],
-    "repr": {"kind": "grid", "nodes": 64},
+    "repr": {"nodes": 64},
 }
 
 
@@ -329,7 +358,7 @@ def test_unpaired_route_confirms_paired_route():
     p1 = NormalPrior(-2.0, 1.0)
     p2 = NormalPrior(2.0, 1.0)
     traj = simulate_trajectory(model, p1, n=15, seed=4)
-    rc = ReprConfig(kind="grid", nodes=512)
+    rc = ReprConfig(nodes=512)
     paired = run_grid_pair(model, p1, p2, traj.observations, rc)
     tvs, log_tvs, info = run_grid_pair_unpaired(model, p1, p2, traj.observations, rc)
     mask = paired.tv > 1e-10  # above the direct route's collision floor
@@ -355,29 +384,12 @@ def test_identical_transition_rows_forget_in_one_step():
 
 def test_particle_route_tracks_grid_route():
     model = model_from_spec(SMALL_SCENARIO["model"])
-    cfg = ReprConfig(kind="particles", particles=30_000)
+    cfg = ReprConfig(particles=30_000)
     traj = simulate_trajectory(model, NormalPrior(0.0, 1.0), n=25, seed=3)
     tvs = compare_particle_grid(model, NormalPrior(0.0, 1.0),
                                 traj.observations, cfg, seed=3)
     assert len(tvs) == 26
     assert max(tvs) < 0.06
-
-
-def test_run_scenario_particle_route(tmp_path):
-    raw = dict(SMALL_SCENARIO, horizon=20, bound=None,
-               repr={"kind": "particles", "particles": 2000})
-    rep = run_scenario(raw, seed=7, out_dir=tmp_path / "a")
-    assert rep.failure is None
-    assert 0.0 < rep.diagnostics["ess_min"] <= 2000.0
-    assert rep.tv.tv.shape == (21,)
-    assert rep.tv.tv[-1] < rep.tv.tv[0]
-    # a rerun writes the same bytes
-    run_scenario(raw, seed=7, out_dir=tmp_path / "b")
-    for rel in ("tv.csv", "report.json", "plotdata/tv.dat", "plotdata/log_tv.dat"):
-        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
-    # equal priors share their random streams, so the two filters coincide
-    same = dict(raw, prior2=dict(raw["prior1"]), allow_equal_priors=True)
-    assert np.all(run_scenario(same, seed=7).tv.tv == 0.0)
 
 
 def test_monte_carlo_mean_is_exact_average(tmp_path):
