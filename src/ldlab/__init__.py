@@ -27,7 +27,6 @@ from .doeblin import (
     envelope_radius,
     eta_for_delta,
     finite_ld_construct,
-    interval_ld_family,
     ld_set,
     misspec_diag_series,
     stability_diag_series,

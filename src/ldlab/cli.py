@@ -23,7 +23,6 @@ from ._version import __version__
 from .bounds import write_bound_csv
 from .errors import ConfigError, LabError
 from .scenarios import (
-    _build_models,
     _evaluate_bound,
     _json_default,
     _simulate,
@@ -96,8 +95,7 @@ def cmd_simulate(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"sim-seed{seed}")
     os.makedirs(out, exist_ok=True)
-    model, truth, fmodel, _ = _build_models(config)
-    _, states, ys = _simulate(config, model, truth, fmodel, seed)
+    _, states, ys = _simulate(config, seed)
     # finite states are integers, which %.17g writes as integers
     lines = ["n,state,obs"] + [f"{k},{states[k]:.17g},{ys[k]:.17g}" for k in range(len(ys))]
     with open(os.path.join(out, "sim.csv"), "w") as fh:
@@ -150,9 +148,8 @@ def cmd_bound(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"bound-seed{seed}")
     os.makedirs(out, exist_ok=True)
-    model, truth, fmodel, ld = _build_models(config)
-    traj, _, ys = _simulate(config, model, truth, fmodel, seed)
-    _, info, bd = _evaluate_bound(config, model, truth, fmodel, ld, traj, ys)
+    traj, _, ys = _simulate(config, seed)
+    _, info, bd = _evaluate_bound(config, traj, ys)
     sweep = info.get("sweep")
     if sweep is not None:
         sweep = {"etas": sweep["etas"], "log_totals": [r["log_total"] for r in sweep["results"]]}

@@ -42,17 +42,10 @@ class StateSet:
     predicate: Callable
     lo: Optional[float] = None
     hi: Optional[float] = None
-    label: str = ""
 
     @property
     def is_interval(self):
         return self.lo is not None and self.hi is not None
-
-    @property
-    def measure(self):
-        if not self.is_interval:
-            raise RepresentationError("Lebesgue measure needs an interval representation")
-        return self.hi - self.lo
 
     def contains(self, x):
         return self.predicate(x)
@@ -75,14 +68,14 @@ def ld_set(model, y, delta):
     if model.h_inverse is not None:
         e1 = float(model.h_inverse(y - delta))
         e2 = float(model.h_inverse(y + delta))
-        return StateSet(pred, min(e1, e2), max(e1, e2), label="interval")
+        return StateSet(pred, min(e1, e2), max(e1, e2))
     h0 = float(model.h(0.0))
     w = model.h_b0 + model.h_b * (abs(y - h0) + delta)
     xs = np.linspace(-w, w, 8001)
     mask = pred(xs)
     if not mask.any():
-        return StateSet(pred, label="empty-on-grid")
-    return StateSet(pred, float(xs[mask].min()), float(xs[mask].max()), label="grid(8001)")
+        return StateSet(pred)
+    return StateSet(pred, float(xs[mask].min()), float(xs[mask].max()))
 
 
 # ---------------------------------------------------------------------------
@@ -211,32 +204,7 @@ def eta_for_delta(model, delta):
 
 
 # ---------------------------------------------------------------------------
-# LD set functions (continuous and finite)
-
-
-@dataclass(frozen=True)
-class LdSetFunction:
-    """Observation-indexed sets with their envelope pair and reference measure.
-
-    The reference measure is unrestricted Lebesgue; envelope values for a pair
-    of observations use the exact preimage distance unless a distance value is
-    supplied by the caller.
-    """
-
-    model: object
-    delta: float
-
-    def set_for(self, y):
-        return ld_set(self.model, y, self.delta)
-
-    def envelopes(self, y, yp, d_value=None):
-        return envelope_pair(self.model, y, yp, self.delta, d_value=d_value)
-
-
-def interval_ld_family(model, delta):
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
-    return LdSetFunction(model=model, delta=delta)
+# LD sets of a finite model
 
 
 @dataclass(frozen=True)
@@ -246,9 +214,6 @@ class FiniteLdSetFunction:
     fmodel: object
     set_table: tuple  # tuple of index arrays
     obs_to_bin: Callable
-
-    def set_for_bin(self, i):
-        return self.set_table[i]
 
     def set_for(self, y):
         return self.set_table[int(self.obs_to_bin(y))]
@@ -272,9 +237,6 @@ class FiniteLdSetFunction:
         size = len(dst)
         return size * qmin, size * qmax
 
-    def envelopes(self, y, yp):
-        return self.envelopes_for_bins(int(self.obs_to_bin(y)), int(self.obs_to_bin(yp)))
-
 
 def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
     """Assemble the finite-model set function from an explicit subset table."""
@@ -295,27 +257,27 @@ def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
 # numerical verification of the sandwich property
 
 
-def verify_ld_property(model, ld, y, yp, budget=1000, seed=0, quad_tol=1e-8,
+def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,
                        rel_slack=1e-6, envelope_override=None):
     """Sample the two-sided kernel sandwich and report worst margins.
 
-    For ``budget`` random source points x in the set at y and random
-    subintervals A of the set at y', integrates the transition kernel over A
-    by adaptive quadrature and checks
+    For ``budget`` random source points x in the LD set at y and random
+    subintervals A of the LD set at y' (both of radius ``delta``), integrates
+    the transition kernel over A by adaptive quadrature and checks
 
         lower * |A| <= Q(x, A) <= upper * |A|
 
     with relative slack. Violations become report entries, never exceptions.
     """
     rng = np.random.default_rng(seed)
-    c_src = ld.set_for(y)
-    c_dst = ld.set_for(yp)
+    c_src = ld_set(model, y, delta)
+    c_dst = ld_set(model, yp, delta)
     if not (c_src.is_interval and c_dst.is_interval):
         raise RepresentationError("verification needs interval set representations")
     if envelope_override is not None:
         eps_lo, eps_hi = envelope_override
     else:
-        eps_lo, eps_hi = ld.envelopes(y, yp)
+        eps_lo, eps_hi = envelope_pair(model, y, yp, delta)
     worst_lower = math.inf
     worst_upper = math.inf
     violations = []
@@ -350,8 +312,8 @@ def verify_ld_property(model, ld, y, yp, budget=1000, seed=0, quad_tol=1e-8,
 
 def verify_ld_property_finite(ld, bin_src, bin_dst, rel_slack=1e-12, envelope_override=None):
     """Exhaustive subset check of the sandwich on a finite model (|C'| <= 16)."""
-    src = ld.set_for_bin(bin_src)
-    dst = ld.set_for_bin(bin_dst)
+    src = ld.set_table[bin_src]
+    dst = ld.set_table[bin_dst]
     if len(dst) > 16:
         raise RepresentationError("exhaustive subset check capped at 16 target states")
     if envelope_override is not None:

@@ -583,7 +583,6 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     tvs = np.empty(len(ys))
     log_tvs = np.empty(len(ys))
     tvs[0], log_tvs[0] = _pair_tv(D, s, nodes[1] - nodes[0])
-    adapt_count = 0
     min_cells = math.inf
     edge_max = 0.0
     r_noise = noise_tail_radius(model.state_noise)
@@ -595,8 +594,7 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
             # plus the state-noise tail radius; clipped to the observation's LD set
             dens = _pair_densities(phi, D, s, tau)
             moments = [_density_moments(nodes, d, tau) for d in dens]
-            dx = nodes[1] - nodes[0]
-            min_cells = min(min_cells, min(std for _, std in moments) / dx)
+            min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
             edge_max = max(edge_max, *map(_edge_ratio, dens))
 
             def advance(tgt):
@@ -607,8 +605,6 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
 
             tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg.nodes, r_noise, ys[step],
                                                 advance)
-            if abs(tgt[0] - nodes[0]) > 0.05 * dx or abs(tgt[-1] - nodes[-1]) > 0.05 * dx:
-                adapt_count += 1
             nodes = tgt
             tau = trap_weights(nodes)
             tvs[step], log_tvs[step] = _pair_tv(D, s, nodes[1] - nodes[0])
@@ -621,7 +617,6 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
     edge_max = max(edge_max, *map(_edge_ratio, dens))
     diag = {
-        "adapt_count": adapt_count,
         "final_window": [float(nodes[0]), float(nodes[-1])],
         "final_posterior_mean_std": list(moments[0]),
         # grid resolution of the narrowest posterior of either filter at any step

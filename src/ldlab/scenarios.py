@@ -11,7 +11,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -65,90 +66,109 @@ _BOUND_FIELDS = {"alpha", "eta", "etas", "d_mode", "thresholds"}
 _D_MODES = ("auto", "exact", "recorded", "misspec")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A checked scenario and the parts of it a run uses, each built once.
+
+    ``prior1`` and ``prior2`` stay specs; ``nu1`` and ``nu2`` are the built
+    priors (probability vectors for a finite model). A continuous scenario
+    carries its ``model``, ``truth`` (or None) and grid ``repr``; a finite one
+    its ``fmodel`` and LD sets ``ld``. Reports echo ``raw`` and hash it.
+    """
+
     name: str
-    model: Optional[dict]
-    finite: Optional[dict]
-    truth: Optional[dict]
     prior1: dict
     prior2: dict
+    nu1: object
+    nu2: object
     horizon: int
     seeds: list
-    repr: dict
     bound: Optional[dict]
-    allow_equal_priors: bool = False
-    raw: dict = field(default_factory=dict)
+    raw: dict
+    model: object = None
+    truth: object = None
+    repr: Optional[ReprConfig] = None
+    fmodel: object = None
+    ld: object = None
 
     @property
     def is_finite(self):
-        return self.finite is not None
+        return self.fmodel is not None
 
 
 def scenario_from_dict(d):
-    """Validate a scenario dict field by field; report every problem at once."""
+    """Check a scenario dict field by field and build its parts; report every problem at once."""
     errors = []
     unknown = set(d) - _FIELDS
     if unknown:
         errors.append(f"unknown fields: {sorted(unknown)}")
-    name = d.get("name", "custom")
-    model = d.get("model")
+    model_spec = d.get("model")
     finite = d.get("finite")
-    if (model is None) == (finite is None):
+    if (model_spec is None) == (finite is None):
         errors.append("exactly one of 'model' or 'finite' is required")
-    truth = d.get("truth")
-    if truth is not None:
+    truth_spec = d.get("truth")
+    if truth_spec is not None:
         for key in ("f_gap", "h_gap"):
-            if key not in truth:
+            if key not in truth_spec:
                 errors.append(f"truth spec needs '{key}' (sup-norm gap to the filter model)")
-    prior1 = d.get("prior1")
-    prior2 = d.get("prior2")
-    for key, prior in (("prior1", prior1), ("prior2", prior2)):
-        if prior is None:
-            errors.append(f"'{key}' is required")
-        elif finite is None and model is not None:
-            _collect(errors, key, prior_from_spec, prior)
-        elif finite is not None and model is None:
-            _collect(errors, key, _finite_prior, prior, len(finite.get("Q", [])))
     horizon = d.get("horizon", 100)
     bound = d.get("bound")
-    if not isinstance(horizon, int) or horizon < 1:
+    if not _integer(horizon) or horizon < 1:
         errors.append("'horizon' must be a positive integer")
     elif bound is not None and horizon < 2:
         errors.append("a bound needs 'horizon' >= 2 (two steps)")
     seeds = d.get("seeds", [0])
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(map(_integer, seeds)):
         errors.append("'seeds' must be a non-empty list of integers")
     elif len(set(seeds)) != len(seeds):
         errors.append("'seeds' contains duplicates")
-    allow_equal = bool(d.get("allow_equal_priors", False))
-    if prior1 is not None and prior2 is not None and prior1 == prior2 and not allow_equal:
+    allow_equal = d.get("allow_equal_priors", False)
+    if not isinstance(allow_equal, bool):
+        errors.append(f"'allow_equal_priors' must be true or false, got {allow_equal!r}")
+    prior1, prior2 = d.get("prior1"), d.get("prior2")
+    if prior1 is not None and prior1 == prior2 and allow_equal is not True:
         errors.append("identical priors need allow_equal_priors: true")
-    repr_cfg = d.get("repr", {})
     if bound is not None:
         errors += _bound_errors(bound, finite is not None)
-    config = ScenarioConfig(
-        name=name, model=model, finite=finite, truth=truth,
-        prior1=prior1, prior2=prior2, horizon=horizon, seeds=seeds,
-        repr=repr_cfg, bound=bound, allow_equal_priors=allow_equal, raw=dict(d),
-    )
-    # build the parts a run builds, so that a bad one fails here
-    _collect(errors, "repr", repr_config, repr_cfg)
-    if finite is None and model is not None:
-        built = _collect(errors, "model", build_model, config)
-        if built is not None and truth is not None and {"f_gap", "h_gap"} <= set(truth):
-            _collect(errors, "truth", build_truth, config, built)
+    parts, build_prior = {}, None
+    if finite is None and model_spec is not None:
+        build_prior = prior_from_spec
+        parts["repr"] = _collect(errors, "repr", repr_config, d.get("repr", {}))
+        model = parts["model"] = _collect(errors, "model", model_from_spec, model_spec)
+        if model is not None and truth_spec is not None and {"f_gap", "h_gap"} <= set(truth_spec):
+            parts["truth"] = _collect(errors, "truth", _build_truth, model, model_spec,
+                                      truth_spec)
         d_mode = bound.get("d_mode") if isinstance(bound, dict) else None
-        if d_mode == "exact" and built is not None and built.h_inverse is None:
+        if d_mode == "exact" and model is not None and model.h_inverse is None:
             errors.append("bound.d_mode 'exact' needs an invertible observation map")
-        if d_mode == "misspec" and truth is None:
+        if d_mode == "misspec" and truth_spec is None:
             errors.append("bound.d_mode 'misspec' needs a 'truth' block")
-    elif finite is not None and model is None:
-        _collect(errors, "finite", build_finite, config)
+    elif finite is not None and model_spec is None:
+        build_prior = partial(_finite_prior, m=len(finite.get("Q", [])))
+        parts.update(_collect(errors, "finite", _build_finite, finite) or {})
+        # a finite model is filtered exactly on the stream it simulates: it has no
+        # grid, truth, distance mode or eta list
+        unused = [key for key in ("repr", "truth") if key in d]
+        if isinstance(bound, dict):
+            unused += [f"bound.{key}" for key in ("d_mode", "etas") if key in bound]
+        if unused:
+            errors.append(f"a finite model takes no {unused}")
+    nus = {}
+    for key, prior in (("prior1", prior1), ("prior2", prior2)):
+        if prior is None:
+            errors.append(f"'{key}' is required")
+        elif build_prior is not None:
+            nus[key] = _collect(errors, key, build_prior, prior)
     if errors:
         raise ConfigError("invalid scenario config: " + "; ".join(errors))
-    config.horizon, config.seeds = int(horizon), list(seeds)
-    return config
+    return ScenarioConfig(name=d.get("name", "custom"), prior1=prior1, prior2=prior2,
+                          nu1=nus["prior1"], nu2=nus["prior2"], horizon=horizon,
+                          seeds=list(seeds), bound=bound, raw=dict(d), **parts)
+
+
+def _integer(x):
+    """Whether ``x`` is an integer; a bool is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _unit_number(x):
@@ -205,7 +225,7 @@ def repr_config(d):
         problems.append(f"unknown repr fields: {sorted(unknown)}")
     # the grid TV rule fits a cubic through four nodes
     nodes = d.get("nodes", ReprConfig.nodes)
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 4:
+    if not _integer(nodes) or nodes < 4:
         problems.append(f"repr nodes must be an integer >= 4, got {nodes!r}")
     if problems:
         raise ConfigError("; ".join(problems))
@@ -308,41 +328,26 @@ def preset_config(name):
 
 
 def build_model(config):
-    return model_from_spec(config.model)
+    return config.model
 
 
-def build_truth(config, model):
-    if config.truth is None:
-        return None
-    t = config.truth
-    true_spec = dict(config.model)
-    true_spec["kind"] = "nonlinear"
-    true_spec["f"] = t.get("f", config.model.get("f"))
-    true_spec["h"] = t.get("h", config.model.get("h"))
-    if "state_noise" in t:
-        true_spec["state_noise"] = t["state_noise"]
-    if "obs_noise" in t:
-        true_spec["obs_noise"] = t["obs_noise"]
+def build_finite(config):
+    return config.fmodel, config.ld
+
+
+def _build_truth(model, model_spec, t):
+    """The data-generating model: the filter model's spec with the truth block's overrides."""
+    true_spec = dict(model_spec, kind="nonlinear", f=t.get("f", model_spec.get("f")),
+                     h=t.get("h", model_spec.get("h")))
+    true_spec.update({key: t[key] for key in ("state_noise", "obs_noise") if key in t})
     true_model = model_from_spec(true_spec)
     return make_misspecified_truth(model, true_model, float(t["f_gap"]), float(t["h_gap"]))
 
 
-def build_finite(config):
-    f = config.finite
-    Q = np.asarray(f["Q"], dtype=float)
-    fmodel = gaussian_finite_model(Q, f["means"], f["stds"])
-    thr = float(f.get("bin_threshold", 0.0))
-    obs_to_bin = _threshold_binner(thr, len(f["set_table"]))
-    ld = finite_ld_construct(fmodel, f["set_table"], obs_to_bin=obs_to_bin)
-    return fmodel, ld
-
-
-def _build_models(config):
-    """(model, truth, fmodel, ld) of a scenario; the other model kind's pair is None."""
-    if config.is_finite:
-        return (None, None, *build_finite(config))
-    model = build_model(config)
-    return model, build_truth(config, model), None, None
+def _build_finite(f):
+    fmodel = gaussian_finite_model(np.asarray(f["Q"], dtype=float), f["means"], f["stds"])
+    obs_to_bin = _threshold_binner(float(f.get("bin_threshold", 0.0)), len(f["set_table"]))
+    return {"fmodel": fmodel, "ld": finite_ld_construct(fmodel, f["set_table"], obs_to_bin)}
 
 
 def _threshold_binner(thr, n_bins):
@@ -442,17 +447,15 @@ class RunReport:
         }
 
 
-def _simulate(config, model, truth, fmodel, seed):
+def _simulate(config, seed):
     """Returns (traj_or_None, states, observations); traj is None for finite models."""
     if config.is_finite:
-        nu_truth = _finite_prior(config.prior1, fmodel.m)
-        states, ys = simulate_finite(fmodel, nu_truth, config.horizon, seed)
+        states, ys = simulate_finite(config.fmodel, config.nu1, config.horizon, seed)
         return None, states, ys
-    init = prior_from_spec(config.prior1)
-    if truth is not None:
-        traj = simulate_misspecified(truth, init, config.horizon, seed)
+    if config.truth is not None:
+        traj = simulate_misspecified(config.truth, config.nu1, config.horizon, seed)
     else:
-        traj = simulate_trajectory(model, init, config.horizon, seed)
+        traj = simulate_trajectory(config.model, config.nu1, config.horizon, seed)
     return traj, traj.states, traj.observations
 
 
@@ -466,25 +469,20 @@ def run_scenario(config, seed=None, out_dir=None):
         config = scenario_from_dict(config)
     seed = config.seeds[0] if seed is None else int(seed)
     h = config_hash(config.raw)
-    cfg = None if config.is_finite else repr_config(config.repr)
+    model, truth = config.model, config.truth
     diagnostics = {}
     failure = None
 
-    model, truth, fmodel, ld = _build_models(config)
-    traj, _, ys = _simulate(config, model, truth, fmodel, seed)
+    traj, _, ys = _simulate(config, seed)
     if config.is_finite:
-        nu1 = _finite_prior(config.prior1, fmodel.m)
-        nu2 = _finite_prior(config.prior2, fmodel.m)
-        filt1, _ = exact_filter_finite(fmodel, nu1, ys)
-        filt2, _ = exact_filter_finite(fmodel, nu2, ys)
+        filt1, _ = exact_filter_finite(config.fmodel, config.nu1, ys)
+        filt2, _ = exact_filter_finite(config.fmodel, config.nu2, ys)
         tvs = np.array([tv_half_l1(filt1[k], filt2[k]) for k in range(len(ys))])
         with np.errstate(divide="ignore"):
             log_tvs = np.log(tvs)
     else:
-        prior1 = prior_from_spec(config.prior1)
-        prior2 = prior_from_spec(config.prior2)
         try:
-            res = run_grid_pair(model, prior1, prior2, ys, cfg)
+            res = run_grid_pair(model, config.nu1, config.nu2, ys, config.repr)
             tvs, log_tvs = res.tv, res.log_tv
             diagnostics.update(res.diagnostics)
         except LabError as exc:
@@ -501,8 +499,7 @@ def run_scenario(config, seed=None, out_dir=None):
     bound_log = None
     bound_info = None
     if config.bound is not None and failure is None:
-        bound_log, bound_info, _ = _evaluate_bound(config, model, truth, fmodel, ld,
-                                                   traj, ys)
+        bound_log, bound_info, _ = _evaluate_bound(config, traj, ys)
         diagnostics["h2_delta"] = bound_info["delta"]
         diagnostics["d_mode"] = bound_info["d_mode"]
 
@@ -526,8 +523,8 @@ def run_scenario(config, seed=None, out_dir=None):
         "version": __version__,
         "tv_convention": "half L1 distance of densities (sup over sets)",
     }
-    if cfg is not None:
-        meta["repr"] = {"nodes": cfg.nodes}
+    if config.repr is not None:
+        meta["repr"] = {"nodes": config.repr.nodes}
     series = TvSeries(n=ns, tv=tvs, log_tv=log_tvs, bound_log=bound_log, meta=meta)
 
     fit = None
@@ -545,7 +542,7 @@ def run_scenario(config, seed=None, out_dir=None):
     return report
 
 
-def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys):
+def _evaluate_bound(config, traj, ys):
     """The bound of one stream: its prefix series, its report entry, its breakdown.
 
     One full-horizon breakdown per run (the best one of an eta sweep); every
@@ -556,17 +553,14 @@ def _evaluate_bound(config, model, truth, fmodel, ld, traj, ys):
     eta = bc.get("eta", 0.1)
     sweep_info = None
     if config.is_finite:
-        full = forgetting_bound_finite(fmodel, ld, _finite_prior(config.prior1, fmodel.m),
-                                       _finite_prior(config.prior2, fmodel.m), ys,
+        full = forgetting_bound_finite(config.fmodel, config.ld, config.nu1, config.nu2, ys,
                                        alpha, float(eta))
         series = prefix_series(full)
     else:
-        prior1 = prior_from_spec(config.prior1)
-        prior2 = prior_from_spec(config.prior2)
-        kwargs = dict(d_mode=bc.get("d_mode", "recorded"), traj=traj, truth=truth)
+        model, prior1, prior2 = config.model, config.nu1, config.nu2
+        kwargs = dict(d_mode=bc.get("d_mode", "recorded"), traj=traj, truth=config.truth)
         if eta == "sweep":
-            sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"),
-                              **kwargs)
+            sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"), **kwargs)
             sweep_info = {
                 "etas": [float(e) for e in sweep["etas"]],
                 "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,

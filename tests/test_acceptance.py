@@ -26,7 +26,6 @@ from ldlab.dists import prior_from_spec
 from ldlab.doeblin import (
     delta_for_eta,
     finite_ld_construct,
-    interval_ld_family,
     verify_ld_property,
 )
 from ldlab.filtering import (
@@ -227,8 +226,7 @@ def test_criterion_08_particle_and_grid_posteriors_agree():
 def test_criterion_09_kernel_sandwich_verified_by_quadrature():
     model = build_model(preset_config("rw-gauss"))
     delta = delta_for_eta(model, 0.1)
-    ld = interval_ld_family(model, delta)
-    res = verify_ld_property(model, ld, y=0.3, yp=-0.5, budget=1000, seed=11,
+    res = verify_ld_property(model, delta, y=0.3, yp=-0.5, budget=1000, seed=11,
                              quad_tol=1e-8)
     ok = res["passed"] and res["pairs_checked"] == 1000
     assert _report(9, "sandwich holds on 1000 sampled point/interval pairs", ok,

@@ -148,6 +148,12 @@ def test_invalid_config_reports_every_problem(tmp_path):
     assert "bound.alpha must be a number in (0, 1), got '0.5'" in r.stderr
     assert "bound.d_mode 'misspec' needs a 'truth' block" in r.stderr
     assert "Traceback" not in r.stderr
+    # a bare seed, not a list of them, is a config error too
+    p.write_text(json.dumps(dict(SMALL, seeds=5)))
+    r = _run("experiment", "--config", str(p), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "'seeds' must be a non-empty list of integers" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_failed_run_exits_three_with_partial_report(tmp_path):

@@ -13,7 +13,6 @@ from ldlab.doeblin import (
     envelope_radius,
     eta_for_delta,
     finite_ld_construct,
-    interval_ld_family,
     ld_set,
     log_contraction_from_logs,
     misspec_diag_series,
@@ -51,7 +50,7 @@ def test_ld_set_interval_for_identity_map():
     c = ld_set(_rw_model(), y=2.0, delta=0.5)
     assert c.is_interval
     assert (c.lo, c.hi) == (1.5, 2.5)
-    assert c.measure == 1.0
+    assert c.hi - c.lo == 1.0
     assert c.contains(2.4) and not c.contains(2.6)
 
 
@@ -191,8 +190,7 @@ def test_delta_eta_roundtrip_frozen_value():
 
 def test_verify_ld_property_zero_violations():
     m = _rw_model()
-    ld = interval_ld_family(m, delta=1.0)
-    report = verify_ld_property(m, ld, y=0.0, yp=0.8, budget=200, seed=3)
+    report = verify_ld_property(m, 1.0, y=0.0, yp=0.8, budget=200, seed=3)
     assert report["passed"]
     assert report["violations"] == []
     assert report["worst_lower_margin"] > -1e-6
@@ -201,9 +199,8 @@ def test_verify_ld_property_zero_violations():
 
 def test_verify_ld_property_flags_inflated_lower_envelope():
     m = _rw_model()
-    ld = interval_ld_family(m, delta=1.0)
-    lo, hi = ld.envelopes(0.0, 0.8)
-    report = verify_ld_property(m, ld, y=0.0, yp=0.8, budget=200, seed=3,
+    lo, hi = envelope_pair(m, 0.0, 0.8, 1.0)
+    report = verify_ld_property(m, 1.0, y=0.0, yp=0.8, budget=200, seed=3,
                                 envelope_override=(lo * 50.0, hi))
     assert not report["passed"]
     assert any(v["kind"] == "lower" for v in report["violations"])

@@ -1,9 +1,13 @@
-"""Tooling: every name a package module imports is used in that module."""
+"""Tooling: every name a package module imports is used in that module, and
+every top-level definition of the package is named somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ldlab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # benchmarks/tracer.py counts and times the calls made through these names by
 # rebinding them on the importing module, so they stay imported there
@@ -28,3 +32,39 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {(path.stem, name) for path in package.glob("*.py")
               if path.name != "__init__.py" for name in _unused_imports(path)}
     assert unused - TRACER_REBINDS == set()
+
+
+def _names(tree):
+    """Every name a tree mentions: identifiers, attributes, imports and strings.
+
+    A string counts because benchmarks/tracer.py names the attributes it wraps
+    by string.
+    """
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+    return names
+
+
+def test_every_definition_is_named_outside_itself():
+    # a top-level function or class of the package that nothing in the
+    # package, the tests or the benchmark names is dead code
+    package = Path(ldlab.__file__).parent
+    folders = (package, ROOT / "tests", ROOT / "benchmarks")
+    trees = {path: ast.parse(path.read_text())
+             for folder in folders for path in folder.glob("*.py")}
+    counts = Counter(name for tree in trees.values() for name in _names(tree))
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if counts[node.name] == _names(node).count(node.name):
+                    dead.append((path.stem, node.name))
+    assert dead == []

@@ -55,6 +55,30 @@ def test_scenario_from_dict_collects_every_error():
     assert "'prior2' is required" in msg
     assert "'horizon' must be a positive integer" in msg
     assert "duplicates" in msg
+    # a bool is not an integer and a string is not a bool: each of these used
+    # to crash the read, run one step or opt in
+    for seeds in (5, [True, 2]):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(dict(SMALL_SCENARIO, seeds=seeds, horizon=True,
+                                    allow_equal_priors="no"))
+        msg = str(err.value)
+        assert "'seeds' must be a non-empty list of integers" in msg
+        assert "'horizon' must be a positive integer" in msg
+        assert "'allow_equal_priors' must be true or false, got 'no'" in msg
+    # a finite model is filtered exactly, so a grid, a truth, a distance mode or
+    # an eta list would be ignored: each is an error; thresholds feed mc's
+    # exceedances
+    finite = json.loads(json.dumps(PRESETS["finite-oracle"]))
+    finite["bound"]["thresholds"] = {"M1": 2.0}
+    scenario_from_dict(finite)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(finite, horizon=-3, repr={"nodes": 64},
+                                truth=PRESETS["misspec"]["truth"],
+                                bound=dict(finite["bound"], d_mode="exact", etas=[0.1])))
+    msg = str(err.value)
+    assert ("a finite model takes no ['repr', 'truth', 'bound.d_mode', 'bound.etas']"
+            in msg)
+    assert "'horizon' must be a positive integer" in msg
     # a finite bound cannot sweep eta, and no bound runs on a single step;
     # both are reported with the other problems, for either model kind
     finite = json.loads(json.dumps(PRESETS["finite-oracle"]))
@@ -132,9 +156,13 @@ def test_equal_priors_need_explicit_opt_in():
     d["prior2"] = dict(d["prior1"])
     with pytest.raises(ConfigError, match="allow_equal_priors"):
         scenario_from_dict(d)
+    # only the JSON true opts in: a string such as "no" is rejected, not truthy
+    d["allow_equal_priors"] = "no"
+    with pytest.raises(ConfigError, match="'allow_equal_priors' must be true or false"):
+        scenario_from_dict(d)
     d["allow_equal_priors"] = True
     cfg = scenario_from_dict(d)
-    assert cfg.allow_equal_priors
+    assert cfg.nu1 == cfg.nu2 == NormalPrior(-3.0, 1.0)
 
 
 def test_config_hash_is_order_insensitive():
@@ -265,12 +293,10 @@ def test_run_scenario_records_failures_instead_of_raising():
 def test_unpaired_route_rejects_a_degenerate_start():
     # the same init check as the paired route and filter_init
     cfg = scenario_from_dict(DEGENERATE_SCENARIO)
-    model = model_from_spec(cfg.model)
-    p1, p2 = NormalPrior(-5.0, 0.1), NormalPrior(5.0, 0.1)
-    traj = simulate_trajectory(model, p1, n=3, seed=1)
+    traj = simulate_trajectory(cfg.model, cfg.nu1, n=3, seed=1)
     for run in (run_grid_pair, run_grid_pair_unpaired):
         with pytest.raises(DegenerateInitError):
-            run(model, p1, p2, traj.observations, ReprConfig(nodes=64))
+            run(cfg.model, cfg.nu1, cfg.nu2, traj.observations, cfg.repr)
 
 
 def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch):
@@ -287,10 +313,8 @@ def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch):
     rep = run_scenario(raw, seed=7)
     assert rep.failure["step"] == 12
     cfg = scenario_from_dict(raw)
-    model = model_from_spec(cfg.model)
-    p1, p2 = NormalPrior(-3.0, 1.0), NormalPrior(3.0, 1.0)
-    _, _, ys = real_simulate(cfg, model, None, None, 7)
-    short = run_grid_pair(model, p1, p2, ys[:-1], repr_config(cfg.repr))
+    _, _, ys = real_simulate(cfg, 7)
+    short = run_grid_pair(cfg.model, cfg.nu1, cfg.nu2, ys[:-1], cfg.repr)
     assert np.array_equal(rep.tv.tv[:12], short.tv)
     assert np.array_equal(rep.tv.log_tv[:12], short.log_tv)
     assert np.isnan(rep.tv.tv[12]) and np.isnan(rep.tv.log_tv[12])
@@ -310,6 +334,32 @@ def test_unpaired_route_keeps_the_prefix_it_computed():
     assert np.array_equal(err.value.tv_prefix[1], log_tv)
 
 
+def test_a_read_config_is_never_rebuilt(monkeypatch):
+    # reading a config builds its model, truth, priors, grid and LD sets once;
+    # runs and mc replicates share them and build none of their own
+    configs = [preset_config(name) for name in ("misspec", "finite-oracle")]
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("model_from_spec", "prior_from_spec", "gaussian_finite_model",
+                 "finite_ld_construct", "repr_config"):
+        monkeypatch.setattr(scenarios, name, counted(name, getattr(scenarios, name)))
+    for cfg in configs:
+        run_scenario(cfg, seed=cfg.seeds[0])
+        monte_carlo_expectation(cfg, replicates=2)
+    assert calls == []
+    # the counters see the builds that reading a config makes
+    for name in ("misspec", "finite-oracle"):
+        preset_config(name)
+    assert sorted(set(calls)) == ["finite_ld_construct", "gaussian_finite_model",
+                                  "model_from_spec", "prior_from_spec", "repr_config"]
+
+
 def test_finite_scenario_runs_exactly():
     cfg = preset_config("finite-oracle")
     rep = run_scenario(cfg, seed=501)
@@ -321,10 +371,8 @@ def test_finite_scenario_runs_exactly():
 
 
 def _finite_oracle_stream(cfg, seed):
-    fmodel, ld = scenarios.build_finite(cfg)
-    _, _, ys = scenarios._simulate(cfg, None, None, fmodel, seed)
-    nus = [np.asarray(p["probs"], dtype=float) for p in (cfg.prior1, cfg.prior2)]
-    return fmodel, ld, nus, ys
+    _, _, ys = scenarios._simulate(cfg, seed)
+    return cfg.fmodel, cfg.ld, (cfg.nu1, cfg.nu2), ys
 
 
 def test_finite_bound_log_is_the_per_prefix_bound():
