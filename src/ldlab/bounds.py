@@ -280,7 +280,7 @@ def _breakdown(log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
     )
 
 
-def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
+def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj=None,
                      truth=None):
     """Assembled observation-path bound on the TV gap of two filters.
 
@@ -384,7 +384,7 @@ def write_bound_csv(breakdown, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="auto", traj=None,
+def bound_series(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj=None,
                  truth=None):
     """Assembled bound for every prefix y_{0:k}, k = 2..n, reusing shared terms.
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .scenarios import (
     _simulate,
     config_hash,
     monte_carlo_expectation,
-    preset_config,
+    preset_dict,
     run_scenario,
     scenario_from_dict,
 )
@@ -44,10 +45,12 @@ def _parse_eta(text):
 
 
 def _load_scenario(args):
+    """The scenario of ``--preset`` or ``--config``, read once, with any
+    ``--eta``/``--alpha`` applied to its bound before the read."""
     if getattr(args, "preset", None) and getattr(args, "config", None):
         raise ConfigError("pass either --preset or --config, not both")
     if getattr(args, "preset", None):
-        config = preset_config(args.preset)
+        raw = preset_dict(args.preset)
     elif getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -56,22 +59,19 @@ def _load_scenario(args):
             raise ConfigError(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
-        config = scenario_from_dict(raw)
     else:
         raise ConfigError("one of --preset or --config is required")
 
-    eta = getattr(args, "eta", None)
-    alpha = getattr(args, "alpha", None)
-    if eta is not None or alpha is not None:
-        raw = dict(config.raw)
-        bound = dict(raw.get("bound") or {})
-        if eta is not None:
-            bound["eta"] = _parse_eta(eta)
-        if alpha is not None:
-            bound["alpha"] = float(alpha)
-        raw["bound"] = bound
-        config = scenario_from_dict(raw)
-    return config
+    overrides = {}
+    if getattr(args, "eta", None) is not None:
+        overrides["eta"] = _parse_eta(args.eta)
+    if getattr(args, "alpha", None) is not None:
+        overrides["alpha"] = float(args.alpha)
+    if overrides and isinstance(raw, dict):
+        bound = {} if raw.get("bound") is None else raw["bound"]
+        if isinstance(bound, dict):  # anything else is left for the read to report
+            raw = dict(raw, bound={**bound, **overrides})
+    return scenario_from_dict(raw)
 
 
 def _seed_for(args, config):
@@ -128,9 +128,9 @@ def _run_and_report(args, config, out):
 
 def cmd_filter(args):
     config = _load_scenario(args)
-    raw = dict(config.raw)
-    raw.pop("bound", None)  # filter-only run
-    config = scenario_from_dict(raw)
+    # a filter-only run: the checked config without its bound, not rebuilt
+    raw = {key: value for key, value in config.raw.items() if key != "bound"}
+    config = replace(config, bound=None, raw=raw)
     seed = _seed_for(args, config)
     return _run_and_report(args, config, _out_dir(args, config, f"filter-seed{seed}"))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import H2FailureError, ModelValidationError
+from .errors import H2FailureError, ModelValidationError, check_family
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -150,11 +150,11 @@ class StudentTDensity:
         return self.scale * math.sqrt(v * (eta ** (-2.0 / (v + 1.0)) - 1.0))
 
 
+_FIELDS = {"gaussian": {"family", "sigma"}, "student_t": {"family", "df", "scale"}}
+
+
 def density_from_spec(spec):
     """Build a density family from its JSON description."""
-    fam = spec.get("family")
-    if fam == "gaussian":
+    if check_family(spec, "family", _FIELDS, "density") == "gaussian":
         return GaussianDensity(sigma=float(spec.get("sigma", 1.0)))
-    if fam == "student_t":
-        return StudentTDensity(df=float(spec.get("df", 3.0)), scale=float(spec.get("scale", 1.0)))
-    raise ModelValidationError(f"unknown density family: {fam!r}")
+    return StudentTDensity(df=float(spec.get("df", 3.0)), scale=float(spec.get("scale", 1.0)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_family
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -88,12 +88,14 @@ class PointMassPrior:
         return self.window(0)
 
 
+_FIELDS = {"normal": {"family", "mean", "std"}, "uniform": {"family", "lo", "hi"},
+           "point": {"family", "x"}}
+
+
 def prior_from_spec(spec):
-    fam = spec.get("family")
+    fam = check_family(spec, "family", _FIELDS, "prior")
     if fam == "normal":
         return NormalPrior(mean=float(spec["mean"]), std=float(spec["std"]))
     if fam == "uniform":
         return UniformPrior(lo=float(spec["lo"]), hi=float(spec["hi"]))
-    if fam == "point":
-        return PointMassPrior(x=float(spec["x"]))
-    raise ConfigError(f"unknown prior family: {fam!r}")
+    return PointMassPrior(x=float(spec["x"]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,45 +37,23 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class StateSet:
-    """A measurable subset of the state space, interval form when available."""
+    """A closed interval [lo, hi] of the state space."""
 
-    predicate: Callable
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-
-    @property
-    def is_interval(self):
-        return self.lo is not None and self.hi is not None
+    lo: float
+    hi: float
 
     def contains(self, x):
-        return self.predicate(x)
+        return (self.lo <= x) & (x <= self.hi)
 
 
 def ld_set(model, y, delta):
-    """The state set {x : |h(x) - y| <= delta}.
-
-    With an invertible monotone h the set is exactly an interval; otherwise a
-    bracket is read off a fixed grid (8001 nodes over the window implied by
-    the preimage constants) and the membership predicate stays exact.
-    """
+    """The state set {x : |h(x) - y| <= delta}, an interval since h is invertible."""
     if delta <= 0:
         raise ConfigError("delta must be positive")
     y = float(y)
-
-    def pred(x):
-        return np.abs(np.asarray(model.h(np.asarray(x, dtype=float))) - y) <= delta
-
-    if model.h_inverse is not None:
-        e1 = float(model.h_inverse(y - delta))
-        e2 = float(model.h_inverse(y + delta))
-        return StateSet(pred, min(e1, e2), max(e1, e2))
-    h0 = float(model.h(0.0))
-    w = model.h_b0 + model.h_b * (abs(y - h0) + delta)
-    xs = np.linspace(-w, w, 8001)
-    mask = pred(xs)
-    if not mask.any():
-        return StateSet(pred)
-    return StateSet(pred, float(xs[mask].min()), float(xs[mask].max()))
+    e1 = float(model.h_inverse(y - delta))
+    e2 = float(model.h_inverse(y + delta))
+    return StateSet(min(e1, e2), max(e1, e2))
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +71,7 @@ def envelope_radius(model, delta, d_value):
 
 
 def preimage_distance_exact(model, y, yp):
-    """|f(h^-1(y)) - h^-1(y')| for invertible h."""
-    if model.h_inverse is None:
-        raise UnavailableModeError("exact mode needs an invertible observation map")
+    """|f(h^-1(y)) - h^-1(y')|."""
     return abs(float(model.f(model.h_inverse(float(y)))) - float(model.h_inverse(float(yp))))
 
 
@@ -121,24 +97,14 @@ def misspec_distance_forms(truth, eps_prev, zeta, eps):
     }
 
 
-def distance_series(model, ys, mode="auto", traj=None, truth=None):
+def distance_series(model, ys, mode="exact", traj=None, truth=None):
     """Per-pair distance values for (y_{k-1}, y_k), k = 1..n, plus the mode used.
 
-    The one dispatcher over the three modes: ``exact`` (invertible h),
-    ``recorded`` (noise record of ``traj``) and ``misspec`` (``truth`` plus
-    ``traj``, max of both forms).
-
-    ``auto`` prefers the exact preimage, then the recorded-noise bound when a
-    trajectory with noise records is supplied.
+    The one dispatcher over the three modes: ``exact`` (the preimages of the
+    observations), ``recorded`` (noise record of ``traj``) and ``misspec``
+    (``truth`` plus ``traj``, max of both forms).
     """
     ys = np.asarray(ys, dtype=float)
-    if mode == "auto":
-        if model.h_inverse is not None:
-            mode = "exact"
-        elif traj is not None:
-            mode = "recorded"
-        else:
-            raise UnavailableModeError("no invertible observation map and no noise record")
     if mode == "exact":
         d = np.array([preimage_distance_exact(model, ys[k - 1], ys[k]) for k in range(1, len(ys))])
     elif mode == "recorded":
@@ -272,8 +238,6 @@ def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,
     rng = np.random.default_rng(seed)
     c_src = ld_set(model, y, delta)
     c_dst = ld_set(model, yp, delta)
-    if not (c_src.is_interval and c_dst.is_interval):
-        raise RepresentationError("verification needs interval set representations")
     if envelope_override is not None:
         eps_lo, eps_hi = envelope_override
     else:

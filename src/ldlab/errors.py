@@ -18,6 +18,28 @@ class ConfigError(LabError):
     """Invalid scenario or model configuration."""
 
 
+def check_fields(spec, allowed, what):
+    """``spec`` itself if it is an object with no field outside ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, got {spec!r}")
+    unknown = set(spec) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return spec
+
+
+def check_family(spec, key, families, what, default=None):
+    """``spec[key]`` (or ``default``), a name in ``families``, with ``spec``
+    holding only the fields that ``families`` gives that name."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be an object, got {spec!r}")
+    name = spec.get(key, default)
+    if not isinstance(name, str) or name not in families:
+        raise ConfigError(f"unknown {what} {key}: {name!r}")
+    check_fields(spec, families[name], f"{name} {what}")
+    return name
+
+
 class ModelValidationError(LabError):
     """A model constructor rejected its inputs (bad row sums, bad constants)."""
 
@@ -47,7 +69,7 @@ class EnvelopeOrderError(LabError):
 
 
 class UnavailableModeError(LabError):
-    """Requested preimage-distance mode cannot be computed for this model."""
+    """A preimage-distance mode lacks the trajectory or truth it reads."""
 
 
 class H2FailureError(LabError):

@@ -254,10 +254,7 @@ def _propagate_particles(model, positions, rng):
     f_vals = np.asarray(model.f(positions), dtype=float)
     if noise.kind == "iid":
         return f_vals + noise.density.sample(rng, size=len(positions))
-    sampler_vec = getattr(noise, "sampler_vec", None)
-    if sampler_vec is not None:
-        return f_vals + sampler_vec(rng, positions)
-    return f_vals + np.array([noise.sample(rng, x) for x in positions])
+    return f_vals + noise.sampler_vec(rng, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +535,10 @@ def _pair_quotient_update(u, uD, s, tau, step):
     d' = (L d <L phi> - L phi <L d>) / (<L phi> <L phi + L d>).
     Returns (phi', D', s') and the log of the smaller of the two filters'
     masses <L phi> and <L phi + L d>, their evidence when L holds the likelihood.
+    A D of 0 stays exactly 0, with s' = -inf. When the second filter's mass is
+    not positive, or the rescaled difference is not finite, the step has lost
+    the second filter: s' is NaN and the log mass -inf, so that
+    ``_ld_clipped_step`` reruns the step on a wider window.
     """
     z = float((u * tau).sum())
     if z <= 0 or not np.isfinite(z):
@@ -545,13 +546,15 @@ def _pair_quotient_update(u, uD, s, tau, step):
     zD = float((uD * tau).sum())
     es = 0.0 if s == -np.inf else math.exp(s)
     denom2 = z + es * zD
-    log_z = math.log(min(z, denom2)) if denom2 > 0 else -math.inf
     phi = u / z
-    Dt = (uD * z - u * zD) / (z * denom2)
-    c = float(np.max(np.abs(Dt)))
-    if c <= 0.0 or not np.isfinite(c):
-        return (phi, np.zeros_like(u), -np.inf), log_z
-    return (phi, Dt / c, s + math.log(c)), log_z
+    if denom2 > 0:
+        Dt = (uD * z - u * zD) / (z * denom2)
+        c = float(np.max(np.abs(Dt)))
+        if c == 0.0:
+            return (phi, Dt, -np.inf), math.log(min(z, denom2))
+        if math.isfinite(c):
+            return (phi, Dt / c, s + math.log(c)), math.log(min(z, denom2))
+    return (phi, None, math.nan), -math.inf
 
 
 def _pair_tv(D, s, h):
@@ -605,6 +608,8 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
 
             tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg.nodes, r_noise, ys[step],
                                                 advance)
+            if math.isnan(s):  # lost on the wider window too
+                raise FilterCollapseError(step, f"the second filter lost its mass at step {step}")
             nodes = tgt
             tau = trap_weights(nodes)
             tvs[step], log_tvs[step] = _pair_tv(D, s, nodes[1] - nodes[0])
@@ -691,7 +696,7 @@ def _predictive_window(model, moment_pairs, r_noise, y, eta):
         hi = max(hi, center + half)
     if eta > 0.0:
         ld = ld_set(model, y, delta_for_eta(model, eta))
-        if ld.is_interval and max(lo, ld.lo) < min(hi, ld.hi):
+        if max(lo, ld.lo) < min(hi, ld.hi):
             return max(lo, ld.lo), min(hi, ld.hi)
     return lo, hi
 

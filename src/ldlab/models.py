@@ -4,11 +4,12 @@ The continuous model is
 
     X_k = f(X_{k-1}) + zeta_k,      Y_k = h(X_k) + eps_k,
 
-with ``f`` Lipschitz (constant ``f_lip``) and ``h`` admitting the preimage
-inequality |x1 - x2| <= h_b0 + h_b |y1 - y2| whenever h(x_i) = y_i. State
-noise is either i.i.d. with density ``gamma`` or conditionally dependent,
-q(x, u), sandwiched by mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u).
-Observation noise has everywhere-positive density ``v``.
+with ``f`` Lipschitz (constant ``f_lip``) and ``h`` invertible (``h_inverse``),
+admitting the preimage inequality |x1 - x2| <= h_b0 + h_b |y1 - y2| whenever
+h(x_i) = y_i. State noise is either i.i.d. with density ``gamma`` or
+conditionally dependent, q(x, u), sandwiched by
+mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u). Observation noise has
+everywhere-positive density ``v``.
 
 All model objects are immutable; every simulation call owns an RNG stream
 derived from (seed, stream), so replays are byte-exact.
@@ -57,21 +58,20 @@ class DependentNoise:
     ``log_kernel(xs, u)`` is the one definition of log q: ``u`` has one column
     per source node, and the call overwrites ``u[i, j]`` with
     ``log q(xs[j], u[i, j])`` and returns ``u``. ``logpdf(x, u)`` is its
-    one-column case, so the grid kernel, the phi rule and the sampler all
-    evaluate q the same way. Both noise kinds share ``log_kernel``, so
+    one-column case, so the grid kernel and the phi rule evaluate q the same
+    way. Both noise kinds share ``log_kernel``, so
     ``IidNoise.log_kernel`` ignores ``xs``.
 
-    Sampling is rejection against ``psi`` with acceptance bound ``mu_plus``,
-    so only the envelope pair needs to be exact; a direct ``sampler(rng, x)``
-    can override it.
+    Each family brings its own direct samplers: ``sampler(rng, x)`` draws
+    one zeta given x, ``sampler_vec(rng, xs)`` one per entry of ``xs``.
     """
 
     log_kernel: Callable
     psi: object
     mu_minus: float
     mu_plus: float
-    sampler: Optional[Callable] = None
-    sampler_vec: Optional[Callable] = None
+    sampler: Callable
+    sampler_vec: Callable
 
     kind = "dependent"
 
@@ -84,13 +84,7 @@ class DependentNoise:
         return self.log_kernel([x], np.array(u, dtype=float)[..., None])[..., 0]
 
     def sample(self, rng, x):
-        if self.sampler is not None:
-            return self.sampler(rng, x)
-        log_mu = math.log(self.mu_plus)
-        while True:
-            u = self.psi.sample(rng)
-            if math.log(rng.random()) <= float(self.logpdf(x, u)) - self.psi.logpdf(u) - log_mu:
-                return u
+        return self.sampler(rng, x)
 
     def log_radial_min(self, r):
         return math.log(self.mu_minus) + self.psi.log_radial_min(r)
@@ -110,7 +104,7 @@ class StateSpaceModel:
     h_b: float
     state_noise: object
     obs_noise: object
-    h_inverse: Optional[Callable] = None
+    h_inverse: Callable
 
     def __post_init__(self):
         if self.f_lip < 0 or self.h_b0 < 0 or self.h_b < 0:

@@ -4,13 +4,14 @@ A model spec looks like
 
     {"kind": "linear_gaussian" | "nonlinear" | "dependent_noise",
      "f": {"type": "identity"}, "h": {"type": "affine", "c0": 0, "c1": 2},
-     "a": 1.0, "b0": 0.0, "b": 0.5,
-     "state_noise": {...}, "obs_noise": {...}}
+     "a": 1.0, "state_noise": {...}, "obs_noise": {...}}
 
 Drift/observation maps come from a registry of named families so that specs
-stay serializable and hashes stay stable. The Lipschitz constant ``a`` and
-preimage constants ``b0``/``b`` can be given explicitly; when omitted they
-fall back to the registry's analytic values.
+stay serializable and hashes stay stable. The Lipschitz constant ``a`` can be
+given explicitly; when omitted it is the drift family's analytic value. The
+observation map is ``identity`` or ``affine``, whose exact inverse gives the
+preimage constants b0 = 0 and b = 1/|c1|. Every object of a spec is checked
+field by field: an unknown field is an error, not a setting silently ignored.
 """
 
 from __future__ import annotations
@@ -20,98 +21,35 @@ import math
 import numpy as np
 
 from .densities import GaussianDensity, StudentTDensity, density_from_spec, student_t_logpdf
-from .errors import ConfigError
+from .errors import ConfigError, check_family, check_fields
 from .models import DependentNoise, IidNoise, StateSpaceModel
 
 
-class _MapEntry:
-    def __init__(self, fn, lip, inverse=None, b0=None, b=None):
-        self.fn = fn
-        self.lip = lip
-        self.inverse = inverse
-        self.b0 = b0
-        self.b = b
+# the fields of each map type, each state noise kind and the model itself
+_MAP_FIELDS = {
+    "identity": {"type"},
+    "affine": {"type", "c0", "c1"},
+    "sine_perturbed_affine": {"type", "c0", "c1", "amp", "freq"},
+}
+_NOISE_FIELDS = {"iid": {"kind", "density"}, "scaled_t": {"kind", "df", "s0", "s1"}}
+_MODEL_FIELDS = {"kind", "f", "h", "a", "state_noise", "obs_noise"}
 
 
 def _map_from_spec(spec):
-    """Resolve {"type": ..., params...} into a _MapEntry."""
-    typ = spec.get("type")
+    """Resolve {"type": ..., params...} into (map, Lipschitz constant, inverse);
+    ``sine_perturbed_affine`` is a drift only, whose inverse is None."""
+    typ = check_family(spec, "type", _MAP_FIELDS, "map")
     if typ == "identity":
-        return _MapEntry(fn=lambda x: x, lip=1.0, inverse=lambda y: y, b0=0.0, b=1.0)
+        return (lambda x: x), 1.0, (lambda y: y)
+    c0 = float(spec.get("c0", 0.0))
+    c1 = float(spec.get("c1", 1.0))
     if typ == "affine":
-        c0 = float(spec.get("c0", 0.0))
-        c1 = float(spec.get("c1", 1.0))
         if c1 == 0.0:
             raise ConfigError("affine map needs c1 != 0 to stay invertible")
-        return _MapEntry(
-            fn=lambda x: c0 + c1 * x,
-            lip=abs(c1),
-            inverse=lambda y: (y - c0) / c1,
-            b0=0.0,
-            b=1.0 / abs(c1),
-        )
-    if typ == "sine_perturbed_affine":
-        c0 = float(spec.get("c0", 0.0))
-        c1 = float(spec.get("c1", 1.0))
-        amp = float(spec.get("amp", 1.0))
-        freq = float(spec.get("freq", 1.0))
-        lip = abs(c1) + abs(amp * freq)
-        entry = _MapEntry(fn=lambda x: c0 + c1 * x + amp * np.sin(freq * x), lip=lip)
-        if abs(c1) > abs(amp * freq) > 0 or (amp == 0.0):
-            # strictly monotone: slope bounded below by |c1| - |amp*freq|
-            slope_min = abs(c1) - abs(amp * freq)
-            entry.b0 = 0.0
-            entry.b = 1.0 / slope_min
-            entry.inverse = _monotone_inverse(entry.fn, slope_min, c0, c1)
-        return entry
-    if typ == "cubic_saturating":
-        scale = float(spec.get("scale", 1.0))
-        # d/dx [x^3/(1+x^2)] peaks at 9/8
-        return _MapEntry(fn=lambda x: scale * x**3 / (1.0 + x**2), lip=1.125 * abs(scale))
-    raise ConfigError(f"unknown map type: {typ!r}")
-
-
-def _monotone_inverse(fn, slope_min, c0, c1):
-    """Numeric inverse of a strictly monotone scalar map via bisection."""
-
-    def inverse(y):
-        # bracket using the affine part, then bisect; slope_min bounds the error
-        guess = (y - c0) / c1
-        lo, hi = guess - 4.0 / slope_min, guess + 4.0 / slope_min
-        flo, fhi = fn(lo) - y, fn(hi) - y
-        increasing = c1 > 0
-        for _ in range(200):
-            if (flo < 0) == (fhi < 0):
-                lo, hi = lo - 8.0, hi + 8.0
-                flo, fhi = fn(lo) - y, fn(hi) - y
-            else:
-                break
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            fm = fn(mid) - y
-            if (fm < 0) == increasing:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return inverse
-
-
-def _sine_modulated_noise(spec):
-    """q(x, u) = psi(u) (1 + c sin(x) sin(u)); exact envelopes 1 -/+ c."""
-    c = float(spec.get("c", 0.1))
-    if not 0.0 < c < 1.0:
-        raise ConfigError("sine_modulated needs 0 < c < 1")
-    psi = density_from_spec(spec.get("psi", {"family": "gaussian", "sigma": 1.0}))
-
-    def log_kernel(xs, u):
-        mod = np.sin(u)
-        mod *= c * np.sin(xs)
-        np.log1p(mod, out=mod)
-        return np.add(psi.logpdf(u, out=u), mod, out=u)
-
-    return DependentNoise(log_kernel=log_kernel, psi=psi, mu_minus=1.0 - c, mu_plus=1.0 + c)
+        return (lambda x: c0 + c1 * x), abs(c1), (lambda y: (y - c0) / c1)
+    amp = float(spec.get("amp", 1.0))
+    freq = float(spec.get("freq", 1.0))
+    return (lambda x: c0 + c1 * x + amp * np.sin(freq * x)), abs(c1) + abs(amp * freq), None
 
 
 def _scaled_t_noise(spec):
@@ -157,28 +95,21 @@ def _scaled_t_noise(spec):
 
 
 def _state_noise_from_spec(spec):
-    kind = spec.get("kind", "iid")
-    if kind == "iid":
+    if check_family(spec, "kind", _NOISE_FIELDS, "state noise", default="iid") == "iid":
         return IidNoise(density=density_from_spec(spec["density"]))
-    if kind == "sine_modulated":
-        return _sine_modulated_noise(spec)
-    if kind == "scaled_t":
-        return _scaled_t_noise(spec)
-    raise ConfigError(f"unknown state noise kind: {kind!r}")
+    return _scaled_t_noise(spec)
 
 
 def model_from_spec(spec):
     """Build an immutable StateSpaceModel from its JSON dict."""
-    kind = spec.get("kind", "nonlinear")
+    kind = check_fields(spec, _MODEL_FIELDS, "model").get("kind", "nonlinear")
     if kind not in ("linear_gaussian", "nonlinear", "dependent_noise"):
         raise ConfigError(f"unknown model kind: {kind!r}")
-    fmap = _map_from_spec(spec.get("f", {"type": "identity"}))
-    hmap = _map_from_spec(spec.get("h", {"type": "identity"}))
-    a = float(spec.get("a", fmap.lip))
-    b0 = spec.get("b0", hmap.b0)
-    b = spec.get("b", hmap.b)
-    if b0 is None or b is None:
-        raise ConfigError("observation map needs preimage constants b0, b")
+    f, f_lip, _ = _map_from_spec(spec.get("f", {"type": "identity"}))
+    h, h_lip, h_inverse = _map_from_spec(spec.get("h", {"type": "identity"}))
+    if h_inverse is None:
+        raise ConfigError("the observation map must be invertible: 'identity' or 'affine'")
+    a = float(spec.get("a", f_lip))
     state_noise = _state_noise_from_spec(spec.get("state_noise", {"kind": "iid", "density": {"family": "gaussian", "sigma": 1.0}}))
     obs_noise = density_from_spec(spec.get("obs_noise", {"family": "gaussian", "sigma": 1.0}))
     if kind == "linear_gaussian":
@@ -188,13 +119,15 @@ def model_from_spec(spec):
             raise ConfigError("linear_gaussian requires gaussian observation noise")
     if kind == "dependent_noise" and isinstance(state_noise, IidNoise):
         raise ConfigError("dependent_noise model declared with iid state noise")
+    # an affine h (identity included) has the exact preimage constants
+    # b0 = 0 and b = 1/|c1|
     return StateSpaceModel(
-        f=fmap.fn,
+        f=f,
         f_lip=a,
-        h=hmap.fn,
-        h_b0=float(b0),
-        h_b=float(b),
-        h_inverse=hmap.inverse,
+        h=h,
+        h_b0=0.0,
+        h_b=1.0 / h_lip,
+        h_inverse=h_inverse,
         state_noise=state_noise,
         obs_noise=obs_noise,
     )

@@ -34,7 +34,7 @@ from .doeblin import (
     stability_diag_series,
 )
 from .dists import prior_from_spec
-from .errors import ConfigError, LabError, ModelValidationError
+from .errors import ConfigError, LabError, ModelValidationError, check_fields
 from .filtering import (
     ReprConfig,
     TvSeries,
@@ -63,7 +63,10 @@ from .modelspec import model_from_spec
 _FIELDS = {"name", "model", "finite", "truth", "prior1", "prior2", "horizon", "seeds",
            "repr", "bound", "allow_equal_priors"}
 _BOUND_FIELDS = {"alpha", "eta", "etas", "d_mode", "thresholds"}
-_D_MODES = ("auto", "exact", "recorded", "misspec")
+_TRUTH_FIELDS = {"f", "h", "state_noise", "obs_noise", "f_gap", "h_gap"}
+_FINITE_FIELDS = {"Q", "means", "stds", "set_table", "bin_threshold"}
+_D_MODES = ("exact", "recorded", "misspec")
+_THRESHOLDS = {"M0", "M1", "M2", "M3", "delta"}
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class ScenarioConfig:
 
 def scenario_from_dict(d):
     """Check a scenario dict field by field and build its parts; report every problem at once."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"invalid scenario config: it must be an object, got {d!r}")
     errors = []
     unknown = set(d) - _FIELDS
     if unknown:
@@ -107,9 +112,12 @@ def scenario_from_dict(d):
     if (model_spec is None) == (finite is None):
         errors.append("exactly one of 'model' or 'finite' is required")
     truth_spec = d.get("truth")
-    if truth_spec is not None:
+    truth_ok = truth_spec is not None and _collect(errors, "truth", check_fields, truth_spec,
+                                                   _TRUTH_FIELDS, "truth") is not None
+    if truth_ok:
         for key in ("f_gap", "h_gap"):
             if key not in truth_spec:
+                truth_ok = False
                 errors.append(f"truth spec needs '{key}' (sup-norm gap to the filter model)")
     horizon = d.get("horizon", 100)
     bound = d.get("bound")
@@ -135,17 +143,16 @@ def scenario_from_dict(d):
         build_prior = prior_from_spec
         parts["repr"] = _collect(errors, "repr", repr_config, d.get("repr", {}))
         model = parts["model"] = _collect(errors, "model", model_from_spec, model_spec)
-        if model is not None and truth_spec is not None and {"f_gap", "h_gap"} <= set(truth_spec):
+        if model is not None and truth_ok:
             parts["truth"] = _collect(errors, "truth", _build_truth, model, model_spec,
                                       truth_spec)
         d_mode = bound.get("d_mode") if isinstance(bound, dict) else None
-        if d_mode == "exact" and model is not None and model.h_inverse is None:
-            errors.append("bound.d_mode 'exact' needs an invertible observation map")
         if d_mode == "misspec" and truth_spec is None:
             errors.append("bound.d_mode 'misspec' needs a 'truth' block")
     elif finite is not None and model_spec is None:
-        build_prior = partial(_finite_prior, m=len(finite.get("Q", [])))
         parts.update(_collect(errors, "finite", _build_finite, finite) or {})
+        if parts:  # a finite prior's length is the built model's state count
+            build_prior = partial(_finite_prior, m=parts["fmodel"].m)
         # a finite model is filtered exactly on the stream it simulates: it has no
         # grid, truth, distance mode or eta list
         unused = [key for key in ("repr", "truth") if key in d]
@@ -171,9 +178,14 @@ def _integer(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _number(x):
+    """Whether ``x`` is a real number; a bool is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _unit_number(x):
-    """Whether ``x`` is a real number in (0, 1); a bool is not one."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 < x < 1.0
+    """Whether ``x`` is a real number in (0, 1)."""
+    return _number(x) and 0.0 < x < 1.0
 
 
 def _bound_errors(bound, finite):
@@ -198,6 +210,10 @@ def _bound_errors(bound, finite):
         errors.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
     if bound.get("d_mode", "recorded") not in _D_MODES:
         errors.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {bound['d_mode']!r}")
+    th = bound.get("thresholds", {})
+    if not (isinstance(th, dict) and set(th) <= _THRESHOLDS and all(map(_number, th.values()))):
+        errors.append(f"bound.thresholds must map some of {sorted(_THRESHOLDS)} to numbers, "
+                      f"got {th!r}")
     return errors
 
 
@@ -317,10 +333,15 @@ PRESETS = {
 }
 
 
-def preset_config(name):
+def preset_dict(name):
+    """A fresh copy of the named preset's config dict."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return scenario_from_dict(json.loads(json.dumps(PRESETS[name])))
+    return json.loads(json.dumps(PRESETS[name]))
+
+
+def preset_config(name):
+    return scenario_from_dict(preset_dict(name))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +366,7 @@ def _build_truth(model, model_spec, t):
 
 
 def _build_finite(f):
+    check_fields(f, _FINITE_FIELDS, "finite")
     fmodel = gaussian_finite_model(np.asarray(f["Q"], dtype=float), f["means"], f["stds"])
     obs_to_bin = _threshold_binner(float(f.get("bin_threshold", 0.0)), len(f["set_table"]))
     return {"fmodel": fmodel, "ld": finite_ld_construct(fmodel, f["set_table"], obs_to_bin)}
@@ -361,9 +383,9 @@ def _threshold_binner(thr, n_bins):
 
 
 def _finite_prior(spec, m):
-    if spec.get("family") != "finite":
+    if not isinstance(spec, dict) or spec.get("family") != "finite":
         raise ConfigError("finite scenarios need finite priors: {family: finite, probs: [...]}")
-    p = np.asarray(spec["probs"], dtype=float)
+    p = np.asarray(check_fields(spec, {"family", "probs"}, "finite prior")["probs"], dtype=float)
     if p.shape != (m,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
         raise ConfigError("finite prior must be a length-m probability vector")
     return p

@@ -82,6 +82,33 @@ def test_filter_subcommand_skips_bound(tmp_path, config_file):
     assert (out / "tv.csv").exists()
 
 
+def test_a_command_reads_its_scenario_once(tmp_path, monkeypatch, capsys):
+    # misspec builds two models, the filter's and the truth's; --eta, --alpha
+    # and filter's dropped bound apply to that one read, not to a second one
+    from ldlab import cli, scenarios
+
+    builds = []
+    real = scenarios.model_from_spec
+    monkeypatch.setattr(scenarios, "model_from_spec",
+                        lambda spec: builds.append(spec) or real(spec))
+    for args in (["filter"], ["experiment", "--eta", "0.2"], ["bound", "--alpha", "0.3"]):
+        builds.clear()
+        out = tmp_path / args[0]
+        assert cli.main([*args, "--preset", "misspec", "--out", str(out)]) == 0
+        assert len(builds) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["config_hash"] == scenarios.config_hash(report["config"])
+    bound = json.loads((tmp_path / "experiment" / "report.json").read_text())["config"]["bound"]
+    assert bound == {"alpha": 0.5, "eta": 0.2, "d_mode": "misspec"}
+    assert "bound" not in json.loads((tmp_path / "filter" / "report.json").read_text())["config"]
+    # a config that is not an object, or a bad --eta, is still a config error
+    p = tmp_path / "list.json"
+    p.write_text("[1]")
+    assert cli.main(["experiment", "--config", str(p), "--eta", "0.2"]) == 2
+    assert cli.main(["experiment", "--preset", "misspec", "--eta", "2"]) == 2
+    assert "bound.eta must be a number in (0, 1)" in capsys.readouterr().err
+
+
 def test_bound_subcommand_and_eta_override(tmp_path, config_file):
     out = tmp_path / "bnd"
     r = _run("bound", "--config", str(config_file), "--eta", "0.3",

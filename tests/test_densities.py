@@ -10,7 +10,7 @@ from ldlab.densities import (
     StudentTDensity,
     density_from_spec,
 )
-from ldlab.errors import H2FailureError, ModelValidationError
+from ldlab.errors import ConfigError, H2FailureError, ModelValidationError
 
 # standard normal pdf at 0, 1, 2; checked against scipy.stats.norm.pdf
 N01_AT_0 = 0.3989422804014327
@@ -127,8 +127,11 @@ def test_density_from_spec_roundtrip():
     assert isinstance(g, GaussianDensity) and g.sigma == 2.5
     t = density_from_spec({"family": "student_t", "df": 5.0, "scale": 0.5})
     assert isinstance(t, StudentTDensity) and t.df == 5.0
-    with pytest.raises(ModelValidationError):
+    # a spec's unknown family or field is a config error, as for every other spec
+    with pytest.raises(ConfigError, match="unknown density family: 'cauchy'"):
         density_from_spec({"family": "cauchy"})
+    with pytest.raises(ConfigError, match=r"unknown gaussian density fields: \['sigmaa'\]"):
+        density_from_spec({"family": "gaussian", "sigmaa": 2.5})
 
 
 def test_sampling_moments_smoke():

@@ -48,26 +48,9 @@ def _rw_model():
 
 def test_ld_set_interval_for_identity_map():
     c = ld_set(_rw_model(), y=2.0, delta=0.5)
-    assert c.is_interval
     assert (c.lo, c.hi) == (1.5, 2.5)
     assert c.hi - c.lo == 1.0
     assert c.contains(2.4) and not c.contains(2.6)
-
-
-def test_ld_set_grid_bracket_without_inverse():
-    m = model_from_spec({
-        "kind": "nonlinear",
-        "f": {"type": "identity"},
-        "h": {"type": "sine_perturbed_affine", "c0": 0.0, "c1": 1.0,
-              "amp": 1.0, "freq": 1.0},
-        "b0": 2.0, "b": 1.0,
-    })
-    c = ld_set(m, y=0.0, delta=0.25)
-    assert c.is_interval  # bracket read off the grid
-    inside = np.linspace(c.lo, c.hi, 50)
-    # bracket endpoints themselves satisfy the defining inequality
-    assert c.contains(c.lo) and c.contains(c.hi)
-    assert np.any(c.contains(inside))
 
 
 def test_envelope_radius_formula():

@@ -33,7 +33,7 @@ from ldlab.filtering import (
 )
 from ldlab.models import finite_model_make, gaussian_finite_model, simulate_trajectory
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS, run_scenario
+from ldlab.scenarios import PRESETS, preset_dict, run_scenario
 
 # hand-computed two-step fixture:
 #   nu = (.5, .5), Q = [[.7, .3], [.4, .6]], g(y0) = (.8, .4), g(y1) = (.7, .9)
@@ -141,7 +141,6 @@ KERNEL_NOISES = {
     "iid-gaussian": {"kind": "iid", "density": {"family": "gaussian", "sigma": 0.7}},
     "iid-student-t": {"kind": "iid", "density": {"family": "student_t", "df": 3.5, "scale": 1.3}},
     "scaled-t": {"kind": "scaled_t", "df": 4.0, "s0": 1.0, "s1": 0.3},
-    "sine-modulated": {"kind": "sine_modulated", "c": 0.4},
 }
 
 
@@ -178,6 +177,31 @@ def test_paired_runner_equal_priors_is_exact_zero():
     res = run_grid_pair(model, NormalPrior(0.0, 1.0), NormalPrior(0.0, 1.0),
                         traj.observations, cfg)
     assert np.all(res.tv == 0.0)
+
+
+def test_paired_runner_fails_where_the_second_filter_loses_its_mass():
+    # an explosive truth (drift slope 5) puts y1 far out of the second
+    # filter's predictive: its mass z + e^s zD is 0 on the clipped window and
+    # on the wider rerun. The run fails at that step, not one later after a
+    # TV of 0.0, and every TV from it on is NaN
+    d = preset_dict("misspec")
+    d["truth"]["f"]["c1"] = 5.0
+    d["horizon"] = 5
+    rep = run_scenario(d, seed=401)
+    assert rep.failure["error"] == "FilterCollapseError"
+    assert rep.failure["step"] == 1
+    assert rep.tv.tv[0] == pytest.approx(0.99959, abs=1e-5)
+    assert np.isnan(rep.tv.tv[1:]).all() and np.isnan(rep.tv.log_tv[1:]).all()
+    # the update marks a lost mass, or a difference that is not finite, with
+    # s = NaN and a log mass of -inf, which asks for the wider window
+    u, tau = np.ones(8), np.full(8, 0.5)
+    for uD, s in ((-u, 0.0), (np.full(8, 1e308), 700.0)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (_, _, s_new), log_z = filtering._pair_quotient_update(u, uD, s, tau, 3)
+        assert math.isnan(s_new) and log_z == -math.inf
+    # a difference of exactly 0 stays exactly 0
+    (_, D, s_new), log_z = filtering._pair_quotient_update(u, 0 * u, -math.inf, tau, 3)
+    assert s_new == -math.inf and not D.any() and log_z == math.log(4.0)
 
 
 def test_paired_runner_matches_steady_state_contraction():

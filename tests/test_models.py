@@ -146,22 +146,27 @@ def test_gaussian_finite_model_emissions():
 
 
 def test_dependent_noise_sampler_matches_density():
-    # sine-modulated family: empirical CDF of draws at fixed x against its own q
+    # scaled-t family: empirical CDF of draws at fixed x against the quadrature of its own q
     model = model_from_spec({
         "kind": "dependent_noise",
         "f": {"type": "affine", "c0": 0.0, "c1": 0.5},
         "h": {"type": "identity"},
-        "state_noise": {"kind": "sine_modulated", "c": 0.1},
+        "state_noise": {"kind": "scaled_t", "df": 4.0, "s0": 1.0, "s1": 0.3},
         "obs_noise": {"family": "gaussian", "sigma": 1.0},
     })
     noise = model.state_noise
-    assert noise.mu_minus == pytest.approx(0.9)
-    assert noise.mu_plus == pytest.approx(1.1)
     x = 0.7
     rng = np.random.default_rng(21)
-    draws = np.array([noise.sample(rng, x) for _ in range(4000)])
-    # compare mean of draws to the density's mean by quadrature
-    us = np.linspace(-10, 10, 4001)
+    draws = np.array([noise.sample(rng, x) for _ in range(20_000)])
+    us = np.linspace(-200.0, 200.0, 400_001)
     q = np.exp(noise.logpdf(x, us))
-    mean_q = np.trapezoid(us * q, us) / np.trapezoid(q, us)
-    assert draws.mean() == pytest.approx(mean_q, abs=0.05)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * np.diff(us))])
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-4)
+    # DKW: a gap above 0.02 has probability below 1e-6 at 20000 draws; a
+    # sampler that drops sigma(x) is 0.036 off at u = -1
+    for u in (-3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 4.0):
+        assert np.mean(draws <= u) == pytest.approx(np.interp(u, us, cdf), abs=0.02)
+    # the vectorised sampler draws from the same law
+    vec = noise.sampler_vec(np.random.default_rng(22), np.full(20_000, x))
+    for u in (-1.0, 0.0, 1.5):
+        assert np.mean(vec <= u) == pytest.approx(np.interp(u, us, cdf), abs=0.02)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldlab.dists import NormalPrior
-from ldlab.errors import ConfigError, DegenerateInitError, FilterCollapseError
+from ldlab.errors import ConfigError, DegenerateInitError, FilterCollapseError, LabError
 from ldlab.filtering import ReprConfig, exact_filter_finite, run_grid_pair, tv_half_l1
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
@@ -18,6 +18,7 @@ from ldlab.scenarios import (
     config_hash,
     monte_carlo_expectation,
     preset_config,
+    preset_dict,
     repr_config,
     run_grid_pair_unpaired,
     run_scenario,
@@ -131,24 +132,114 @@ def test_scenario_from_dict_collects_every_error():
     assert "bound.alpha must be a number in (0, 1), got '0.5'" in msg
     assert "bound.eta must be a number in (0, 1) or 'sweep', got True" in msg
     assert "bound.etas must be a non-empty list of numbers in (0, 1), got [0.1, 2.0]" in msg
-    assert ("bound.d_mode must be one of ['auto', 'exact', 'recorded', 'misspec'], "
-            "got 'bogus'") in msg
+    assert "bound.d_mode must be one of ['exact', 'recorded', 'misspec'], got 'bogus'" in msg
     for bound in ({"eta": "sweep", "etas": []}, {"eta": "sweep", "etas": 0.1}):
         with pytest.raises(ConfigError, match="bound.etas must be a non-empty list"):
             scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
     with pytest.raises(ConfigError, match="'bound' must be an object"):
         scenario_from_dict(dict(SMALL_SCENARIO, bound=[1]))
-    # a distance mode the model cannot serve fails here, not after filtering
-    cubic = dict(SMALL_SCENARIO["model"], kind="nonlinear", h={"type": "cubic_saturating"},
-                 b0=2.0, b=1.0)
+    # a distance mode the config cannot serve fails here, not after filtering;
+    # every observation map is invertible, so every model serves 'exact'
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": "misspec"}))
     assert "bound.d_mode 'misspec' needs a 'truth' block" in str(err.value)
+    sine_h = dict(SMALL_SCENARIO["model"], kind="nonlinear",
+                  h={"type": "sine_perturbed_affine", "c1": 2.0, "amp": 0.5})
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(dict(SMALL_SCENARIO, model=cubic, bound={"d_mode": "exact"}))
-    assert "bound.d_mode 'exact' needs an invertible observation map" in str(err.value)
-    for d_mode in ("auto", "recorded"):
-        scenario_from_dict(dict(SMALL_SCENARIO, model=cubic, bound={"d_mode": d_mode}))
+        scenario_from_dict(dict(SMALL_SCENARIO, model=sine_h, horizon=-3,
+                                bound={"d_mode": "exact"}))
+    msg = str(err.value)
+    assert ("'model': the observation map must be invertible: 'identity' or 'affine'"
+            in msg)
+    assert "'horizon' must be a positive integer" in msg
+    for d_mode in ("exact", "recorded"):
+        scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": d_mode}))
+
+
+# values that stand in turn for every field of every preset
+FUZZ_VALUES = (None, [], {}, 5, -1, 0.5, "x", True, [1], {"a": 1})
+
+
+def _key_paths(node, prefix=()):
+    """The path of every key of every object nested in ``node``, depth first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _at(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
+def _outcome(d):
+    """How a config ends: rejected on reading, or run to completion or a LabError."""
+    try:
+        cfg = scenario_from_dict(d)
+    except ConfigError:
+        return "config error"
+    try:
+        run_scenario(cfg)
+    except LabError:
+        return "lab error"
+    return "ran"
+
+
+def test_malformed_configs_fail_as_config_or_lab_errors():
+    # a config that is not an object, or whose truth or finite block is not
+    # one, used to escape as a bare AttributeError or TypeError
+    with pytest.raises(ConfigError, match="it must be an object, got \\[1\\]"):
+        scenario_from_dict([1])
+    for name, key, value in (("misspec", "truth", 5), ("finite-oracle", "finite", [1]),
+                             ("finite-oracle", "finite", {"Q": 5})):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            scenario_from_dict(dict(preset_dict(name), **{key: value}))
+    # every field of every preset, replaced in turn by each value, at horizon 5
+    outcomes, crashes = {}, []
+    for name in PRESETS:
+        base = dict(preset_dict(name), horizon=5)
+        for path in _key_paths(base):
+            for value in FUZZ_VALUES:
+                d = json.loads(json.dumps(base))
+                _at(d, path[:-1])[path[-1]] = value
+                try:
+                    outcome = _outcome(d)
+                except Exception as exc:  # anything else is a crash
+                    crashes.append((name, path, value, repr(exc)))
+                else:
+                    outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert crashes == []
+    assert sum(outcomes.values()) == 1550
+    assert outcomes["config error"] > 1000 and outcomes["ran"] > 100
+
+
+def test_unknown_nested_fields_are_config_errors():
+    # a misspelt field of any object of a config is an error, not a setting
+    # silently ignored; so are the retired preimage constants b0 and b
+    checked = 0
+    for name in PRESETS:
+        for path in _key_paths(PRESETS[name]):
+            d = preset_dict(name)
+            if isinstance(_at(d, path), dict):
+                _at(d, path)["bogus"] = 1
+                with pytest.raises(ConfigError, match=r"unknown [a-z_ ]*fields: \['bogus'\]"):
+                    scenario_from_dict(d)
+                checked += 1
+    assert checked == 46
+    d = preset_dict("rw-gauss")
+    d["model"].update(b0=0.0, b=1.0)
+    d["prior1"]["stdd"] = 1.0
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(d)
+    msg = str(err.value)
+    assert "'model': unknown model fields: ['b', 'b0']" in msg
+    assert "'prior1': unknown normal prior fields: ['stdd']" in msg
+    # mc reads bound.thresholds: unknown keys and non-numbers are rejected too
+    for thresholds in (5, {"M9": 1.0}, {"M1": "x"}):
+        with pytest.raises(ConfigError, match="bound.thresholds must map some of"):
+            scenario_from_dict(dict(SMALL_SCENARIO, bound={"thresholds": thresholds}))
 
 
 def test_equal_priors_need_explicit_opt_in():
