@@ -10,7 +10,6 @@ from .bounds import (
     BoundBreakdown,
     bound_series,
     denominator_gap,
-    eta_sweep,
     forgetting_bound,
     forgetting_bound_finite,
     max_product_with_quota,

@@ -168,8 +168,7 @@ def cmd_mc(args):
     config = _load_scenario(args)
     replicates = int(args.replicates)
     out = _out_dir(args, config, f"mc{replicates}")
-    thresholds = (config.bound or {}).get("thresholds")
-    result = monte_carlo_expectation(config, replicates, thresholds=thresholds, out_dir=out)
+    result = monte_carlo_expectation(config, replicates, out_dir=out)
     n_fail = len(result["failures"])
     print(f"wrote {out}/mc_tv.csv  replicates={replicates} failed={n_fail} "
           f"mean_tv[-1]={result['mean_tv'][-1]:.3g}")

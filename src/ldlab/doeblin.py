@@ -61,9 +61,8 @@ def ld_set(model, y, delta):
 
 
 def envelope_radius(model, delta, d_value):
-    """Radius fed to the envelopes: (a+1) b0 + (a+1) b delta + D."""
-    a, b0, b = model.f_lip, model.h_b0, model.h_b
-    return (a + 1.0) * b0 + (a + 1.0) * b * delta + d_value
+    """Radius fed to the envelopes: (a+1) b delta + D."""
+    return (model.f_lip + 1.0) * model.h_b * delta + d_value
 
 
 # ---------------------------------------------------------------------------
@@ -76,25 +75,21 @@ def preimage_distance_exact(model, y, yp):
 
 
 def preimage_distance_recorded(model, eps_prev, zeta, eps):
-    """Noise-record bound: (a+1) b0 + a b |eps_prev| + |zeta| + b |eps|."""
-    a, b0, b = model.f_lip, model.h_b0, model.h_b
-    return (a + 1.0) * b0 + a * b * np.abs(eps_prev) + np.abs(zeta) + b * np.abs(eps)
+    """Noise-record bound: a b |eps_prev| + |zeta| + b |eps|."""
+    a, b = model.f_lip, model.h_b
+    return a * b * np.abs(eps_prev) + np.abs(zeta) + b * np.abs(eps)
 
 
-def misspec_distance_forms(truth, eps_prev, zeta, eps):
-    """Both upper-bound forms for mis-specified data; either is valid.
+def misspec_distance(truth, eps_prev, zeta, eps):
+    """Distance bound for mis-specified data: kappa + 2 a* b* + tail.
 
-    The shared tail is a* b* |eps_prev| + b* |eps| + |zeta| with the
-    data-generating model's constants; the head is kappa plus either
-    (1 + a*) b0* or 2 a* b*.
+    The tail is a* b* |eps_prev| + b* |eps| + |zeta| with the data-generating
+    model's constants. The proof's other form, kappa + (1 + a*) b0* + tail,
+    never exceeds this one, since every observation map is affine (b0* = 0).
     """
-    tm = truth.model
-    a, b0, b = tm.f_lip, tm.h_b0, tm.h_b
+    a, b = truth.model.f_lip, truth.model.h_b
     tail = a * b * np.abs(eps_prev) + b * np.abs(eps) + np.abs(zeta)
-    return {
-        "proof_form": truth.kappa + (1.0 + a) * b0 + tail,
-        "statement_form": truth.kappa + 2.0 * a * b + tail,
-    }
+    return truth.kappa + 2.0 * a * b + tail
 
 
 def distance_series(model, ys, mode="exact", traj=None, truth=None):
@@ -102,7 +97,7 @@ def distance_series(model, ys, mode="exact", traj=None, truth=None):
 
     The one dispatcher over the three modes: ``exact`` (the preimages of the
     observations), ``recorded`` (noise record of ``traj``) and ``misspec``
-    (``truth`` plus ``traj``, max of both forms).
+    (``truth`` plus ``traj``).
     """
     ys = np.asarray(ys, dtype=float)
     if mode == "exact":
@@ -116,8 +111,7 @@ def distance_series(model, ys, mode="exact", traj=None, truth=None):
         if truth is None or traj is None:
             raise UnavailableModeError("misspec mode needs the truth description and trajectory")
         eps = traj.obs_noise
-        forms = misspec_distance_forms(truth, eps[:-1], traj.state_noise, eps[1:])
-        d = np.maximum(forms["proof_form"], forms["statement_form"])
+        d = misspec_distance(truth, eps[:-1], traj.state_noise, eps[1:])
     else:
         raise ConfigError(f"unknown distance mode {mode!r}")
     if len(d) != len(ys) - 1:
@@ -333,11 +327,11 @@ def stability_diag_series(model, traj, delta):
 def misspec_diag_series(filter_model, truth, traj, delta):
     """Per-step log-envelope diagnostic under mis-specification.
 
-    Uses the statement-form distance head (kappa + 2 a* b*) with the filtering
-    model's envelope; positive sign convention follows the source quantity
-    (log of the lower envelope, typically negative).
+    Uses the mis-specified distance bound with the filtering model's
+    envelope; positive sign convention follows the source quantity (log of
+    the lower envelope, typically negative).
     """
     eps = traj.obs_noise
-    d = misspec_distance_forms(truth, eps[:-1], traj.state_noise, eps[1:])["statement_form"]
+    d = misspec_distance(truth, eps[:-1], traj.state_noise, eps[1:])
     r = envelope_radius(filter_model, delta, d)
     return np.asarray(filter_model.state_noise.log_radial_min(r), dtype=float)

@@ -5,7 +5,7 @@ The continuous model is
     X_k = f(X_{k-1}) + zeta_k,      Y_k = h(X_k) + eps_k,
 
 with ``f`` Lipschitz (constant ``f_lip``) and ``h`` invertible (``h_inverse``),
-admitting the preimage inequality |x1 - x2| <= h_b0 + h_b |y1 - y2| whenever
+admitting the preimage inequality |x1 - x2| <= h_b |y1 - y2| whenever
 h(x_i) = y_i. State noise is either i.i.d. with density ``gamma`` or
 conditionally dependent, q(x, u), sandwiched by
 mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u). Observation noise has
@@ -100,14 +100,13 @@ class StateSpaceModel:
     f: Callable
     f_lip: float
     h: Callable
-    h_b0: float
     h_b: float
     state_noise: object
     obs_noise: object
     h_inverse: Callable
 
     def __post_init__(self):
-        if self.f_lip < 0 or self.h_b0 < 0 or self.h_b < 0:
+        if self.f_lip < 0 or self.h_b < 0:
             raise ModelValidationError("Lipschitz and preimage constants must be >= 0")
 
 
@@ -131,7 +130,7 @@ def make_misspecified_truth(filter_model, true_model, f_gap, h_gap):
         raise ModelValidationError("sup-norm gaps must be >= 0")
     if not (math.isfinite(f_gap) and math.isfinite(h_gap)):
         raise ModelValidationError("sup-norm gaps must be finite")
-    kappa = f_gap + (filter_model.h_b0 + filter_model.h_b * h_gap) * (1.0 + true_model.f_lip)
+    kappa = f_gap + filter_model.h_b * h_gap * (1.0 + true_model.f_lip)
     return MisspecifiedTruth(model=true_model, f_gap=f_gap, h_gap=h_gap, kappa=kappa)
 
 

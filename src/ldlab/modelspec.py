@@ -10,7 +10,7 @@ Drift/observation maps come from a registry of named families so that specs
 stay serializable and hashes stay stable. The Lipschitz constant ``a`` can be
 given explicitly; when omitted it is the drift family's analytic value. The
 observation map is ``identity`` or ``affine``, whose exact inverse gives the
-preimage constants b0 = 0 and b = 1/|c1|. Every object of a spec is checked
+preimage constant b = 1/|c1|. Every object of a spec is checked
 field by field: an unknown field is an error, not a setting silently ignored.
 """
 
@@ -119,13 +119,11 @@ def model_from_spec(spec):
             raise ConfigError("linear_gaussian requires gaussian observation noise")
     if kind == "dependent_noise" and isinstance(state_noise, IidNoise):
         raise ConfigError("dependent_noise model declared with iid state noise")
-    # an affine h (identity included) has the exact preimage constants
-    # b0 = 0 and b = 1/|c1|
+    # an affine h (identity included) has the exact preimage constant b = 1/|c1|
     return StateSpaceModel(
         f=f,
         f_lip=a,
         h=h,
-        h_b0=0.0,
         h_b=1.0 / h_lip,
         h_inverse=h_inverse,
         state_noise=state_noise,

@@ -22,7 +22,6 @@ from ._version import __version__
 # where benchmarks/tracer.py wraps it
 from .bounds import (  # noqa: F401
     bound_series,
-    eta_sweep,
     forgetting_bound,
     forgetting_bound_finite,
     prefix_series,
@@ -67,6 +66,23 @@ _TRUTH_FIELDS = {"f", "h", "state_noise", "obs_noise", "f_gap", "h_gap"}
 _FINITE_FIELDS = {"Q", "means", "stds", "set_table", "bin_threshold"}
 _D_MODES = ("exact", "recorded", "misspec")
 _THRESHOLDS = {"M0", "M1", "M2", "M3", "delta"}
+# the eta grid of a sweep that names no 'etas': 13 log-spaced points over [1e-4, 0.5]
+_SWEEP_ETAS = tuple(np.exp(np.linspace(math.log(1e-4), math.log(0.5), 13)).tolist())
+
+
+@dataclass(frozen=True)
+class BoundConfig:
+    """A checked ``bound`` block with every default applied.
+
+    ``eta`` is a number in (0, 1) or "sweep" over ``etas``; ``d_mode`` is None
+    for a finite model; ``thresholds`` are the tail-event levels ``mc`` counts.
+    """
+
+    alpha: float
+    eta: object
+    etas: tuple
+    d_mode: Optional[str]
+    thresholds: dict
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,7 @@ class ScenarioConfig:
     nu2: object
     horizon: int
     seeds: list
-    bound: Optional[dict]
+    bound: Optional[BoundConfig]
     raw: dict
     model: object = None
     truth: object = None
@@ -137,7 +153,7 @@ def scenario_from_dict(d):
     if prior1 is not None and prior1 == prior2 and allow_equal is not True:
         errors.append("identical priors need allow_equal_priors: true")
     if bound is not None:
-        errors += _bound_errors(bound, finite is not None)
+        bound = bound_config(bound, finite is not None, truth_spec is not None, errors)
     parts, build_prior = {}, None
     if finite is None and model_spec is not None:
         build_prior = prior_from_spec
@@ -146,9 +162,6 @@ def scenario_from_dict(d):
         if model is not None and truth_ok:
             parts["truth"] = _collect(errors, "truth", _build_truth, model, model_spec,
                                       truth_spec)
-        d_mode = bound.get("d_mode") if isinstance(bound, dict) else None
-        if d_mode == "misspec" and truth_spec is None:
-            errors.append("bound.d_mode 'misspec' needs a 'truth' block")
     elif finite is not None and model_spec is None:
         parts.update(_collect(errors, "finite", _build_finite, finite) or {})
         if parts:  # a finite prior's length is the built model's state count
@@ -156,8 +169,8 @@ def scenario_from_dict(d):
         # a finite model is filtered exactly on the stream it simulates: it has no
         # grid, truth, distance mode or eta list
         unused = [key for key in ("repr", "truth") if key in d]
-        if isinstance(bound, dict):
-            unused += [f"bound.{key}" for key in ("d_mode", "etas") if key in bound]
+        if isinstance(d.get("bound"), dict):
+            unused += [f"bound.{key}" for key in ("d_mode", "etas") if key in d["bound"]]
         if unused:
             errors.append(f"a finite model takes no {unused}")
     nus = {}
@@ -188,33 +201,53 @@ def _unit_number(x):
     return _number(x) and 0.0 < x < 1.0
 
 
-def _bound_errors(bound, finite):
-    """Every problem of a ``bound`` block that needs no model to find."""
+def bound_config(bound, finite, truth, errors):
+    """The checked ``bound`` block, or None with its problems appended to ``errors``.
+
+    Every default of a bound is applied here, once. ``d_mode`` follows the
+    scenario, 'misspec' with a truth block and 'recorded' without: recorded-noise
+    distances bound the preimage distance only for data drawn from the filter model.
+    """
     if not isinstance(bound, dict):
-        return ["'bound' must be an object"]
-    errors = []
+        errors.append("'bound' must be an object")
+        return None
+    problems = []
     unknown = set(bound) - _BOUND_FIELDS
     if unknown:
-        errors.append(f"unknown bound fields: {sorted(unknown)}")
-    if not _unit_number(bound.get("alpha", 0.5)):
-        errors.append(f"bound.alpha must be a number in (0, 1), got {bound['alpha']!r}")
+        problems.append(f"unknown bound fields: {sorted(unknown)}")
+    alpha = bound.get("alpha", 0.5)
+    if not _unit_number(alpha):
+        problems.append(f"bound.alpha must be a number in (0, 1), got {alpha!r}")
     eta = bound.get("eta", 0.1)
     if eta == "sweep":
         if finite:
-            errors.append("bound.eta 'sweep' needs a continuous model; "
-                          "a finite bound takes one eta in (0, 1)")
+            problems.append("bound.eta 'sweep' needs a continuous model; "
+                            "a finite bound takes one eta in (0, 1)")
     elif not _unit_number(eta):
-        errors.append(f"bound.eta must be a number in (0, 1) or 'sweep', got {eta!r}")
+        problems.append(f"bound.eta must be a number in (0, 1) or 'sweep', got {eta!r}")
     etas = bound.get("etas")
     if etas is not None and not (isinstance(etas, list) and etas and all(map(_unit_number, etas))):
-        errors.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
-    if bound.get("d_mode", "recorded") not in _D_MODES:
-        errors.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {bound['d_mode']!r}")
+        problems.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
+    d_mode = bound.get("d_mode", "misspec" if truth else "recorded")
+    if d_mode not in _D_MODES:
+        problems.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {d_mode!r}")
+    elif finite:  # a finite model's 'd_mode' is reported unused by the caller
+        d_mode = None
+    elif d_mode == "misspec" and not truth:
+        problems.append("bound.d_mode 'misspec' needs a 'truth' block")
+    elif d_mode == "recorded" and truth:
+        problems.append("bound.d_mode 'recorded' holds only for data drawn from the filter "
+                        "model; with a 'truth' block use 'misspec' or 'exact'")
     th = bound.get("thresholds", {})
     if not (isinstance(th, dict) and set(th) <= _THRESHOLDS and all(map(_number, th.values()))):
-        errors.append(f"bound.thresholds must map some of {sorted(_THRESHOLDS)} to numbers, "
-                      f"got {th!r}")
-    return errors
+        problems.append(f"bound.thresholds must map some of {sorted(_THRESHOLDS)} to numbers, "
+                        f"got {th!r}")
+    errors += problems
+    if problems:
+        return None
+    return BoundConfig(alpha=float(alpha), eta=eta if eta == "sweep" else float(eta),
+                       etas=_SWEEP_ETAS if etas is None else tuple(map(float, etas)),
+                       d_mode=d_mode, thresholds=dict(th))
 
 
 def _collect(errors, key, build, *args):
@@ -360,6 +393,7 @@ def _build_truth(model, model_spec, t):
     """The data-generating model: the filter model's spec with the truth block's overrides."""
     true_spec = dict(model_spec, kind="nonlinear", f=t.get("f", model_spec.get("f")),
                      h=t.get("h", model_spec.get("h")))
+    true_spec.pop("a", None)  # the filter drift's Lipschitz constant, not the truth's
     true_spec.update({key: t[key] for key in ("state_noise", "obs_noise") if key in t})
     true_model = model_from_spec(true_spec)
     return make_misspecified_truth(model, true_model, float(t["f_gap"]), float(t["h_gap"]))
@@ -487,8 +521,6 @@ def run_scenario(config, seed=None, out_dir=None):
     The truth's initial state is drawn from prior1, so the first filter is
     well-initialized and the second carries the full prior mismatch.
     """
-    if isinstance(config, dict):
-        config = scenario_from_dict(config)
     seed = config.seeds[0] if seed is None else int(seed)
     h = config_hash(config.raw)
     model, truth = config.model, config.truth
@@ -518,20 +550,18 @@ def run_scenario(config, seed=None, out_dir=None):
                 tvs[:done], log_tvs[:done] = exc.tv_prefix
 
     ns = np.arange(len(ys))
-    bound_log = None
-    bound_info = None
+    bound_log = bound_info = None
     if config.bound is not None and failure is None:
         bound_log, bound_info, _ = _evaluate_bound(config, traj, ys)
         diagnostics["h2_delta"] = bound_info["delta"]
         diagnostics["d_mode"] = bound_info["d_mode"]
 
     delta = None
-    if model is not None and config.bound is not None and traj is not None:
-        eta = config.bound.get("eta", 0.1)
+    if not config.is_finite and config.bound is not None:
         if bound_info is not None:
             delta = bound_info["delta"]
-        elif eta != "sweep":  # a failed run with eta "sweep" chose no eta
-            delta = delta_for_eta(model, float(eta))
+        elif config.bound.eta != "sweep":  # a failed run with eta "sweep" chose no eta
+            delta = delta_for_eta(model, config.bound.eta)
     if delta is not None:
         diagnostics["stability_diag_mean"] = float(np.mean(stability_diag_series(model, traj, delta)))
         if truth is not None:
@@ -567,38 +597,29 @@ def run_scenario(config, seed=None, out_dir=None):
 def _evaluate_bound(config, traj, ys):
     """The bound of one stream: its prefix series, its report entry, its breakdown.
 
-    One full-horizon breakdown per run (the best one of an eta sweep); every
-    prefix bound is taken from it by ``prefix_series``.
+    One full-horizon breakdown per eta (the configured one, or each of a
+    sweep's); every prefix bound is taken from the best by ``prefix_series``.
     """
     bc = config.bound
-    alpha = float(bc.get("alpha", 0.5))
-    eta = bc.get("eta", 0.1)
-    sweep_info = None
     if config.is_finite:
-        full = forgetting_bound_finite(config.fmodel, config.ld, config.nu1, config.nu2, ys,
-                                       alpha, float(eta))
-        series = prefix_series(full)
+        series = prefix_series(forgetting_bound_finite(config.fmodel, config.ld, config.nu1,
+                                                       config.nu2, ys, bc.alpha, bc.eta))
     else:
-        model, prior1, prior2 = config.model, config.nu1, config.nu2
-        kwargs = dict(d_mode=bc.get("d_mode", "recorded"), traj=traj, truth=config.truth)
-        if eta == "sweep":
-            sweep = eta_sweep(model, prior1, prior2, ys, alpha, etas=bc.get("etas"), **kwargs)
-            sweep_info = {
-                "etas": [float(e) for e in sweep["etas"]],
-                "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,
-                             "headline": b.headline} for b in sweep["results"]],
-            }
-            series = prefix_series(sweep["best"])
-        else:
-            series = bound_series(model, prior1, prior2, ys, alpha, float(eta), **kwargs)
+        series = bound_series(config.model, config.nu1, config.nu2, ys, bc.alpha,
+                              bc.etas if bc.eta == "sweep" else [bc.eta], d_mode=bc.d_mode,
+                              traj=traj, truth=config.truth)
     bound_log = np.full(len(ys), np.nan)
     bound_log[series["n"]] = series["log_total"]
     full = series["full"]
-    info = {"eta": float(full.parameters["eta"]), "alpha": alpha,
+    info = {"eta": float(full.parameters["eta"]), "alpha": bc.alpha,
             "delta": full.parameters["delta"], "d_mode": full.parameters["d_mode"],
             "final": full.to_json_dict()}
     if not config.is_finite:  # a finite bound takes one eta and never sweeps
-        info["sweep"] = sweep_info
+        info["sweep"] = None if bc.eta != "sweep" else {
+            "etas": [b.parameters["eta"] for b in series["results"]],
+            "results": [{"eta": b.parameters["eta"], "log_total": b.log_total,
+                         "headline": b.headline} for b in series["results"]],
+        }
     return bound_log, info, full
 
 
@@ -641,16 +662,14 @@ def _json_default(obj):
 # Monte Carlo expectation curves
 
 
-def monte_carlo_expectation(config, replicates, thresholds=None, out_dir=None):
+def monte_carlo_expectation(config, replicates, out_dir=None):
     """Mean and standard error of the TV curve over independent seeds.
 
     Also reports empirical exceedance frequencies for the bound-ingredient
-    tail events at the supplied thresholds (keys M1, M2, M3, delta, and
-    optionally M0), computed at the full horizon from each replicate's bound
-    breakdown when a bound config is present.
+    tail events at the config's ``bound.thresholds`` (keys M1, M2, M3, delta,
+    and optionally M0), computed at the full horizon from each replicate's
+    bound breakdown.
     """
-    if isinstance(config, dict):
-        config = scenario_from_dict(config)
     if replicates < 2:
         raise ConfigError("need at least 2 replicates")
     seeds = list(config.seeds)
@@ -673,9 +692,8 @@ def monte_carlo_expectation(config, replicates, thresholds=None, out_dir=None):
     stderr = tv_mat.std(axis=0, ddof=1) / math.sqrt(len(ok)) if len(ok) > 1 else np.zeros_like(mean_tv)
     ns = ok[0].tv.n
 
-    exceedance = None
-    if config.bound is not None and thresholds:
-        exceedance = _exceedance_frequencies(ok, thresholds)
+    thresholds = config.bound.thresholds if config.bound is not None else None
+    exceedance = _exceedance_frequencies(ok, thresholds) if thresholds else None
 
     slopes = [r.fit.slope for r in ok if r.fit is not None]
     result = {

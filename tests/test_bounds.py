@@ -11,7 +11,6 @@ from ldlab.bounds import (
     admissible_eta_finite,
     bound_series,
     denominator_gap,
-    eta_sweep,
     forgetting_bound,
     forgetting_bound_finite,
     max_product_with_quota,
@@ -319,7 +318,7 @@ def test_bound_series_last_point_matches_full_bound():
     m = _rw_model()
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=8, seed=6)
     p1, p2 = NormalPrior(-1.0, 1.0), NormalPrior(1.0, 1.0)
-    series = bound_series(m, p1, p2, traj.observations, alpha=0.5, eta=0.3)
+    series = bound_series(m, p1, p2, traj.observations, alpha=0.5, etas=[0.3])
     full = forgetting_bound(m, p1, p2, traj.observations, alpha=0.5, eta=0.3)
     assert series["n"][-1] == 8
     # the last prefix goes through the breakdown's own remainder, bit for bit
@@ -327,6 +326,7 @@ def test_bound_series_last_point_matches_full_bound():
     assert series["headline"][-1] == full.headline
     # the breakdown behind the series is the full-horizon bound itself
     assert series["full"].to_json_dict() == full.to_json_dict()
+    assert series["results"] == [series["full"]]
     # prefixes get monotonically more data, not monotonically better bounds;
     # just require finiteness and the clamp
     assert np.all(np.isfinite(series["log_lambda"]))
@@ -336,13 +336,24 @@ def test_bound_series_last_point_matches_full_bound():
 def test_eta_sweep_best_minimizes_log_total():
     m = _rw_model()
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=6, seed=7)
-    out = eta_sweep(m, NormalPrior(-1.0, 1.0), NormalPrior(1.0, 1.0),
-                    traj.observations, alpha=0.5, etas=[0.05, 0.1, 0.3, 0.6])
+    etas = [0.05, 0.1, 0.3, 0.6]
+
+    def sweep(points):
+        return bound_series(m, NormalPrior(-1.0, 1.0), NormalPrior(1.0, 1.0),
+                            traj.observations, alpha=0.5, etas=points)
+
+    out = sweep(etas)
+    # one breakdown per eta, in input order
+    assert [r.parameters["eta"] for r in out["results"]] == etas
     totals = [r.log_total for r in out["results"]]
-    assert out["best"].log_total == min(totals)
-    assert list(out["etas"]) == [0.05, 0.1, 0.3, 0.6]
-    # results come back in input order
-    assert [r.parameters["eta"] for r in out["results"]] == [0.05, 0.1, 0.3, 0.6]
+    best = totals.index(min(totals))
+    assert out["full"] is out["results"][best]
+    assert out["log_total"][-1] == min(totals)
+    assert out["parameters"]["eta"] == etas[best]
+    # a repeated grid ties every point with its copy: the first minimum is kept
+    twice = sweep(etas + etas)
+    assert [r.log_total for r in twice["results"]] == totals + totals
+    assert twice["full"] is twice["results"][best]
 
 
 def test_write_bound_csv_layout(tmp_path):

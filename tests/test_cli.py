@@ -175,6 +175,13 @@ def test_invalid_config_reports_every_problem(tmp_path):
     assert "bound.alpha must be a number in (0, 1), got '0.5'" in r.stderr
     assert "bound.d_mode 'misspec' needs a 'truth' block" in r.stderr
     assert "Traceback" not in r.stderr
+    # recorded-noise distances do not bound data drawn from a truth block
+    misspec = json.loads(json.dumps(ldlab.PRESETS["misspec"]))
+    misspec["bound"]["d_mode"] = "recorded"
+    p.write_text(json.dumps(misspec))
+    r = _run("bound", "--config", str(p), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "bound.d_mode 'recorded' holds only for data drawn from the filter model" in r.stderr
     # a bare seed, not a list of them, is a config error too
     p.write_text(json.dumps(dict(SMALL, seeds=5)))
     r = _run("experiment", "--config", str(p), cwd=tmp_path)

@@ -16,7 +16,7 @@ from ldlab.doeblin import (
     ld_set,
     log_contraction_from_logs,
     misspec_diag_series,
-    misspec_distance_forms,
+    misspec_distance,
     preimage_distance_exact,
     preimage_distance_recorded,
     stability_diag_series,
@@ -55,14 +55,14 @@ def test_ld_set_interval_for_identity_map():
 
 def test_envelope_radius_formula():
     m = _rw_model()
-    # (a+1) b0 + (a+1) b delta + D with a=1, b0=0, b=1
+    # (a+1) b delta + D with a=1, b=1
     assert envelope_radius(m, delta=1.0, d_value=1.0) == pytest.approx(3.0)
     m2 = model_from_spec({
         "kind": "nonlinear",
         "f": {"type": "affine", "c1": 0.5},
         "h": {"type": "affine", "c0": 1.0, "c1": 2.0},
     })
-    # a=0.5, b0=0, b=0.5
+    # a=0.5, b=0.5
     assert envelope_radius(m2, delta=2.0, d_value=0.3) == pytest.approx(
         1.5 * 0.5 * 2.0 + 0.3)
 
@@ -138,7 +138,7 @@ def test_distance_series_auto_prefers_exact():
     assert np.all(d2 >= d - 1e-12)
 
 
-def test_misspec_distance_takes_max_of_both_forms():
+def test_misspec_distance_is_the_statement_form():
     filt = _rw_model()
     truth_model = model_from_spec({
         "kind": "nonlinear",
@@ -152,12 +152,13 @@ def test_misspec_distance_takes_max_of_both_forms():
     traj = simulate_misspecified(mt, NormalPrior(0.0, 1.0), n=150, seed=17)
     d, mode = distance_series(filt, traj.observations, mode="misspec", traj=traj, truth=mt)
     assert mode == "misspec" and d.shape == (150,)
-    eps = traj.obs_noise
-    forms = misspec_distance_forms(mt, eps[:-1], traj.state_noise, eps[1:])
-    assert np.array_equal(d, np.maximum(forms["proof_form"], forms["statement_form"]))
-    # statement head: kappa + 2 a* b* = 2 + 4; proof head: kappa + 0
-    # with b0* = 0 the statement form dominates at every step
-    assert np.all(forms["statement_form"] > forms["proof_form"])
+    eps, zeta = traj.obs_noise, traj.state_noise
+    assert np.array_equal(d, misspec_distance(mt, eps[:-1], zeta, eps[1:]))
+    # kappa + 2 a* b* + a* b* |eps_prev| + b* |eps| + |zeta| with kappa = f_gap = 1,
+    # a* = 2 (the sine-perturbed drift's slope bound) and b* = 1 (identity h)
+    assert mt.kappa == 1.0
+    tail = 2.0 * np.abs(eps[:-1]) + np.abs(eps[1:]) + np.abs(zeta)
+    assert np.array_equal(d, 1.0 + 4.0 + tail)
     # the reported distance upper-bounds the exact preimage gap pathwise
     ys = traj.observations
     d_true = np.abs(ys[:-1] - ys[1:])  # identity filter maps

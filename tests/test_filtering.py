@@ -33,7 +33,7 @@ from ldlab.filtering import (
 )
 from ldlab.models import finite_model_make, gaussian_finite_model, simulate_trajectory
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS, preset_dict, run_scenario
+from ldlab.scenarios import PRESETS, preset_dict, run_scenario, scenario_from_dict
 
 # hand-computed two-step fixture:
 #   nu = (.5, .5), Q = [[.7, .3], [.4, .6]], g(y0) = (.8, .4), g(y1) = (.7, .9)
@@ -187,7 +187,7 @@ def test_paired_runner_fails_where_the_second_filter_loses_its_mass():
     d = preset_dict("misspec")
     d["truth"]["f"]["c1"] = 5.0
     d["horizon"] = 5
-    rep = run_scenario(d, seed=401)
+    rep = run_scenario(scenario_from_dict(d), seed=401)
     assert rep.failure["error"] == "FilterCollapseError"
     assert rep.failure["step"] == 1
     assert rep.tv.tv[0] == pytest.approx(0.99959, abs=1e-5)
@@ -225,7 +225,7 @@ def test_paired_runner_matches_kalman_log_tv_at_every_step(preset, references):
     # misspec's filter model is linear-Gaussian, so its Kalman log TV does
     # not depend on the data its misspecified truth produced
     raw = dict(PRESETS[preset], bound=None)
-    rep = run_scenario(raw)
+    rep = run_scenario(scenario_from_dict(raw))
     p1, p2 = raw["prior1"], raw["prior2"]
     a, _, q, r = references.gaussian_params(raw["model"])
     exact = references.kalman_log_tv(a, q, r, p1["mean"], p2["mean"], p1["std"], raw["horizon"])
@@ -258,7 +258,8 @@ def test_dep_noise_log_tv_converges_on_ld_clipped_windows(seed, monkeypatch):
     raw = dict(PRESETS["dep-noise"], bound=None)
 
     def run(nodes):
-        return run_scenario(dict(raw, repr=dict(raw["repr"], nodes=nodes)), seed=seed)
+        cfg = scenario_from_dict(dict(raw, repr=dict(raw["repr"], nodes=nodes)))
+        return run_scenario(cfg, seed=seed)
 
     base, fine = run(256), run(1024)
     assert raw["repr"]["nodes"] == 256

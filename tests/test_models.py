@@ -107,9 +107,9 @@ def test_misspecified_truth_kappa():
         "obs_noise": {"family": "gaussian", "sigma": 1.0},
     })
     mt = make_misspecified_truth(filt, truth, f_gap=1.0, h_gap=0.5)
-    # kappa = f_gap + (b0 + b * h_gap) * (1 + a_true); affine h has b0=0, b=1,
+    # kappa = f_gap + b * h_gap * (1 + a_true); the filter's identity h has b=1,
     # and the sine-perturbed map has slope bound 2
-    assert mt.kappa == pytest.approx(1.0 + (0.0 + 1.0 * 0.5) * (1.0 + 2.0))
+    assert mt.kappa == pytest.approx(1.0 + 1.0 * 0.5 * (1.0 + 2.0))
     tr = simulate_misspecified(mt, init=PointMassPrior(0.0), n=30, seed=9)
     assert tr.states.shape == (31,)
     for k in range(1, 31):

@@ -20,7 +20,7 @@ def test_identity_and_affine_maps():
     })
     assert m.f(4.0) == 0.0
     assert m.f_lip == 0.5
-    assert m.h_b0 == 0.0 and m.h_b == 1.0
+    assert m.h_b == 1.0
     assert m.h_inverse(3.0) == 3.0
 
 
@@ -52,7 +52,7 @@ def test_sine_perturbed_affine_lipschitz_and_inverse():
 
 def test_nonmonotone_observation_map_needs_explicit_constants():
     # h must be invertible: identity or affine, whose exact inverse gives
-    # b0 = 0 and b = 1/|c1|; preimage constants cannot be set in a spec
+    # b = 1/|c1|; preimage constants cannot be set in a spec
     spec = {"kind": "nonlinear", "f": {"type": "identity"}}
     for h in ({"type": "sine_perturbed_affine", "c0": 0.0, "c1": 2.0, "amp": 0.5},
               {"type": "sine_perturbed_affine", "c0": 0.0, "c1": 1.0, "amp": 1.0}):
@@ -64,7 +64,7 @@ def test_nonmonotone_observation_map_needs_explicit_constants():
         with pytest.raises(ConfigError, match="unknown model fields"):
             model_from_spec({**spec, "h": {"type": "identity"}, **extra})
     m = model_from_spec({**spec, "h": {"type": "affine", "c0": 1.0, "c1": -4.0}})
-    assert m.h_b0 == 0.0 and m.h_b == 0.25
+    assert m.h_b == 0.25
     assert m.h_inverse(m.h(1.3)) == 1.3
 
 

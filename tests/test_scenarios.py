@@ -156,6 +156,37 @@ def test_scenario_from_dict_collects_every_error():
         scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": d_mode}))
 
 
+def test_distance_mode_follows_the_truth_block():
+    # without 'd_mode' a bound takes 'misspec' on data from a truth block and
+    # 'recorded' otherwise; recorded-noise distances hold only for data drawn
+    # from the filter model, so 'recorded' with a truth block is rejected
+    assert scenario_from_dict(dict(SMALL_SCENARIO, bound={})).bound.d_mode == "recorded"
+    misspec = preset_dict("misspec")
+    misspec.update(horizon=5, seeds=[401])
+    del misspec["bound"]["d_mode"]
+    cfg = scenario_from_dict(misspec)
+    assert cfg.bound.d_mode == "misspec"
+    rep = run_scenario(cfg)
+    assert rep.diagnostics["d_mode"] == "misspec"
+    assert rep.bound["final"]["parameters"]["d_mode"] == "misspec"
+    misspec["bound"]["d_mode"] = "exact"
+    assert scenario_from_dict(misspec).bound.d_mode == "exact"
+    misspec["bound"]["d_mode"] = "recorded"
+    with pytest.raises(ConfigError, match="bound.d_mode 'recorded' holds only for data "
+                                          "drawn from the filter model"):
+        scenario_from_dict(misspec)
+
+
+def test_truth_keeps_its_own_lipschitz_constant():
+    # the filter model's 'a' is the filter drift's constant; the truth's
+    # sine-perturbed drift keeps its own (2), which the misspec distance uses
+    misspec = preset_dict("misspec")
+    misspec["model"]["a"] = 1.0
+    cfg = scenario_from_dict(misspec)
+    assert cfg.model.f_lip == 1.0
+    assert cfg.truth.model.f_lip == 2.0
+
+
 # values that stand in turn for every field of every preset
 FUZZ_VALUES = (None, [], {}, 5, -1, 0.5, "x", True, [1], {"a": 1})
 
@@ -400,10 +431,9 @@ def test_run_scenario_keeps_the_steps_before_a_failure(monkeypatch):
         return traj, states, ys
 
     monkeypatch.setattr(scenarios, "_simulate", poisoned)
-    raw = dict(SMALL_SCENARIO, bound=None)
-    rep = run_scenario(raw, seed=7)
+    cfg = scenario_from_dict(dict(SMALL_SCENARIO, bound=None))
+    rep = run_scenario(cfg, seed=7)
     assert rep.failure["step"] == 12
-    cfg = scenario_from_dict(raw)
     _, _, ys = real_simulate(cfg, 7)
     short = run_grid_pair(cfg.model, cfg.nu1, cfg.nu2, ys[:-1], cfg.repr)
     assert np.array_equal(rep.tv.tv[:12], short.tv)
@@ -426,7 +456,7 @@ def test_unpaired_route_keeps_the_prefix_it_computed():
 
 
 def test_a_read_config_is_never_rebuilt(monkeypatch):
-    # reading a config builds its model, truth, priors, grid and LD sets once;
+    # reading a config builds its model, truth, priors, grid, bound and LD sets once;
     # runs and mc replicates share them and build none of their own
     configs = [preset_config(name) for name in ("misspec", "finite-oracle")]
     calls = []
@@ -438,7 +468,7 @@ def test_a_read_config_is_never_rebuilt(monkeypatch):
         return wrapper
 
     for name in ("model_from_spec", "prior_from_spec", "gaussian_finite_model",
-                 "finite_ld_construct", "repr_config"):
+                 "finite_ld_construct", "repr_config", "bound_config"):
         monkeypatch.setattr(scenarios, name, counted(name, getattr(scenarios, name)))
     for cfg in configs:
         run_scenario(cfg, seed=cfg.seeds[0])
@@ -447,8 +477,9 @@ def test_a_read_config_is_never_rebuilt(monkeypatch):
     # the counters see the builds that reading a config makes
     for name in ("misspec", "finite-oracle"):
         preset_config(name)
-    assert sorted(set(calls)) == ["finite_ld_construct", "gaussian_finite_model",
-                                  "model_from_spec", "prior_from_spec", "repr_config"]
+    assert sorted(set(calls)) == ["bound_config", "finite_ld_construct",
+                                  "gaussian_finite_model", "model_from_spec",
+                                  "prior_from_spec", "repr_config"]
 
 
 def test_finite_scenario_runs_exactly():
@@ -532,17 +563,19 @@ def test_particle_route_tracks_grid_route():
 
 
 def test_monte_carlo_mean_is_exact_average(tmp_path):
-    cfg = scenario_from_dict(json.loads(json.dumps(SMALL_SCENARIO)))
+    # the API reads the exceedance thresholds from the config, as `ldlab mc` does
+    d = json.loads(json.dumps(SMALL_SCENARIO))
+    thresholds = {"M1": 2.0, "M2": 0.0, "M3": 2.0, "delta": 0.01}
+    d["bound"]["thresholds"] = thresholds
+    cfg = scenario_from_dict(d)
     out = tmp_path / "mc"
-    res = monte_carlo_expectation(cfg, replicates=3, out_dir=out,
-                                  thresholds={"M1": 2.0, "M2": 0.0, "M3": 2.0,
-                                              "delta": 0.01})
+    res = monte_carlo_expectation(cfg, replicates=3, out_dir=out)
     per_run = np.stack([r.tv.tv for r in res["reports"]], axis=0)
     assert np.max(np.abs(res["mean_tv"] - per_run.mean(axis=0))) <= 1e-12
     assert res["seeds"] == [7, 8, 9]
     assert len(res["slopes"]) == 3
     ex = res["exceedance"]
-    assert ex is not None
+    assert ex is not None and ex["thresholds"] == thresholds
     for key in ("r1", "r2", "r3", "r4"):
         assert ex[key] is not None and 0.0 <= ex[key] <= 1.0
     assert ex["r0_nu"] is None  # no M0 threshold supplied

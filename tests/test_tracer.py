@@ -23,3 +23,43 @@ def test_tracer_installs_and_restores_every_wrapped_attribute(tracer_module):
     for b, a in zip(before, after):
         assert a.keys() == b.keys()
         assert all(a[k] is b[k] for k in b)
+
+
+def _short(name, **bound):
+    d = scenarios.preset_dict(name)
+    d["horizon"] = 10
+    d["bound"].update(bound)
+    return scenarios.scenario_from_dict(d)
+
+
+def test_every_timed_layer_is_entered(tracer_module, tmp_path):
+    # short runs of each route the benchmark times; a layer whose function the
+    # package stopped calling through the wrapped name would read 0 calls
+    runs = {
+        "fixed": lambda out: scenarios.run_scenario(_short("rw-gauss"), out_dir=out),
+        "sweep": lambda out: scenarios.run_scenario(
+            _short("rw-gauss", eta="sweep", etas=[0.1, 0.3]), out_dir=out),
+        "misspec": lambda out: scenarios.run_scenario(_short("misspec"), out_dir=out),
+        "finite": lambda out: scenarios.run_scenario(_short("finite-oracle"), out_dir=out),
+        "mc": lambda out: scenarios.monte_carlo_expectation(_short("rw-gauss"), 2, out_dir=out),
+    }
+    tracer = tracer_module.Tracer()
+    tracer_module.install_ldlab(tracer)
+    calls = {}
+    try:
+        for name, run in runs.items():
+            tracer.reset()
+            run(tmp_path / name)
+            calls[name] = tracer.calls.copy()
+    finally:
+        tracer.uninstall()
+    entered = set().union(*calls.values())
+    # the exhaustive oracles are entered by the benchmark's direct calls
+    oracles = {"filtering.oracle", "bounds.gap"}
+    assert set(tracer_module.TIMED_LAYERS) - oracles - entered == set()
+    # a sweep assembles one bound per eta through bound_series
+    assert calls["sweep"]["bounds.series"] == 1
+    assert calls["sweep"]["bounds.fb"] == 2
+    assert calls["fixed"]["bounds.series"] == 1
+    assert calls["fixed"]["bounds.fb"] == 1
+    assert calls["misspec"]["doeblin.diag"] == 2
