@@ -159,16 +159,6 @@ def _log_phi(model, prior, y0, y1, c1, points):
     return float(logsumexp(log_q))
 
 
-def two_step_prior_mass_finite(fmodel, nu, y0, y1, set_idx):
-    """Exact finite-model version: sum over states with the set indicator."""
-    nu = np.asarray(nu, dtype=float)
-    g0 = fmodel.emission_vector(y0)
-    g1 = fmodel.emission_vector(y1)
-    mask = np.zeros(fmodel.m)
-    mask[np.asarray(set_idx, dtype=int)] = 1.0
-    return float(nu @ (g0 * (fmodel.Q @ (g1 * mask))))
-
-
 def set_likelihood_mass(model, y, yp, delta):
     """Likelihood mass of the y'-set: integral of v(y' - h(x)) over the set.
 
@@ -187,11 +177,25 @@ def _log_psi(model, yp, delta, points):
     return logsumexp(log_w + model.obs_noise.logpdf(yp[:, None] - model.h(xs)), axis=-1)
 
 
-def set_likelihood_mass_finite(fmodel, ld, y, yp):
-    """Uniform-reference version: average emission value over the y'-set."""
-    dst = ld.set_for(yp)
-    g = fmodel.emission_vector(yp)
-    return float(g[dst].mean())
+def _finite_stream(fmodel, ld, ys):
+    """The finite model's terms on y_0..y_n, each evaluated once.
+
+    Returns the emission rows ``g`` and set rows ``inside`` (n+1 x m) and the
+    natural-scale envelopes ``lo``, ``hi`` of the pairs (y_{k-1}, y_k),
+    k = 1..n. Over the uniform reference, psi at y_k is the mean of ``g[k]``
+    on ``inside[k]`` and upsilon the max of ``g[k]``.
+    """
+    g = np.array([fmodel.emission_vector(y) for y in ys])
+    bins = [int(ld.obs_to_bin(y)) for y in ys]
+    inside = np.array([np.isin(np.arange(fmodel.m), ld.set_table[b]) for b in bins])
+    lo, hi = np.array([ld.envelopes_for_bins(i, j)
+                       for i, j in zip(bins[:-1], bins[1:])]).reshape(-1, 2).T
+    return g, inside, lo, hi
+
+
+def _phi_finite(fmodel, nu, g, inside):
+    """Exact two-step prior mass: sum of nu g_0 Q g_1 over targets in the y_1-set."""
+    return float(np.asarray(nu, dtype=float) @ (g[0] * (fmodel.Q @ (g[1] * inside[1]))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +330,18 @@ def forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha, eta):
     n = len(ys) - 1
     if n < 2:
         raise ConfigError("need at least two steps (n >= 2)")
-    required = admissible_eta_finite(fmodel, ld, ys)
+    g, inside, lo, hi = _finite_stream(fmodel, ld, ys)
+    required = _admissible_eta(g, inside)
     if eta < required - 1e-12:
         raise H2FailureError(
             f"eta {eta} is below the achieved outside-set ratio {required:.6g}")
-    bins = [int(ld.obs_to_bin(y)) for y in ys]
-    log_em = np.empty(n)
-    log_ep = np.empty(n)
-    log_psi = np.empty(n)
-    for k in range(1, n + 1):
-        lo, hi = ld.envelopes_for_bins(bins[k - 1], bins[k])
-        log_em[k - 1] = math.log(lo)
-        log_ep[k - 1] = math.log(hi)
-        log_psi[k - 1] = math.log(set_likelihood_mass_finite(fmodel, ld, ys[k - 1], ys[k]))
-    log_ups = np.array([math.log(fmodel.emission_vector(y).max()) for y in ys])
-    phis = [two_step_prior_mass_finite(fmodel, p, ys[0], ys[1], ld.set_for(ys[1]))
-            for p in (nu, nup)]
+    log_psi = np.array([math.log(g[k][inside[k]].mean()) for k in range(1, n + 1)])
+    log_ups = np.array([math.log(row.max()) for row in g])
+    phis = [_phi_finite(fmodel, p, g, inside) for p in (nu, nup)]
     log_phi1, log_phi2 = (math.log(p) if p > 0.0 else -math.inf for p in phis)
     return _breakdown(
-        log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
+        np.array([math.log(v) for v in lo]), np.array([math.log(v) for v in hi]),
+        log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
         parameters={"delta": None, "d_mode": "finite-exact", "phi_method": "finite-exact"},
         diagnostics={"phi_underflow": min(phis) <= 0.0, "required_eta": required},
     )
@@ -352,15 +349,12 @@ def forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha, eta):
 
 def admissible_eta_finite(fmodel, ld, ys):
     """Largest achieved outside-set emission ratio over the observed bins."""
-    worst = 0.0
-    for y in np.asarray(ys, dtype=float):
-        g = fmodel.emission_vector(y)
-        inside = ld.set_for(y)
-        outside = np.setdiff1d(np.arange(fmodel.m), inside)
-        if outside.size == 0:
-            continue
-        worst = max(worst, float(g[outside].max() / g.max()))
-    return worst
+    return _admissible_eta(*_finite_stream(fmodel, ld, np.asarray(ys, dtype=float))[:2])
+
+
+def _admissible_eta(g, inside):
+    """Largest ratio of an outside-set emission to its row's peak; 0 with no outside state."""
+    return float(np.max(np.where(inside, 0.0, g).max(axis=1) / g.max(axis=1), initial=0.0))
 
 
 def write_bound_csv(breakdown, path):
@@ -483,35 +477,20 @@ def numerator_gap(fmodel, nu, nup, ys, ld):
     return GapResult(lhs=lhs, rhs=rhs, lhs_log=lhs_log, rhs_log=rhs_log, holds=holds)
 
 
-def _ld_masks(fmodel, ld, ys):
-    """Boolean set-membership masks per observation index."""
-    masks = []
-    for y in ys:
-        mask = np.zeros(fmodel.m, dtype=bool)
-        mask[ld.set_for(y)] = True
-        masks.append(mask)
-    return masks
-
-
 def _pair_chain_rhs_log(fmodel, nu, nup, ys, ld):
     """DP over pair states for the contraction-weighted product-chain mass."""
-    m = fmodel.m
-    n = len(ys) - 1
-    masks = _ld_masks(fmodel, ld, ys)
-    g = [fmodel.emission_vector(y) for y in ys]
+    g, inside, lo, hi = _finite_stream(fmodel, ld, ys)
+    rho = 1.0 - (lo / hi) ** 2
     QQ = np.kron(fmodel.Q, fmodel.Q)  # pair index u*m + v
     w = np.outer(nu * g[0], nup * g[0]).reshape(-1)
     log_scale = 0.0
-    bins = [int(ld.obs_to_bin(y)) for y in ys]
-    for i in range(1, n + 1):
-        pair_in_prev = np.outer(masks[i - 1], masks[i - 1]).reshape(-1)
-        pair_in_cur = np.outer(masks[i], masks[i]).reshape(-1)
-        lo, hi = ld.envelopes_for_bins(bins[i - 1], bins[i])
-        rho = 1.0 - (lo / hi) ** 2
+    for i in range(1, len(ys)):
+        pair_in_prev = np.outer(inside[i - 1], inside[i - 1]).reshape(-1)
+        pair_in_cur = np.outer(inside[i], inside[i]).reshape(-1)
         gg = np.outer(g[i], g[i]).reshape(-1)
         arrived_from_in = (w * pair_in_prev) @ QQ
         arrived_from_out = (w * ~pair_in_prev) @ QQ
-        factor = np.where(pair_in_cur, rho, 1.0)
+        factor = np.where(pair_in_cur, rho[i - 1], 1.0)
         w = (arrived_from_in * factor + arrived_from_out) * gg
         total = w.sum()
         if total <= 0.0:
@@ -536,13 +515,9 @@ def numerator_rhs_enumerated(fmodel, nu, nup, ys, ld):
         raise OracleScaleError("pair-path enumeration capped at 2^22 combinations")
     paths, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
     _, log_w2 = _path_log_weights(fmodel, nup, ys, _MAX_PATHS)  # same table, new weights
-    masks = _ld_masks(fmodel, ld, ys)
-    in_c = np.stack([masks[k][paths[:, k]] for k in range(n + 1)], axis=1)  # (P, n+1)
-    bins = [int(ld.obs_to_bin(y)) for y in ys]
-    rhos = []
-    for i in range(1, n + 1):
-        lo, hi = ld.envelopes_for_bins(bins[i - 1], bins[i])
-        rhos.append(1.0 - (lo / hi) ** 2)
+    _, inside, lo, hi = _finite_stream(fmodel, ld, ys)
+    in_c = inside[np.arange(n + 1), paths]  # (P, n+1): path p inside the set at step k
+    rhos = 1.0 - (lo / hi) ** 2
     w1 = np.exp(log_w)
     w2 = np.exp(log_w2)
     total = 0.0
@@ -571,11 +546,10 @@ def denominator_gap(fmodel, nu, ys, ld):
         raise ConfigError("need at least one step")
     _, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
     lhs_log = float(logsumexp(log_w))  # -inf when every path weighs zero
-    bins = [int(ld.obs_to_bin(y)) for y in ys]
-    factors = [two_step_prior_mass_finite(fmodel, nu, ys[0], ys[1], ld.set_for(ys[1]))]
+    g, inside, lo, _ = _finite_stream(fmodel, ld, ys)
+    factors = [_phi_finite(fmodel, nu, g, inside)]
     for i in range(2, n + 1):
-        factors.append(ld.envelopes_for_bins(bins[i - 1], bins[i])[0])
-        factors.append(set_likelihood_mass_finite(fmodel, ld, ys[i - 1], ys[i]))
+        factors += [lo[i - 1], float(g[i][inside[i]].mean())]
     with np.errstate(divide="ignore"):
         rhs_log = float(np.log(factors).sum())
     lhs = math.exp(lhs_log) if lhs_log < 700 else math.inf

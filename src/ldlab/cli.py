@@ -46,7 +46,8 @@ def _parse_eta(text):
 
 def _load_scenario(args):
     """The scenario of ``--preset`` or ``--config``, read once, with any
-    ``--eta``/``--alpha`` applied to its bound before the read."""
+    ``--eta``/``--alpha`` applied to its bound before the read; a numeric
+    ``--eta`` drops the bound's ``etas`` with its eta choice."""
     if getattr(args, "preset", None) and getattr(args, "config", None):
         raise ConfigError("pass either --preset or --config, not both")
     if getattr(args, "preset", None):
@@ -70,7 +71,10 @@ def _load_scenario(args):
     if overrides and isinstance(raw, dict):
         bound = {} if raw.get("bound") is None else raw["bound"]
         if isinstance(bound, dict):  # anything else is left for the read to report
-            raw = dict(raw, bound={**bound, **overrides})
+            bound = {**bound, **overrides}
+            if overrides.get("eta") not in (None, "sweep"):  # a numeric --eta replaces the choice
+                bound.pop("etas", None)
+            raw = dict(raw, bound=bound)
     return scenario_from_dict(raw)
 
 

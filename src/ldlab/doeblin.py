@@ -169,14 +169,15 @@ def eta_for_delta(model, delta):
 
 @dataclass(frozen=True)
 class FiniteLdSetFunction:
-    """Explicit per-bin subsets of a finite state space, uniform reference."""
+    """Explicit per-bin subsets of a finite state space, uniform reference.
+
+    ``set_table[b]`` is bin b's set, a sorted index array without repeats;
+    ``obs_to_bin(y)`` is the bin of observation y.
+    """
 
     fmodel: object
-    set_table: tuple  # tuple of index arrays
+    set_table: tuple
     obs_to_bin: Callable
-
-    def set_for(self, y):
-        return self.set_table[int(self.obs_to_bin(y))]
 
     def envelopes_for_bins(self, i, j):
         """(lower, upper) from extreme transition values into the target set.
@@ -199,7 +200,11 @@ class FiniteLdSetFunction:
 
 
 def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
-    """Assemble the finite-model set function from an explicit subset table."""
+    """Assemble the finite-model set function from an explicit subset table.
+
+    Each subset must be non-empty, inside the model and free of repeats, which
+    would count a state twice in |C'|; it is stored sorted.
+    """
     table = []
     for i, subset in enumerate(set_table):
         idx = np.asarray(subset, dtype=int)
@@ -207,7 +212,9 @@ def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
             raise ConstructionError(f"bin {i} has an empty state subset")
         if idx.min() < 0 or idx.max() >= fmodel.m:
             raise ConstructionError(f"bin {i} references states outside the model")
-        table.append(idx)
+        if np.unique(idx).size != idx.size:
+            raise ConstructionError(f"bin {i} lists a state more than once")
+        table.append(np.sort(idx))
     if obs_to_bin is None:
         obs_to_bin = lambda y: int(round(float(y)))  # noqa: E731
     return FiniteLdSetFunction(fmodel=fmodel, set_table=tuple(table), obs_to_bin=obs_to_bin)
@@ -228,6 +235,8 @@ def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,
         lower * |A| <= Q(x, A) <= upper * |A|
 
     with relative slack. Violations become report entries, never exceptions.
+    A draw whose subinterval is too short to integrate is skipped, so
+    ``pairs_checked`` may fall below ``budget``.
     """
     rng = np.random.default_rng(seed)
     c_src = ld_set(model, y, delta)
@@ -236,9 +245,7 @@ def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,
         eps_lo, eps_hi = envelope_override
     else:
         eps_lo, eps_hi = envelope_pair(model, y, yp, delta)
-    worst_lower = math.inf
-    worst_upper = math.inf
-    violations = []
+    samples, measures = [], []
     for _ in range(budget):
         x = c_src.lo + (c_src.hi - c_src.lo) * rng.random()
         u1, u2 = np.sort(rng.random(2))
@@ -248,24 +255,9 @@ def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,
             continue
         mass, _ = quad(lambda s: transition_density(model, x, s), a, b,
                        epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        lam = b - a
-        lower_margin = mass / (eps_lo * lam) - 1.0
-        upper_margin = 1.0 - mass / (eps_hi * lam)
-        worst_lower = min(worst_lower, lower_margin)
-        worst_upper = min(worst_upper, upper_margin)
-        if lower_margin < -rel_slack and len(violations) < 20:
-            violations.append({"kind": "lower", "x": x, "a": a, "b": b,
-                               "mass": mass, "bound": eps_lo * lam})
-        if upper_margin < -rel_slack and len(violations) < 20:
-            violations.append({"kind": "upper", "x": x, "a": a, "b": b,
-                               "mass": mass, "bound": eps_hi * lam})
-    return {
-        "pairs_checked": budget,
-        "worst_lower_margin": worst_lower,
-        "worst_upper_margin": worst_upper,
-        "violations": violations,
-        "passed": len(violations) == 0,
-    }
+        samples.append({"x": x, "a": a, "b": b, "mass": mass})
+        measures.append(b - a)
+    return _sandwich_report(samples, measures, eps_lo, eps_hi, rel_slack)
 
 
 def verify_ld_property_finite(ld, bin_src, bin_dst, rel_slack=1e-12, envelope_override=None):
@@ -278,29 +270,36 @@ def verify_ld_property_finite(ld, bin_src, bin_dst, rel_slack=1e-12, envelope_ov
         eps_lo, eps_hi = envelope_override
     else:
         eps_lo, eps_hi = ld.envelopes_for_bins(bin_src, bin_dst)
-    Q = ld.fmodel.Q
-    worst_lower = math.inf
-    worst_upper = math.inf
-    violations = []
-    checked = 0
+    samples, measures = [], []
     for x in src:
-        row = Q[x, dst]
+        row = ld.fmodel.Q[x, dst]
         for bits in range(1, 1 << len(dst)):
-            sel = [(bits >> t) & 1 for t in range(len(dst))]
-            mask = np.array(sel, dtype=bool)
-            mass = float(row[mask].sum())
-            lam = mask.sum() / len(dst)
-            checked += 1
-            lower_margin = mass / (eps_lo * lam) - 1.0
-            upper_margin = 1.0 - mass / (eps_hi * lam)
-            worst_lower = min(worst_lower, lower_margin)
-            worst_upper = min(worst_upper, upper_margin)
-            if lower_margin < -rel_slack and len(violations) < 20:
-                violations.append({"kind": "lower", "x": int(x), "subset": int(bits), "mass": mass})
-            if upper_margin < -rel_slack and len(violations) < 20:
-                violations.append({"kind": "upper", "x": int(x), "subset": int(bits), "mass": mass})
+            mask = np.array([(bits >> t) & 1 for t in range(len(dst))], dtype=bool)
+            samples.append({"x": int(x), "subset": bits, "mass": float(row[mask].sum())})
+            measures.append(mask.sum() / len(dst))
+    return _sandwich_report(samples, measures, eps_lo, eps_hi, rel_slack)
+
+
+def _sandwich_report(samples, measures, eps_lo, eps_hi, rel_slack):
+    """Both verifiers' report on lower |A| <= Q(x, A) <= upper |A|.
+
+    ``samples`` holds one entry per checked (x, A), with its ``mass`` Q(x, A),
+    and ``measures`` the |A| of each. Margins are relative; a violation is its
+    sample's entry with the side and the bound it broke, the first 20 kept.
+    """
+    worst_lower = worst_upper = math.inf
+    violations = []
+    for sample, lam in zip(samples, measures):
+        lower_margin = sample["mass"] / (eps_lo * lam) - 1.0
+        upper_margin = 1.0 - sample["mass"] / (eps_hi * lam)
+        worst_lower = min(worst_lower, lower_margin)
+        worst_upper = min(worst_upper, upper_margin)
+        for kind, margin, eps in (("lower", lower_margin, eps_lo),
+                                  ("upper", upper_margin, eps_hi)):
+            if margin < -rel_slack and len(violations) < 20:
+                violations.append({"kind": kind, **sample, "bound": eps * lam})
     return {
-        "pairs_checked": checked,
+        "pairs_checked": len(samples),
         "worst_lower_margin": worst_lower,
         "worst_upper_margin": worst_upper,
         "violations": violations,

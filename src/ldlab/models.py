@@ -11,8 +11,8 @@ conditionally dependent, q(x, u), sandwiched by
 mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u). Observation noise has
 everywhere-positive density ``v``.
 
-All model objects are immutable; every simulation call owns an RNG stream
-derived from (seed, stream), so replays are byte-exact.
+All model objects are immutable; every simulation call owns the RNG
+``default_rng([seed, 0])``, so replays are byte-exact.
 """
 
 from __future__ import annotations
@@ -216,24 +216,24 @@ class Trajectory:
     state_noise: np.ndarray
     obs_noise: np.ndarray
     seed: int
-    stream: int = 0
 
     @property
     def horizon(self):
         return len(self.observations) - 1
 
 
-def _rng_for(seed, stream):
-    return np.random.default_rng([int(seed), int(stream)])
+def _rng_for(seed):
+    # the key [seed, 0] fixes the draws that every recorded output was made from
+    return np.random.default_rng([int(seed), 0])
 
 
-def simulate_trajectory(model, init, n, seed, stream=0):
+def simulate_trajectory(model, init, n, seed):
     """Simulate n transitions (n+1 observations) under ``model``.
 
     ``init`` is a prior distribution for X_0. Deterministic given
-    (model, init, n, seed, stream).
+    (model, init, n, seed).
     """
-    rng = _rng_for(seed, stream)
+    rng = _rng_for(seed)
     x = float(init.sample(rng))
     states = [x]
     zetas = []
@@ -256,20 +256,19 @@ def simulate_trajectory(model, init, n, seed, stream=0):
         state_noise=np.array(zetas),
         obs_noise=np.array(epss),
         seed=int(seed),
-        stream=int(stream),
     )
 
 
-def simulate_misspecified(truth, init, n, seed, stream=0):
+def simulate_misspecified(truth, init, n, seed):
     """Simulate observations under the data-generating model of ``truth``."""
-    return simulate_trajectory(truth.model, init, n, seed, stream=stream)
+    return simulate_trajectory(truth.model, init, n, seed)
 
 
-def simulate_finite(fmodel, nu, n, seed, stream=0):
+def simulate_finite(fmodel, nu, n, seed):
     """Simulate a finite-state chain and its emissions."""
     if fmodel.emit_sample is None:
         raise ModelValidationError("finite model has no emission samplers")
-    rng = _rng_for(seed, stream)
+    rng = _rng_for(seed)
     nu = np.asarray(nu, dtype=float)
     states = [int(rng.choice(fmodel.m, p=nu))]
     ys = [float(fmodel.emit_sample(rng, states[0]))]

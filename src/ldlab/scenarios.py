@@ -33,7 +33,13 @@ from .doeblin import (
     stability_diag_series,
 )
 from .dists import prior_from_spec
-from .errors import ConfigError, LabError, ModelValidationError, check_fields
+from .errors import (
+    ConfigError,
+    ConstructionError,
+    LabError,
+    ModelValidationError,
+    check_fields,
+)
 from .filtering import (
     ReprConfig,
     TvSeries,
@@ -228,6 +234,8 @@ def bound_config(bound, finite, truth, errors):
     etas = bound.get("etas")
     if etas is not None and not (isinstance(etas, list) and etas and all(map(_unit_number, etas))):
         problems.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
+    elif etas is not None and eta != "sweep" and not finite:  # a finite model's is unused
+        problems.append("bound.etas is read only with bound.eta 'sweep'")
     d_mode = bound.get("d_mode", "misspec" if truth else "recorded")
     if d_mode not in _D_MODES:
         problems.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {d_mode!r}")
@@ -254,7 +262,7 @@ def _collect(errors, key, build, *args):
     """``build(*args)``, or None with the reason it failed appended to ``errors``."""
     try:
         return build(*args)
-    except (ConfigError, ModelValidationError) as exc:
+    except (ConfigError, ConstructionError, ModelValidationError) as exc:
         errors.append(f"'{key}': {exc}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         errors.append(f"'{key}' has a missing or malformed field: {exc!r}")

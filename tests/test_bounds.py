@@ -18,18 +18,21 @@ from ldlab.bounds import (
     numerator_gap,
     numerator_rhs_enumerated,
     set_likelihood_mass,
-    set_likelihood_mass_finite,
     two_step_prior_mass,
-    two_step_prior_mass_finite,
     write_bound_csv,
 )
 from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
 from ldlab.doeblin import delta_for_eta, finite_ld_construct
 from ldlab.errors import ConfigError, H2FailureError, InfeasibleConstraintError
 from ldlab.filtering import exact_filter_finite, tv_half_l1
-from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
+from ldlab.models import (
+    FiniteModel,
+    gaussian_finite_model,
+    simulate_finite,
+    simulate_trajectory,
+)
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS
+from ldlab.scenarios import PRESETS, preset_config
 
 ERF_1_OVER_SQRT2 = 0.6826894921370859  # standard normal mass of [-1, 1]
 
@@ -164,27 +167,49 @@ def test_masses_match_closed_forms_on_gaussian_presets(preset, references):
             assert isinstance(one, float) and one == pytest.approx(psi[0], rel=1e-14)
 
 
-def test_two_step_prior_mass_finite_by_hand():
+def _chain3_breakdown(nu):
+    """The finite bound on _chain3 for y = (0, 1.5, -1.5): bins 1, 2, 0."""
     fm, ld = _chain3()
+    ys = np.array([0.0, 1.5, -1.5])
+    b = forgetting_bound_finite(fm, ld, nu, np.array([0.1, 0.1, 0.8]), ys, alpha=0.4, eta=0.5)
+    return fm, ys, b
+
+
+def test_two_step_prior_mass_finite_by_hand():
     nu = np.array([0.2, 0.5, 0.3])
-    y0, y1 = 0.0, 1.5  # bins 1 and 2; set at y1 is {1, 2}
-    g0 = fm.emission_vector(y0)
-    g1 = fm.emission_vector(y1)
+    fm, ys, b = _chain3_breakdown(nu)
+    g0 = fm.emission_vector(ys[0])
+    g1 = fm.emission_vector(ys[1])
     expect = 0.0
     for i in range(3):
-        for j in (1, 2):
+        for j in (1, 2):  # the set at y1 = 1.5
             expect += nu[i] * g0[i] * fm.Q[i, j] * g1[j]
-    got = two_step_prior_mass_finite(fm, nu, y0, y1, ld.set_for(y1))
-    assert got == pytest.approx(expect, rel=1e-14)
+    assert b.components["log_phi_nu"] == pytest.approx(math.log(expect), rel=1e-14)
 
 
 def test_set_likelihood_mass_finite_by_hand():
-    fm, ld = _chain3()
-    y, yp = 0.0, -1.5  # target bin 0, set {0, 1}
-    g = fm.emission_vector(yp)
+    fm, ys, b = _chain3_breakdown(np.array([0.2, 0.5, 0.3]))
+    g1 = fm.emission_vector(ys[1])  # set {1, 2}
+    g2 = fm.emission_vector(ys[2])  # set {0, 1}
     # uniform normalized reference on the set: the average emission value
-    assert set_likelihood_mass_finite(fm, ld, y, yp) == pytest.approx(
-        (g[0] + g[1]) / 2.0, rel=1e-14)
+    assert np.exp(b.per_step["log_psi"]) == pytest.approx(
+        [(g1[1] + g1[2]) / 2.0, (g2[0] + g2[1]) / 2.0], rel=1e-14)
+
+
+def test_finite_bound_reads_each_emission_row_once(monkeypatch):
+    cfg = preset_config("finite-oracle")
+    _, ys = simulate_finite(cfg.fmodel, cfg.nu1, cfg.horizon, 501)
+    calls = []
+    emission_vector = FiniteModel.emission_vector
+
+    def counted(self, y):
+        calls.append(y)
+        return emission_vector(self, y)
+
+    monkeypatch.setattr(FiniteModel, "emission_vector", counted)
+    forgetting_bound_finite(cfg.fmodel, cfg.ld, cfg.nu1, cfg.nu2, ys, cfg.bound.alpha,
+                            cfg.bound.eta)
+    assert len(calls) == len(ys) == 41
 
 
 def test_forgetting_bound_assembly_identity():

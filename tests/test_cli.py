@@ -135,6 +135,20 @@ def test_bound_subcommand_sweeps_the_configured_etas(tmp_path):
     assert report["bound"]["log_total"] == min(report["eta_sweep"]["log_totals"])
 
 
+def test_numeric_eta_flag_replaces_the_configured_sweep(tmp_path):
+    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
+                             "d_mode": "recorded"})
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "bnd"
+    r = _run("bound", "--config", str(p), "--out", str(out), "--eta", "0.2", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["bound"] == {"alpha": 0.5, "eta": 0.2, "d_mode": "recorded"}
+    assert report["eta_sweep"] is None
+    assert report["bound"]["parameters"]["eta"] == 0.2
+
+
 def test_finite_bound_rejects_an_eta_sweep(tmp_path):
     r = _run("bound", "--preset", "finite-oracle", "--eta", "sweep",
              "--out", str(tmp_path / "fo"), cwd=tmp_path)
@@ -182,6 +196,18 @@ def test_invalid_config_reports_every_problem(tmp_path):
     r = _run("bound", "--config", str(p), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "bound.d_mode 'recorded' holds only for data drawn from the filter model" in r.stderr
+    # so are a finite set table's problems, and an eta list next to a fixed eta
+    for table in ([[], [0, 1]], [[0, 0, 1], [0, 1]]):
+        finite = json.loads(json.dumps(ldlab.PRESETS["finite-oracle"]))
+        finite["finite"]["set_table"] = table
+        p.write_text(json.dumps(finite))
+        r = _run("experiment", "--config", str(p), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "config error" in r.stderr and "'finite': bin 0" in r.stderr
+    p.write_text(json.dumps(dict(SMALL, bound={"eta": 0.1, "etas": [0.3]})))
+    r = _run("experiment", "--config", str(p), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "bound.etas is read only with bound.eta 'sweep'" in r.stderr
     # a bare seed, not a list of them, is a config error too
     p.write_text(json.dumps(dict(SMALL, seeds=5)))
     r = _run("experiment", "--config", str(p), cwd=tmp_path)

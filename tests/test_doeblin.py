@@ -190,6 +190,15 @@ def test_verify_ld_property_flags_inflated_lower_envelope():
     assert any(v["kind"] == "lower" for v in report["violations"])
 
 
+def test_verify_ld_property_counts_the_samples_it_checks():
+    m = _rw_model()
+    # at radius 1e-14 every subinterval is too short to integrate, so none is checked
+    report = verify_ld_property(m, 1e-14, y=0.0, yp=0.8, budget=50, seed=3)
+    assert report["pairs_checked"] == 0
+    assert report["violations"] == [] and report["worst_lower_margin"] == math.inf
+    assert verify_ld_property(m, 1.0, y=0.0, yp=0.8, budget=50, seed=3)["pairs_checked"] == 50
+
+
 def test_finite_ld_envelopes_and_verification():
     fm = gaussian_finite_model(
         Q=np.array([[0.85, 0.15], [0.15, 0.85]]),
@@ -205,6 +214,10 @@ def test_finite_ld_envelopes_and_verification():
     assert report["pairs_checked"] == 6
     bad = verify_ld_property_finite(ld, 0, 1, envelope_override=(0.9, 1.7))
     assert not bad["passed"]
+    # both verifiers describe a violation alike: its sample, side and broken bound
+    v = bad["violations"][0]
+    assert v["kind"] == "lower" and v["bound"] == pytest.approx(0.9 * 0.5)
+    assert set(v) == {"kind", "x", "subset", "mass", "bound"}
 
 
 def test_finite_ld_construct_rejects_degenerate_bins():
@@ -219,6 +232,12 @@ def test_finite_ld_construct_rejects_degenerate_bins():
         finite_ld_construct(fm, [[], [0, 1]])
     with pytest.raises(ConstructionError):
         finite_ld_construct(fm, [[0, 2], [0, 1]])
+    # a repeated state would count twice in |C'|: [0, 0, 1] read lower 3 min Q
+    with pytest.raises(ConstructionError, match="bin 0 lists a state more than once"):
+        finite_ld_construct(fm, [[0, 0, 1], [0, 1]])
+    # each set is stored sorted, the order every finite sum runs in
+    ld = finite_ld_construct(fm, [[1, 0], [1]])
+    assert [list(row) for row in ld.set_table] == [[0, 1], [1]]
 
 
 def test_stability_diag_matches_envelope_series():

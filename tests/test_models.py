@@ -72,11 +72,14 @@ def test_trajectory_shapes():
     assert t.states[0] == 1.5
 
 
-def test_separate_streams_decouple():
+def test_separate_seeds_decouple():
     model = _rw_model()
-    a = simulate_trajectory(model, init=PointMassPrior(0.0), n=20, seed=5, stream=0)
-    b = simulate_trajectory(model, init=PointMassPrior(0.0), n=20, seed=5, stream=1)
+    a = simulate_trajectory(model, init=PointMassPrior(0.0), n=20, seed=5)
+    b = simulate_trajectory(model, init=PointMassPrior(0.0), n=20, seed=6)
     assert not np.array_equal(a.states, b.states)
+    # a seed's draws come from default_rng([seed, 0]), the first being eps_0
+    first = model.obs_noise.sample(np.random.default_rng([5, 0]))
+    assert a.obs_noise[0] == first
 
 
 def test_transition_logpdf_matches_noise():

@@ -90,6 +90,18 @@ def test_scenario_from_dict_collects_every_error():
     assert "bound.eta 'sweep' needs a continuous model" in msg
     assert "a bound needs 'horizon' >= 2" in msg
     assert "duplicates" in msg
+    # a finite set table is config too: an empty bin, a state outside the model
+    # and a repeated state (counted twice in |C|) are reported with the rest
+    for table, problem in (([[], [0, 1]], "bin 0 has an empty state subset"),
+                           ([[0, 1], [0, 2]], "bin 1 references states outside the model"),
+                           ([[0, 0, 1], [0, 1]], "bin 0 lists a state more than once")):
+        bad = json.loads(json.dumps(PRESETS["finite-oracle"]))
+        bad["finite"]["set_table"] = table
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(dict(bad, horizon=-3))
+        msg = str(err.value)
+        assert f"'finite': {problem}" in msg
+        assert "'horizon' must be a positive integer" in msg
     with pytest.raises(ConfigError, match="a bound needs 'horizon' >= 2"):
         scenario_from_dict(dict(SMALL_SCENARIO, horizon=1))
     # priors are built when the config is read, not first inside run_scenario
@@ -135,6 +147,11 @@ def test_scenario_from_dict_collects_every_error():
     assert "bound.d_mode must be one of ['exact', 'recorded', 'misspec'], got 'bogus'" in msg
     for bound in ({"eta": "sweep", "etas": []}, {"eta": "sweep", "etas": 0.1}):
         with pytest.raises(ConfigError, match="bound.etas must be a non-empty list"):
+            scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
+    # an eta list without a sweep would be ignored: a fixed eta (given or the
+    # default) runs alone
+    for bound in ({"eta": 0.1, "etas": [0.3]}, {"etas": [0.3]}):
+        with pytest.raises(ConfigError, match="bound.etas is read only with bound.eta 'sweep'"):
             scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
     with pytest.raises(ConfigError, match="'bound' must be an object"):
         scenario_from_dict(dict(SMALL_SCENARIO, bound=[1]))
