@@ -182,15 +182,14 @@ def _finite_stream(fmodel, ld, ys):
 
     Returns the emission rows ``g`` and set rows ``inside`` (n+1 x m) and the
     natural-scale envelopes ``lo``, ``hi`` of the pairs (y_{k-1}, y_k),
-    k = 1..n. Over the uniform reference, psi at y_k is the mean of ``g[k]``
-    on ``inside[k]`` and upsilon the max of ``g[k]``.
+    k = 1..n; the set rows and envelopes are read from the tables of ``ld``.
+    Over the uniform reference, psi at y_k is the mean of ``g[k]`` on
+    ``inside[k]`` and upsilon the max of ``g[k]``.
     """
     g = np.array([fmodel.emission_vector(y) for y in ys])
     bins = [int(ld.obs_to_bin(y)) for y in ys]
-    inside = np.array([np.isin(np.arange(fmodel.m), ld.set_table[b]) for b in bins])
-    lo, hi = np.array([ld.envelopes_for_bins(i, j)
-                       for i, j in zip(bins[:-1], bins[1:])]).reshape(-1, 2).T
-    return g, inside, lo, hi
+    lo, hi = ld.envelopes_along(bins)
+    return g, ld.inside[bins], lo, hi
 
 
 def _phi_finite(fmodel, nu, g, inside):

@@ -13,7 +13,8 @@ are available in log form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -172,12 +173,35 @@ class FiniteLdSetFunction:
     """Explicit per-bin subsets of a finite state space, uniform reference.
 
     ``set_table[b]`` is bin b's set, a sorted index array without repeats;
-    ``obs_to_bin(y)`` is the bin of observation y.
+    ``obs_to_bin(y)`` is the bin of observation y. Both tables a stream reads
+    are built once, with the set function: ``inside[b]`` is bin b's set as a
+    boolean row over the m states, and ``envelopes[i, j]`` is the pair that
+    ``envelopes_for_bins(i, j)`` returns, read along a stream by
+    ``envelopes_along``.
     """
 
     fmodel: object
     set_table: tuple
     obs_to_bin: Callable
+    inside: np.ndarray = field(init=False, repr=False, compare=False)
+    envelopes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bins = len(self.set_table)
+        inside = np.zeros((bins, self.fmodel.m), dtype=bool)
+        for b, states in enumerate(self.set_table):
+            inside[b, states] = True
+        # a pair with a zero transition is NaN here: it is an error only for a
+        # stream that observes it, which envelopes_along raises
+        envelopes = np.full((bins, bins, 2), np.nan)
+        for i in range(bins):
+            for j in range(bins):
+                try:
+                    envelopes[i, j] = self.envelopes_for_bins(i, j)
+                except ConstructionError:
+                    pass
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "envelopes", envelopes)
 
     def envelopes_for_bins(self, i, j):
         """(lower, upper) from extreme transition values into the target set.
@@ -198,18 +222,36 @@ class FiniteLdSetFunction:
         size = len(dst)
         return size * qmin, size * qmax
 
+    def envelopes_along(self, bins):
+        """(lower, upper) arrays of the consecutive pairs of ``bins``.
+
+        The first pair with a zero transition raises its ``ConstructionError``.
+        """
+        bins = np.asarray(bins, dtype=int)
+        env = self.envelopes[bins[:-1], bins[1:]]
+        vanished = np.flatnonzero(np.isnan(env[:, 0]))
+        if vanished.size:
+            k = vanished[0]
+            self.envelopes_for_bins(bins[k], bins[k + 1])  # raises for this pair
+        return env[:, 0], env[:, 1]
+
 
 def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
     """Assemble the finite-model set function from an explicit subset table.
 
-    Each subset must be non-empty, inside the model and free of repeats, which
-    would count a state twice in |C'|; it is stored sorted.
+    Each subset must be non-empty, hold integer states inside the model and
+    be free of repeats, which would count a state twice in |C'|; it is stored
+    sorted. A bool or a fractional state is an error, never rounded.
     """
     table = []
     for i, subset in enumerate(set_table):
-        idx = np.asarray(subset, dtype=int)
-        if idx.size == 0:
+        states = list(subset)
+        if not states:
             raise ConstructionError(f"bin {i} has an empty state subset")
+        for s in states:
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+                raise ConstructionError(f"bin {i} lists a state that is not an integer: {s!r}")
+        idx = np.asarray(states, dtype=int)
         if idx.min() < 0 or idx.max() >= fmodel.m:
             raise ConstructionError(f"bin {i} references states outside the model")
         if np.unique(idx).size != idx.size:

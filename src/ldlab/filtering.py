@@ -265,16 +265,16 @@ def exact_filter_finite(fmodel, nu, ys):
     """Forward recursion; returns all filter vectors and the log evidence."""
     nu = np.asarray(nu, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    m = fmodel.m
-    out = np.empty((len(ys), m))
-    w = nu * fmodel.emission_vector(ys[0])
+    g = [fmodel.emission_vector(y) for y in ys]
+    out = np.empty((len(ys), fmodel.m))
+    w = nu * g[0]
     s = w.sum()
     if s <= 0:
         raise DegenerateInitError("prior carries no mass under the first emission")
     log_z = math.log(s)
     out[0] = w / s
     for k in range(1, len(ys)):
-        w = (out[k - 1] @ fmodel.Q) * fmodel.emission_vector(ys[k])
+        w = (out[k - 1] @ fmodel.Q) * g[k]
         s = w.sum()
         if s <= 0 or not np.isfinite(s):
             raise FilterCollapseError(k)
@@ -294,16 +294,19 @@ def _path_log_weights(fmodel, nu, ys, max_paths):
     n = len(ys) - 1
     if m ** (n + 1) > max_paths:
         raise OracleScaleError(f"path enumeration capped at {max_paths} paths")
-    idx = np.arange(m ** (n + 1))
-    paths = np.stack([(idx // m**j) % m for j in range(n + 1)], axis=1)
+    # row k holds every path's state at step k, digit k of its index in base m
+    steps = np.empty((n + 1, m ** (n + 1)), dtype=int)
+    for k in range(n + 1):
+        steps[k].reshape(-1, m, m**k)[...] = np.arange(m)[:, None]
     with np.errstate(divide="ignore"):
-        log_q = np.log(fmodel.Q)
-        log_w = np.log(nu)[paths[:, 0]]
+        log_q = np.log(fmodel.Q).ravel()  # entry u*m + v is log Q[u, v]
+        log_g = np.log([fmodel.emission_vector(y) for y in ys])
+        log_w = np.log(nu)[steps[0]]
         for k in range(1, n + 1):
-            log_w = log_w + log_q[paths[:, k - 1], paths[:, k]]
+            log_w += log_q[steps[k - 1] * m + steps[k]]
         for k in range(0, n + 1):
-            log_w = log_w + np.log(fmodel.emission_vector(ys[k]))[paths[:, k]]
-    return paths, log_w
+            log_w += log_g[k][steps[k]]
+    return steps.T, log_w
 
 
 def exhaustive_terminal_sums(fmodel, nu, ys):

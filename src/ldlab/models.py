@@ -17,8 +17,9 @@ All model objects are immutable; every simulation call owns the RNG
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,11 +137,21 @@ def make_misspecified_truth(filter_model, true_model, f_gap, h_gap):
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """Finite-state reference model: row-stochastic Q plus emission densities."""
+    """Finite-state reference model: row-stochastic Q plus emission densities.
+
+    ``emission_vector(y)`` is the one route to the per-state densities at y;
+    the rows of ``finite_model_make`` are memoized and read-only. ``cdf[i]``
+    is row i of Q as the cumulative table that ``Generator.choice(m, p=Q[i])``
+    builds on every draw, tabulated once here for ``simulate_finite``.
+    """
 
     Q: np.ndarray
     emit: Callable  # emit(y) -> vector of per-state densities
     emit_sample: Optional[Callable] = None  # emit_sample(rng, i) -> y
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf", _choice_cdf(self.Q))
 
     @property
     def m(self):
@@ -153,10 +164,25 @@ class FiniteModel:
         return g
 
 
+# rows of one stream: the memo of finite_model_make's emit holds this many
+_EMIT_MEMO_ROWS = 64
+
+
+def _choice_cdf(p):
+    """Cumulative rows normalized to end at 1, as ``Generator.choice`` builds them."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+# Generator.choice's tolerance on the sum of p
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def finite_model_make(Q, emission_pdfs, emission_samplers=None):
     """Validate and assemble a finite model.
 
-    ``emission_pdfs`` is one callable per state, y -> density value.
+    ``emission_pdfs`` is one callable per state, y -> density value. The rows
+    are memoized by ``float(y)``, the last 64 kept, and returned read-only.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -171,8 +197,14 @@ def finite_model_make(Q, emission_pdfs, emission_samplers=None):
     if len(pdfs) != Q.shape[0]:
         raise ModelValidationError("one emission density per state required")
 
+    @functools.lru_cache(maxsize=_EMIT_MEMO_ROWS)
+    def row(y):
+        g = np.array([p(y) for p in pdfs], dtype=float)
+        g.flags.writeable = False
+        return g
+
     def emit(y):
-        return np.array([p(y) for p in pdfs], dtype=float)
+        return row(float(y))
 
     sampler = None
     if emission_samplers is not None:
@@ -265,15 +297,24 @@ def simulate_misspecified(truth, init, n, seed):
 
 
 def simulate_finite(fmodel, nu, n, seed):
-    """Simulate a finite-state chain and its emissions."""
+    """Simulate a finite-state chain and its emissions.
+
+    Each state is one uniform looked up in a cumulative row, exactly as
+    ``rng.choice(m, p=row)`` draws it, so the stream is the one that call
+    gives; the rows of Q come tabulated with the model.
+    """
     if fmodel.emit_sample is None:
         raise ModelValidationError("finite model has no emission samplers")
-    rng = _rng_for(seed)
     nu = np.asarray(nu, dtype=float)
-    states = [int(rng.choice(fmodel.m, p=nu))]
+    # the check Generator.choice made of p before its lookup
+    if nu.shape != (fmodel.m,) or not (np.all(nu >= 0) and abs(nu.sum() - 1.0) <= _CHOICE_ATOL):
+        raise ModelValidationError("nu must be a length-m probability vector")
+    rng = _rng_for(seed)
+    cdf = fmodel.cdf
+    states = [int(_choice_cdf(nu).searchsorted(rng.random(), side="right"))]
     ys = [float(fmodel.emit_sample(rng, states[0]))]
     for _ in range(n):
-        states.append(int(rng.choice(fmodel.m, p=fmodel.Q[states[-1]])))
+        states.append(int(cdf[states[-1]].searchsorted(rng.random(), side="right")))
         ys.append(float(fmodel.emit_sample(rng, states[-1])))
     return np.array(states), np.array(ys)
 

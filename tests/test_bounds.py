@@ -1,6 +1,7 @@
 """Bound assembly: quota maximization, mass terms, gap checks, sweeps."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from ldlab.bounds import (
     BoundBreakdown,
+    _finite_stream,
     admissible_eta_finite,
     bound_series,
     denominator_gap,
@@ -23,7 +25,12 @@ from ldlab.bounds import (
 )
 from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
 from ldlab.doeblin import delta_for_eta, finite_ld_construct
-from ldlab.errors import ConfigError, H2FailureError, InfeasibleConstraintError
+from ldlab.errors import (
+    ConfigError,
+    ConstructionError,
+    H2FailureError,
+    InfeasibleConstraintError,
+)
 from ldlab.filtering import exact_filter_finite, tv_half_l1
 from ldlab.models import (
     FiniteModel,
@@ -194,6 +201,58 @@ def test_set_likelihood_mass_finite_by_hand():
     # uniform normalized reference on the set: the average emission value
     assert np.exp(b.per_step["log_psi"]) == pytest.approx(
         [(g1[1] + g1[2]) / 2.0, (g2[0] + g2[1]) / 2.0], rel=1e-14)
+
+
+def test_finite_stream_reads_what_each_observation_gives():
+    # the set rows and pair envelopes are tabulated once with the set function;
+    # along a stream they read what np.isin and envelopes_for_bins give per
+    # observation, and a pair with a zero transition raises its error
+    rng = np.random.default_rng(8)
+    raised = 0
+    for _ in range(80):
+        m, n_bins = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        Q = rng.random((m, m)) * (rng.random((m, m)) < 0.7)
+        Q[np.arange(m), rng.integers(0, m, size=m)] += 0.05
+        fm = gaussian_finite_model(Q / Q.sum(axis=1, keepdims=True), rng.normal(0.0, 2.0, m),
+                                   np.ones(m))
+        table = [sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+                 for _ in range(n_bins)]
+        ld = finite_ld_construct(fm, table)  # bin of y: round(y)
+        ys = rng.integers(0, n_bins, size=int(rng.integers(2, 12))).astype(float)
+        bins = [int(y) for y in ys]
+        inside = np.array([np.isin(np.arange(m), ld.set_table[b]) for b in bins])
+        try:
+            pairs = [ld.envelopes_for_bins(i, j) for i, j in zip(bins[:-1], bins[1:])]
+        except ConstructionError as exc:
+            raised += 1
+            with pytest.raises(ConstructionError, match=re.escape(str(exc))):
+                _finite_stream(fm, ld, ys)
+            continue
+        g, got_inside, lo, hi = _finite_stream(fm, ld, ys)
+        assert np.array_equal(got_inside, inside)
+        assert lo.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+        assert hi.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+        assert g.tobytes() == np.array([fm.emission_vector(y) for y in ys]).tobytes()
+    assert 0 < raised < 80
+
+
+def test_zero_transition_pair_raises_only_when_a_stream_observes_it():
+    # bin 0 = {0} never moves into bin 1 = {1, 2}; the set function is still built
+    fm = gaussian_finite_model(
+        Q=np.array([[1.0, 0.0, 0.0],
+                    [0.3, 0.4, 0.3],
+                    [0.2, 0.3, 0.5]]),
+        means=np.array([-3.0, 0.0, 3.0]),
+        stds=np.array([1.0, 1.0, 1.0]))
+    ld = finite_ld_construct(fm, [[0], [1, 2]], obs_to_bin=lambda y: 0 if y < -1.5 else 1)
+    nu, nup = np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.2, 0.2])
+    checks = (lambda ys: forgetting_bound_finite(fm, ld, nu, nup, ys, alpha=0.4, eta=0.5),
+              lambda ys: numerator_gap(fm, nu, nup, ys, ld),
+              lambda ys: denominator_gap(fm, nu, ys, ld))
+    for check in checks:
+        check(np.array([0.5, 2.0, -3.0, -3.2]))  # bins 1, 1, 0, 0
+        with pytest.raises(ConstructionError, match="from bin 0 into bin 1"):
+            check(np.array([0.5, -3.0, 2.0]))  # bins 1, 0, 1
 
 
 def test_finite_bound_reads_each_emission_row_once(monkeypatch):

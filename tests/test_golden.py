@@ -1,4 +1,5 @@
-"""Every preset's first-seed ``tv.csv``, pinned by its sha256.
+"""Every preset's first-seed ``tv.csv``, pinned by its sha256, and the
+finite-oracle preset's ``report.json``, which carries its exact bound.
 
 A preset's TV series may change only on purpose: a change that moves one of
 these digests updates it here and says why in CHANGES.md.
@@ -18,6 +19,10 @@ TV_CSV_SHA256 = {
     "rw-gauss": "d92bc20684d821c2548ea4e97916168419db58c04e9b8a9fda1fd74f6dc9108a",
 }
 
+REPORT_JSON_SHA256 = {
+    "finite-oracle": "6bdba787e4d876227373410580d6f9db27552c5b92ec574bdc7214a466ea99c9",
+}
+
 
 def test_every_preset_is_pinned():
     assert sorted(TV_CSV_SHA256) == sorted(PRESETS)
@@ -28,3 +33,10 @@ def test_first_seed_tv_csv_matches_its_digest(name, tmp_path):
     run_scenario(preset_config(name), out_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / "tv.csv").read_bytes()).hexdigest()
     assert digest == TV_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_JSON_SHA256))
+def test_first_seed_report_json_matches_its_digest(name, tmp_path):
+    run_scenario(preset_config(name), out_dir=tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_JSON_SHA256[name]

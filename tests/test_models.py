@@ -148,6 +148,59 @@ def test_gaussian_finite_model_emissions():
     assert set(np.unique(states)) <= {0, 1}
 
 
+def _random_stochastic(rng, m):
+    """A row-stochastic m x m matrix with structural zeros; each row keeps one entry."""
+    Q = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+    Q[np.arange(m), rng.integers(0, m, size=m)] += 0.05
+    return Q / Q.sum(axis=1, keepdims=True)
+
+
+def _simulate_finite_by_choice(fm, nu, n, seed):
+    """The reference stream: every state drawn by Generator.choice."""
+    rng = np.random.default_rng([seed, 0])
+    states = [int(rng.choice(fm.m, p=nu))]
+    ys = [float(fm.emit_sample(rng, states[0]))]
+    for _ in range(n):
+        states.append(int(rng.choice(fm.m, p=fm.Q[states[-1]])))
+        ys.append(float(fm.emit_sample(rng, states[-1])))
+    return np.array(states), np.array(ys)
+
+
+def test_simulate_finite_keeps_the_choice_stream():
+    # the tabulated rows draw exactly what rng.choice(m, p=row) draws
+    rng = np.random.default_rng(21)
+    for seed in range(200):
+        m = int(rng.integers(2, 13))
+        fm = gaussian_finite_model(_random_stochastic(rng, m), rng.normal(0.0, 3.0, m),
+                                   rng.uniform(0.5, 2.0, m))
+        nu = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.7)
+        nu = nu / nu.sum() if nu.sum() > 0 else np.full(m, 1.0 / m)
+        states, ys = simulate_finite(fm, nu, 40, seed)
+        ref_states, ref_ys = _simulate_finite_by_choice(fm, nu, 40, seed)
+        assert np.array_equal(states, ref_states), f"seed {seed}"
+        assert np.array_equal(ys, ref_ys), f"seed {seed}"
+    # a prior rng.choice would refuse is refused
+    fm = gaussian_finite_model([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], [1.0, 1.0])
+    for nu in ([0.5, 0.4], [1.2, -0.2], [np.nan, 1.0], [1.0]):
+        with pytest.raises(ModelValidationError):
+            simulate_finite(fm, nu, 3, 0)
+
+
+def test_emission_rows_are_memoized_read_only():
+    pdfs = [lambda y: math.exp(-0.5 * (y - 1.0) ** 2) / 3.0,
+            lambda y: 1.0 / (1.0 + y * y)]
+    fm = finite_model_make([[0.7, 0.3], [0.4, 0.6]], pdfs)
+    ys = np.random.default_rng(5).normal(size=150)
+    for y in np.concatenate([ys, ys[::-1]]):  # past the memo's 64 rows and back
+        row = fm.emission_vector(y)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+        assert row.tobytes() == np.array([p(y) for p in pdfs]).tobytes()
+    # one row per value of y, whatever its type
+    assert fm.emission_vector(2) is fm.emission_vector(2.0)
+
+
 def test_dependent_noise_sampler_matches_density():
     # scaled-t family: empirical CDF of draws at fixed x against the quadrature of its own q
     model = model_from_spec({

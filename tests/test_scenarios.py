@@ -90,11 +90,16 @@ def test_scenario_from_dict_collects_every_error():
     assert "bound.eta 'sweep' needs a continuous model" in msg
     assert "a bound needs 'horizon' >= 2" in msg
     assert "duplicates" in msg
-    # a finite set table is config too: an empty bin, a state outside the model
-    # and a repeated state (counted twice in |C|) are reported with the rest
+    # a finite set table is config too: an empty bin, a state outside the model,
+    # a repeated state (counted twice in |C|) and a fractional or bool state
+    # (0.7 and 1.9 were once truncated to {0, 1}) are reported with the rest
     for table, problem in (([[], [0, 1]], "bin 0 has an empty state subset"),
                            ([[0, 1], [0, 2]], "bin 1 references states outside the model"),
-                           ([[0, 0, 1], [0, 1]], "bin 0 lists a state more than once")):
+                           ([[0, 0, 1], [0, 1]], "bin 0 lists a state more than once"),
+                           ([[0.7, 1.9], [0, 1]],
+                            "bin 0 lists a state that is not an integer: 0.7"),
+                           ([[0, 1], [False, 1]],
+                            "bin 1 lists a state that is not an integer: False")):
         bad = json.loads(json.dumps(PRESETS["finite-oracle"]))
         bad["finite"]["set_table"] = table
         with pytest.raises(ConfigError) as err:
