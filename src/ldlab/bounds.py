@@ -84,22 +84,20 @@ def max_product_with_quota_bruteforce(log_factors, alpha):
 # the two prior-dependent masses
 
 
-# phi and psi come from one composite Gauss-Legendre rule summed in log domain,
-# _GL_POINTS nodes on each equal panel. Each mass is evaluated again at twice
-# the points; the change in its log is the rule's error estimate.
+# phi comes from a composite Gauss-Legendre rule summed in log domain,
+# _GL_POINTS nodes on each equal panel. It is evaluated again at twice the
+# points; the change in its log is the rule's error estimate.
 _GL_POINTS = 16
 _PRIOR_PANELS, _SET_PANELS = 8, 4  # over prior.quad_bounds(), over an LD set
 _GL_NODES = {p: np.polynomial.legendre.leggauss(p) for p in (_GL_POINTS, 2 * _GL_POINTS)}
 
 
 def _gl_rule(lo, hi, panels, points):
-    """Nodes and log weights on [lo, hi]; array bounds give one row per interval."""
+    """Nodes and log weights of the composite rule on [lo, hi]."""
     t, w = _GL_NODES[points]
-    lo = np.asarray(lo, dtype=float)[..., None, None]
-    half = (np.asarray(hi, dtype=float)[..., None, None] - lo) / (2.0 * panels)
+    half = (hi - lo) / (2.0 * panels)
     nodes = lo + half * (2.0 * np.arange(panels)[:, None] + 1.0 + t)
-    shape = nodes.shape[:-2] + (-1,)
-    return nodes.reshape(shape), np.broadcast_to(np.log(half * w), nodes.shape).reshape(shape)
+    return nodes.ravel(), np.broadcast_to(np.log(half * w), nodes.shape).ravel()
 
 
 @dataclass(frozen=True)
@@ -162,19 +160,9 @@ def _log_phi(model, prior, y0, y1, c1, points):
 def set_likelihood_mass(model, y, yp, delta):
     """Likelihood mass of the y'-set: integral of v(y' - h(x)) over the set.
 
-    ``yp`` may be an array, one mass per entry, all in one evaluation of the
-    Gauss-Legendre rule; a scalar ``yp`` gives a float.
+    h is affine, so it is b P(|V| <= delta) with V the observation noise, b = 1/|c1|.
     """
-    psi = np.exp(_log_psi(model, yp, delta, _GL_POINTS))
-    return float(psi[0]) if np.ndim(yp) == 0 else psi
-
-
-def _log_psi(model, yp, delta, points):
-    """log psi for each entry of ``yp`` by the rule over its LD set."""
-    yp = np.atleast_1d(np.asarray(yp, dtype=float))
-    sets = [ld_set(model, y, delta) for y in yp]
-    xs, log_w = _gl_rule([c.lo for c in sets], [c.hi for c in sets], _SET_PANELS, points)
-    return logsumexp(log_w + model.obs_noise.logpdf(yp[:, None] - model.h(xs)), axis=-1)
+    return model.h_b * math.exp(model.obs_noise.log_mass(delta))
 
 
 def _finite_stream(fmodel, ld, ys):
@@ -290,8 +278,8 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj
     The set radius is derived from ``eta`` through the tail-ratio condition;
     the remainder term is built from the per-pair envelope and mass values
     entirely in log domain and combined with the quota term by log-add-exp.
-    ``mass_rule_err`` in the diagnostics is the largest change of a log phi
-    or log psi when the Gauss-Legendre rule doubles its points.
+    ``mass_rule_err`` in the diagnostics is the larger change of the two log
+    phi when the Gauss-Legendre rule doubles its points; psi is exact.
     """
     ys = np.asarray(ys, dtype=float)
     n = len(ys) - 1
@@ -303,8 +291,7 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj
     d, mode_used = distance_series(model, ys, mode=d_mode, traj=traj, truth=truth)
     noise = model.state_noise
     r = envelope_radius(model, delta, d)
-    log_psi = np.log(set_likelihood_mass(model, ys[:-1], ys[1:], delta))
-    psi_err = np.max(np.abs(_log_psi(model, ys[1:], delta, 2 * _GL_POINTS) - log_psi))
+    log_psi = np.full(n, math.log(set_likelihood_mass(model, ys[0], ys[1], delta)))
     phi1, phi2 = (two_step_prior_mass(model, p, ys[0], ys[1], delta) for p in (prior1, prior2))
     return _breakdown(
         np.asarray(noise.log_radial_min(r), dtype=float),
@@ -314,7 +301,7 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj
         parameters={"delta": delta, "d_mode": mode_used, "phi_method": "quad"},
         diagnostics={"phi_underflow": bool(phi1.underflow or phi2.underflow),
                      "achieved_eta": eta_for_delta(model, delta),
-                     "mass_rule_err": float(max(psi_err, phi1.rule_err, phi2.rule_err))},
+                     "mass_rule_err": max(phi1.rule_err, phi2.rule_err)},
     )
 
 
@@ -452,11 +439,11 @@ def numerator_gap(fmodel, nu, nup, ys, ld):
     m = fmodel.m
     if m > 20:
         raise OracleScaleError("subset enumeration capped at 2^20")
+    paths, log_ws = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
     # unnormalized terminal-state masses of each chain, scaled by its peak
     # path weight; a chain whose paths all carry zero mass gives zeros
     scaled = []
-    for prior in (nu, nup):
-        paths, log_w = _path_log_weights(fmodel, prior, ys, _MAX_PATHS)
+    for log_w in log_ws:
         peak = float(np.max(log_w))
         w = np.exp(log_w - peak) if np.isfinite(peak) else np.zeros(len(log_w))
         scaled.append((np.bincount(paths[:, -1], weights=w, minlength=m), peak))
@@ -512,8 +499,7 @@ def numerator_rhs_enumerated(fmodel, nu, nup, ys, ld):
     n = len(ys) - 1
     if m ** (2 * (n + 1)) > 2**22:
         raise OracleScaleError("pair-path enumeration capped at 2^22 combinations")
-    paths, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
-    _, log_w2 = _path_log_weights(fmodel, nup, ys, _MAX_PATHS)  # same table, new weights
+    paths, (log_w, log_w2) = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
     _, inside, lo, hi = _finite_stream(fmodel, ld, ys)
     in_c = inside[np.arange(n + 1), paths]  # (P, n+1): path p inside the set at step k
     rhos = 1.0 - (lo / hi) ** 2
@@ -543,7 +529,7 @@ def denominator_gap(fmodel, nu, ys, ld):
     n = len(ys) - 1
     if n < 1:
         raise ConfigError("need at least one step")
-    _, log_w = _path_log_weights(fmodel, nu, ys, _MAX_PATHS)
+    _, (log_w,) = _path_log_weights(fmodel, [nu], ys, _MAX_PATHS)
     lhs_log = float(logsumexp(log_w))  # -inf when every path weighs zero
     g, inside, lo, _ = _finite_stream(fmodel, ld, ys)
     factors = [_phi_finite(fmodel, nu, g, inside)]

@@ -9,6 +9,7 @@ Every family exposes the same small surface:
 - ``log_radial_min(r)`` / ``log_radial_max(r)``: log inf and log sup of the
   density over the closed ball of radius ``r`` around the origin,
 - ``tail_sup(delta)``: sup of the density outside that ball,
+- ``log_mass(delta)``: log of its mass on that ball, precise at any ``delta``,
 - ``delta_for_tail_ratio(eta)``: smallest radius whose tail sup is at most
   ``eta`` times the global sup.
 
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import H2FailureError, ModelValidationError, check_family
 
@@ -78,6 +80,11 @@ class GaussianDensity:
         if eta <= 0.0:
             raise H2FailureError("tail ratio must be positive")
         return self.sigma * math.sqrt(2.0 * math.log(1.0 / eta))
+
+    def log_mass(self, delta):
+        # log erf for a small mass, log1p(-erfc) for one near 1
+        x = delta / (self.sigma * math.sqrt(2.0))
+        return math.log(math.erf(x)) if x < 0.5 else math.log1p(-math.erfc(x))
 
 
 def student_t_logpdf(u, df, scale, log_norm, out=None):
@@ -148,6 +155,13 @@ class StudentTDensity:
             raise H2FailureError("tail ratio must be positive")
         v = self.df
         return self.scale * math.sqrt(v * (eta ** (-2.0 / (v + 1.0)) - 1.0))
+
+    def log_mass(self, delta):
+        # P(|T| <= t) = I(t^2/(v + t^2); 1/2, v/2), its complement I(v/(v + t^2); v/2, 1/2)
+        v, t2 = self.df, (delta / self.scale) ** 2
+        if t2 < v:
+            return math.log(betainc(0.5, 0.5 * v, t2 / (v + t2)))
+        return math.log1p(-betainc(0.5 * v, 0.5, v / (v + t2)))
 
 
 _FIELDS = {"gaussian": {"family", "sigma"}, "student_t": {"family", "df", "scale"}}

@@ -283,13 +283,13 @@ def exact_filter_finite(fmodel, nu, ys):
     return out, log_z
 
 
-def _path_log_weights(fmodel, nu, ys, max_paths):
-    """Every state path, one row per path, with its log weight.
+def _path_log_weights(fmodel, priors, ys, max_paths):
+    """Every state path, one row per path, and its log weight under each prior.
 
-    The weight is the prior, then each transition, then each emission, summed
-    in that order. More than ``max_paths`` paths raise OracleScaleError.
+    Row i of the weights belongs to ``priors[i]``: its prior, then each
+    transition, then each emission, summed in that order. More than
+    ``max_paths`` paths raise OracleScaleError.
     """
-    nu = np.asarray(nu, dtype=float)
     m = fmodel.m
     n = len(ys) - 1
     if m ** (n + 1) > max_paths:
@@ -301,7 +301,7 @@ def _path_log_weights(fmodel, nu, ys, max_paths):
     with np.errstate(divide="ignore"):
         log_q = np.log(fmodel.Q).ravel()  # entry u*m + v is log Q[u, v]
         log_g = np.log([fmodel.emission_vector(y) for y in ys])
-        log_w = np.log(nu)[steps[0]]
+        log_w = np.log(priors)[:, steps[0]]
         for k in range(1, n + 1):
             log_w += log_q[steps[k - 1] * m + steps[k]]
         for k in range(0, n + 1):
@@ -321,7 +321,7 @@ def exhaustive_terminal_sums(fmodel, nu, ys):
     n = len(ys) - 1
     if m > 12 or n > 20:
         raise OracleScaleError("path enumeration capped at 2^20 paths, m <= 12, n <= 20")
-    paths, log_w = _path_log_weights(fmodel, nu, ys, 2**20)
+    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, 2**20)
     peak = np.max(log_w)
     if not np.isfinite(peak):
         raise FilterCollapseError(n, "all paths carry zero mass")

@@ -9,6 +9,7 @@ given, the runtime budget.
 import math
 import tempfile
 import time
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from ldlab.doeblin import (
     finite_ld_construct,
     verify_ld_property,
 )
+from ldlab.errors import ConstructionError
 from ldlab.filtering import (
     ReprConfig,
     exact_filter_finite,
@@ -45,8 +47,12 @@ from ldlab.scenarios import (
 
 
 def _report(num, label, ok, detail):
+    return _gate(f"criterion {num:02d}", label, ok, detail)
+
+
+def _gate(tag, label, ok, detail):
     status = "PASS" if ok else "FAIL"
-    print(f"[criterion {num:02d}] {status} {label} ({detail})")
+    print(f"[{tag}] {status} {label} ({detail})")
     return ok
 
 
@@ -89,6 +95,67 @@ def _random_fixture(rng, n_lo, n_hi):
 def _fixture_set(seed, n_hi, count=200):
     rng = np.random.default_rng(seed)
     return tuple(_random_fixture(rng, 2, n_hi) for _ in range(count))
+
+
+def _ring_fixture(rng, n_lo, n_hi):
+    """One ring chain with structural zeros in Q, local sets and a local path.
+
+    Q(x, x') > 0 only at ring distance <= 1, so with m >= 4 no power-one
+    Doeblin minorisation holds and forgetting can come only from the local
+    sets. Emissions peak on the diagonal (symbol b is most likely from state
+    b), every bin's set is the singleton {b}, and the observed bins move at
+    most one step around the ring, so every observed set pair has a positive
+    block.
+    """
+    m = int(rng.integers(4, 7))
+    Q = np.zeros((m, m))
+    for s in range(m):
+        for step in (-1, 0, 1):
+            Q[s, (s + step) % m] = rng.uniform(0.05, 1.0)
+    Q /= Q.sum(axis=1, keepdims=True)
+    W = rng.uniform(0.01, 0.1, size=(m, m))
+    W[np.diag_indices(m)] = rng.uniform(0.5, 1.0, size=m)
+    pdfs = [(lambda row: (lambda y: float(row[int(y)])))(W[s]) for s in range(m)]
+    fmodel = finite_model_make(Q, pdfs)
+    ld = finite_ld_construct(fmodel, [[b] for b in range(m)],
+                             obs_to_bin=lambda y: int(round(float(y))))
+    n = int(rng.integers(n_lo, n_hi + 1))
+    walk = int(rng.integers(m)) + np.cumsum(np.r_[0, rng.integers(-1, 2, size=n)])
+    ys = (walk % m).astype(float)
+    nu = rng.dirichlet(np.ones(m))
+    nup = rng.dirichlet(np.ones(m))
+    return fmodel, ld, ys, nu, nup
+
+
+def _headline_and_tv(fmodel, ld, ys, nu, nup, eta):
+    """The finite bound's headline and the exact final-filter TV it bounds."""
+    bb = forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha=0.5, eta=eta)
+    f1, _ = exact_filter_finite(fmodel, nu, ys)
+    f2, _ = exact_filter_finite(fmodel, nup, ys)
+    return bb.headline, tv_half_l1(f1[-1], f2[-1])
+
+
+def _bound_checks(eta_of):
+    """The bound against the exact gap on 200 fixtures x 20 prior pairs.
+
+    ``eta_of`` maps a fixture's admissible eta to the eta used. Returns the
+    violations, the checks, the headlines below 1 and the smallest margin.
+    """
+    prior_rng = np.random.default_rng(777)
+    violations = checks = below_one = 0
+    worst_margin = math.inf
+    for fmodel, ld, ys, _, _ in _fixture_set(20240817, 6):
+        eta = eta_of(admissible_eta_finite(fmodel, ld, ys))
+        for _ in range(20):
+            nu = prior_rng.dirichlet(np.ones(fmodel.m))
+            nup = prior_rng.dirichlet(np.ones(fmodel.m))
+            headline, tv = _headline_and_tv(fmodel, ld, ys, nu, nup, eta)
+            checks += 1
+            below_one += headline < 1.0
+            worst_margin = min(worst_margin, headline - tv)
+            if tv > headline + 1e-12:
+                violations += 1
+    return violations, checks, below_one, worst_margin
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +208,7 @@ def test_criterion_03_denominator_inequality_on_random_fixtures():
 
 def test_criterion_04_assembled_bound_dominates_exact_filter_gap():
     t0 = time.perf_counter()
-    fixtures = _fixture_set(20240817, 6)
-    prior_rng = np.random.default_rng(777)
-    violations = 0
-    checks = 0
-    worst_margin = math.inf
-    for fmodel, ld, ys, _, _ in fixtures:
-        required = admissible_eta_finite(fmodel, ld, ys)
-        eta = 0.5 * (1.0 + required)
-        for _ in range(20):
-            nu = prior_rng.dirichlet(np.ones(fmodel.m))
-            nup = prior_rng.dirichlet(np.ones(fmodel.m))
-            bb = forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha=0.5, eta=eta)
-            f1, _ = exact_filter_finite(fmodel, nu, ys)
-            f2, _ = exact_filter_finite(fmodel, nup, ys)
-            tv = tv_half_l1(f1[-1], f2[-1])
-            checks += 1
-            worst_margin = min(worst_margin, bb.headline - tv)
-            if tv > bb.headline + 1e-12:
-                violations += 1
+    violations, checks, _, worst_margin = _bound_checks(lambda required: 0.5 * (1.0 + required))
     dt = time.perf_counter() - t0
     ok = violations == 0 and dt < 120.0
     assert _report(4, "exact filter gap below assembled bound", ok,
@@ -250,6 +299,61 @@ def test_criterion_10_preset_reruns_are_byte_identical():
     ok = not stale
     assert _report(10, "tv.csv byte-identical on rerun for every preset", ok,
                    f"presets {sorted(PRESETS)}, mismatches {stale or 'none'}, {dt:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# gates beyond the ten criteria
+
+
+def test_finite_bound_at_the_eta_floor():
+    # criterion 04's fixtures and prior draws, at the smallest admissible eta,
+    # where the bound is tightest and some headlines fall below 1
+    t0 = time.perf_counter()
+    violations, checks, below_one, worst_margin = _bound_checks(lambda required: required + 1e-9)
+    dt = time.perf_counter() - t0
+    ok = violations == 0 and below_one > 0 and dt < 120.0
+    assert _gate("eta floor", "exact filter gap below the bound at eta_req + 1e-9", ok,
+                 f"{violations} violations in {checks} checks, {below_one} headlines below 1, "
+                 f"min margin {worst_margin:.3f}, {dt:.1f}s")
+
+
+def test_non_ergodic_ring_chains():
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(20240819)
+    fixtures = [_ring_fixture(rng, 2, 6) for _ in range(200)]
+    with_zeros = sum(bool(np.any(f.Q == 0.0)) for f, *_ in fixtures)
+    num_bad = den_bad = bound_bad = checks = zero_blocks = 0
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmodel, ld, ys, nu, nup in fixtures:
+            num_bad += not numerator_gap(fmodel, nu, nup, ys, ld).holds
+            den_bad += not denominator_gap(fmodel, nu, ys, ld).holds
+            required = admissible_eta_finite(fmodel, ld, ys)
+            for eta in (required + 1e-9, 0.5 * (1.0 + required)):
+                headline, tv = _headline_and_tv(fmodel, ld, ys, nu, nup, eta)
+                checks += 1
+                bound_bad += tv > headline + 1e-12
+            f1, log_z = exact_filter_finite(fmodel, nu, ys)
+            exh, log_z_exh = exhaustive_filter_finite(fmodel, nu, ys)
+            worst = max(worst, float(np.max(np.abs(f1[-1] - exh))), abs(log_z - log_z_exh))
+            # a jump of two bins meets a zero block of Q
+            jump = np.array([ys[0], ys[0], (ys[0] + 2) % fmodel.m])
+            for check in (lambda: forgetting_bound_finite(fmodel, ld, nu, nup, jump, 0.5, 0.5),
+                          lambda: numerator_gap(fmodel, nu, nup, jump, ld),
+                          lambda: denominator_gap(fmodel, nu, jump, ld)):
+                try:
+                    check()
+                except ConstructionError:
+                    zero_blocks += 1
+    dt = time.perf_counter() - t0
+    ok = (num_bad == den_bad == bound_bad == 0 and worst <= 1e-10
+          and with_zeros == len(fixtures) and zero_blocks == 3 * len(fixtures) and dt < 60.0)
+    assert _gate("ring chains", "inequalities, bound and recursion on non-ergodic chains", ok,
+                 f"{with_zeros} of {len(fixtures)} fixtures with zeros in Q, "
+                 f"{num_bad}/{den_bad} numerator/denominator violations, "
+                 f"{bound_bad} bound violations in {checks} checks, recursion gap {worst:.2e}, "
+                 f"{zero_blocks} zero blocks raised, {dt:.1f}s")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ldlab.bounds import (
     BoundBreakdown,
@@ -167,11 +168,24 @@ def test_masses_match_closed_forms_on_gaussian_presets(preset, references):
                 exact = references.log_phi(a, c0, q, r, mean, std, ys[0], ys[1], delta)
                 assert abs(phi.log_value - exact) <= 1e-10, (seed, eta, mean, std)
                 assert phi.rule_err <= 1e-10
-            psi = set_likelihood_mass(model, ys[:-1], ys[1:], delta)
-            assert np.max(np.abs(np.log(psi) - references.log_psi(r, delta))) <= 1e-10
-            # a scalar yp is the same rule on one set, returned as a float
-            one = set_likelihood_mass(model, ys[0], ys[1], delta)
-            assert isinstance(one, float) and one == pytest.approx(psi[0], rel=1e-14)
+    # psi is one closed-form number, the same for every observation
+    for eta in (0.1, 1e-3, 1e-20, 1e-300):
+        delta = delta_for_eta(model, eta)
+        psi = set_likelihood_mass(model, ys[0], ys[1], delta)
+        assert abs(math.log(psi) - references.log_psi(r, delta)) <= 1e-14, eta
+
+
+def test_set_likelihood_mass_matches_student_t_closed_form():
+    # t(3) noise at scale 0.5 through h(x) = 0.3 + 2x, so b = 1/2
+    model = model_from_spec({
+        "h": {"type": "affine", "c0": 0.3, "c1": 2.0},
+        "obs_noise": {"family": "student_t", "df": 3.0, "scale": 0.5},
+    })
+    for eta in (0.1, 1e-6, 1e-20, 1e-300):
+        delta = delta_for_eta(model, eta)
+        exact = math.log(0.5) + math.log1p(-2.0 * stats.t.sf(delta, 3.0, scale=0.5))
+        psi = set_likelihood_mass(model, -1.0, 2.5, delta)
+        assert abs(math.log(psi) - exact) <= 1e-12, eta
 
 
 def _chain3_breakdown(nu):
@@ -297,7 +311,7 @@ def test_forgetting_bound_assembly_identity():
     # per-step arrays span pairs k = 1..n
     assert len(b.per_step["log_eps_minus"]) == n
     assert len(b.per_step["log_upsilon"]) == n + 1
-    # the change of every phi and psi log at doubled rule order
+    # the change of each log phi at doubled rule order
     assert 0.0 <= b.diagnostics["mass_rule_err"] <= 1e-10
 
 

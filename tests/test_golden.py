@@ -12,11 +12,11 @@ import pytest
 from ldlab.scenarios import PRESETS, preset_config, run_scenario
 
 TV_CSV_SHA256 = {
-    "ar-unstable": "2ca4a73fabd83db5a18acc51c9005eda71adf65c69d6eaa11a2d104952a56cfe",
-    "dep-noise": "036bb0bbc1215492a22b6368d2963dedea1c76e2bc93a52d38b2fe83b1361062",
+    "ar-unstable": "42f91909062c4f0b428d857f518a545b72a39fa0906876815d9e8a73cbfc86eb",
+    "dep-noise": "d4d6b02bde7cf5b324c81a37f9508e428d4ae419941f31fac9b012374717cbd6",
     "finite-oracle": "cc31b8e3073dc8d831f17217836880f8abd83f32cb349e287190bb4ea3a0aa95",
     "misspec": "426f38fac8ef5b491abda5eb67d3050b0016c44499b0dbed8fadce606a7fff58",
-    "rw-gauss": "d92bc20684d821c2548ea4e97916168419db58c04e9b8a9fda1fd74f6dc9108a",
+    "rw-gauss": "ef08425110b14a2f6a3631ba1d15494f0b06cfdcc6b44be9164122fce7e455ce",
 }
 
 REPORT_JSON_SHA256 = {
