@@ -44,7 +44,6 @@ from .errors import (
     ModelValidationError,
     OracleScaleError,
     RepresentationError,
-    UnavailableModeError,
 )
 from .filtering import (
     FilterState,

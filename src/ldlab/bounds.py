@@ -271,12 +271,13 @@ def _breakdown(log_em, log_ep, log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
     )
 
 
-def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj=None,
-                     truth=None):
+def forgetting_bound(model, prior1, prior2, ys, alpha, eta):
     """Assembled observation-path bound on the TV gap of two filters.
 
     The set radius is derived from ``eta`` through the tail-ratio condition;
-    the remainder term is built from the per-pair envelope and mass values
+    the envelope radii from the exact preimage distances of ``ys``, so the
+    bound holds for any observation path, mis-specified data included. The
+    remainder term is built from the per-pair envelope and mass values
     entirely in log domain and combined with the quota term by log-add-exp.
     ``mass_rule_err`` in the diagnostics is the larger change of the two log
     phi when the Gauss-Legendre rule doubles its points; psi is exact.
@@ -288,9 +289,8 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj
     if not (0.0 < eta < 1.0):
         raise ConfigError("eta must lie in (0, 1)")
     delta = delta_for_eta(model, eta)
-    d, mode_used = distance_series(model, ys, mode=d_mode, traj=traj, truth=truth)
     noise = model.state_noise
-    r = envelope_radius(model, delta, d)
+    r = envelope_radius(model, delta, distance_series(model, ys))
     log_psi = np.full(n, math.log(set_likelihood_mass(model, ys[0], ys[1], delta)))
     phi1, phi2 = (two_step_prior_mass(model, p, ys[0], ys[1], delta) for p in (prior1, prior2))
     return _breakdown(
@@ -298,7 +298,7 @@ def forgetting_bound(model, prior1, prior2, ys, alpha, eta, d_mode="exact", traj
         np.asarray(noise.log_radial_max(r), dtype=float),
         log_psi, np.full(n + 1, math.log(model.obs_noise.sup())),
         phi1.log_value, phi2.log_value, alpha, eta,
-        parameters={"delta": delta, "d_mode": mode_used, "phi_method": "quad"},
+        parameters={"delta": delta, "phi_method": "quad"},
         diagnostics={"phi_underflow": bool(phi1.underflow or phi2.underflow),
                      "achieved_eta": eta_for_delta(model, delta),
                      "mass_rule_err": max(phi1.rule_err, phi2.rule_err)},
@@ -328,7 +328,7 @@ def forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha, eta):
     return _breakdown(
         np.array([math.log(v) for v in lo]), np.array([math.log(v) for v in hi]),
         log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
-        parameters={"delta": None, "d_mode": "finite-exact", "phi_method": "finite-exact"},
+        parameters={"delta": None, "phi_method": "finite-exact"},
         diagnostics={"phi_underflow": min(phis) <= 0.0, "required_eta": required},
     )
 
@@ -364,9 +364,10 @@ def write_bound_csv(breakdown, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def bound_series(model, prior1, prior2, ys, alpha, etas, d_mode="exact", traj=None,
-                 truth=None):
+def bound_series(model, prior1, prior2, ys, alpha, etas):
     """Assembled bound for every prefix y_{0:k}, k = 2..n, at the best of ``etas``.
+
+    Like ``forgetting_bound``, it reads nothing of the data but ``ys``.
 
     One full-horizon breakdown per eta, in input order; the series comes from
     the first with the smallest ``log_total``, returned under ``"full"``, and
@@ -375,8 +376,7 @@ def bound_series(model, prior1, prior2, ys, alpha, etas, d_mode="exact", traj=No
     faster (rw-gauss seed 101, 13 points, medians of 6 alternating runs on 2
     CPUs: 1.46 s pooled, 1.38 s serial, identical results).
     """
-    results = [forgetting_bound(model, prior1, prior2, ys, alpha, float(eta), d_mode=d_mode,
-                                traj=traj, truth=truth) for eta in etas]
+    results = [forgetting_bound(model, prior1, prior2, ys, alpha, float(eta)) for eta in etas]
     series = prefix_series(min(results, key=lambda b: b.log_total))
     series["results"] = results
     return series

@@ -152,8 +152,8 @@ def cmd_bound(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"bound-seed{seed}")
     os.makedirs(out, exist_ok=True)
-    traj, _, ys = _simulate(config, seed)
-    _, info, bd = _evaluate_bound(config, traj, ys)
+    _, _, ys = _simulate(config, seed)
+    _, info, bd = _evaluate_bound(config, ys)
     sweep = info.get("sweep")
     if sweep is not None:
         sweep = {"etas": sweep["etas"], "log_totals": [r["log_total"] for r in sweep["results"]]}

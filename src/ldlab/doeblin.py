@@ -25,7 +25,6 @@ from .errors import (
     ConstructionError,
     EnvelopeOrderError,
     RepresentationError,
-    UnavailableModeError,
 )
 from .models import transition_density
 
@@ -67,12 +66,7 @@ def envelope_radius(model, delta, d_value):
 
 
 # ---------------------------------------------------------------------------
-# preimage distance (three modes)
-
-
-def preimage_distance_exact(model, y, yp):
-    """|f(h^-1(y)) - h^-1(y')|."""
-    return abs(float(model.f(model.h_inverse(float(y)))) - float(model.h_inverse(float(yp))))
+# preimage distance: the exact value, and the noise-record forms that bound it
 
 
 def preimage_distance_recorded(model, eps_prev, zeta, eps):
@@ -93,46 +87,24 @@ def misspec_distance(truth, eps_prev, zeta, eps):
     return truth.kappa + 2.0 * a * b + tail
 
 
-def distance_series(model, ys, mode="exact", traj=None, truth=None):
-    """Per-pair distance values for (y_{k-1}, y_k), k = 1..n, plus the mode used.
+def distance_series(model, ys):
+    """D_k = |f(h^-1(y_{k-1})) - h^-1(y_k)| for the pairs k = 1..n, vectorized.
 
-    The one dispatcher over the three modes: ``exact`` (the preimages of the
-    observations), ``recorded`` (noise record of ``traj``) and ``misspec``
-    (``truth`` plus ``traj``).
+    ``ys`` alone gives it, for any data. The noise-record forms above only
+    bound it from above; the integrability diagnostics use them.
     """
-    ys = np.asarray(ys, dtype=float)
-    if mode == "exact":
-        d = np.array([preimage_distance_exact(model, ys[k - 1], ys[k]) for k in range(1, len(ys))])
-    elif mode == "recorded":
-        if traj is None:
-            raise UnavailableModeError("recorded mode needs a simulated trajectory")
-        eps = traj.obs_noise
-        d = preimage_distance_recorded(model, eps[:-1], traj.state_noise, eps[1:])
-    elif mode == "misspec":
-        if truth is None or traj is None:
-            raise UnavailableModeError("misspec mode needs the truth description and trajectory")
-        eps = traj.obs_noise
-        d = misspec_distance(truth, eps[:-1], traj.state_noise, eps[1:])
-    else:
-        raise ConfigError(f"unknown distance mode {mode!r}")
-    if len(d) != len(ys) - 1:
-        raise ConfigError("noise record length does not match the observation sequence")
-    return d, mode
+    pre = np.asarray(model.h_inverse(np.asarray(ys, dtype=float)), dtype=float)
+    return np.abs(np.asarray(model.f(pre[:-1]), dtype=float) - pre[1:])
 
 
 # ---------------------------------------------------------------------------
 # envelope pairs and the contraction coefficient
 
 
-def envelope_pair(model, y, yp, delta, d_value=None):
-    """(lower, upper) envelope values for the pair (y, y'); natural scale.
-
-    Without ``d_value`` the radius uses the exact preimage distance.
-    """
-    if d_value is None:
-        d_value = preimage_distance_exact(model, y, yp)
+def envelope_pair(model, y, yp, delta):
+    """(lower, upper) envelope values for the pair (y, y'); natural scale."""
     noise = model.state_noise
-    r = envelope_radius(model, delta, d_value)
+    r = envelope_radius(model, delta, distance_series(model, [y, yp])[0])
     return math.exp(noise.log_radial_min(r)), math.exp(noise.log_radial_max(r))
 
 
@@ -360,7 +332,8 @@ def stability_diag_series(model, traj, delta):
     empirical mean is logged by the experiment runner as an integrability
     check, not certified.
     """
-    d, _ = distance_series(model, traj.observations, mode="recorded", traj=traj)
+    eps = traj.obs_noise
+    d = preimage_distance_recorded(model, eps[:-1], traj.state_noise, eps[1:])
     r = envelope_radius(model, delta, d)
     return -np.asarray(model.state_noise.log_radial_min(r), dtype=float)
 

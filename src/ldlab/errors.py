@@ -68,10 +68,6 @@ class EnvelopeOrderError(LabError):
     """Lower envelope exceeded upper envelope."""
 
 
-class UnavailableModeError(LabError):
-    """A preimage-distance mode lacks the trajectory or truth it reads."""
-
-
 class H2FailureError(LabError):
     """No radius on the search grid achieves the requested tail ratio."""
 

@@ -44,7 +44,6 @@ from scipy.special import logsumexp
 from .dists import PointMassPrior
 from .doeblin import delta_for_eta, ld_set
 from .errors import (
-    ConfigError,
     DegenerateInitError,
     FilterCollapseError,
     InsufficientDataError,
@@ -146,13 +145,11 @@ def prior_grid(priors, n):
     return np.linspace(min(lo), max(hi), n)
 
 
-def filter_init(model, prior, y0, cfg, rng=None):
+def filter_init(model, prior, y0, cfg, rng):
     """Initial particle filter: prior draws reweighted by the first likelihood.
 
     Grid filters start in ``grid_init`` and step in ``grid_filters``.
     """
-    if rng is None:
-        raise ConfigError("particle filters need an RNG")
     pos = np.asarray(prior.sample(rng, cfg.particles), dtype=float)
     log_w = np.asarray(loglik(model, pos, y0), dtype=float)
     if np.all(log_w <= LOG_FLOOR):
@@ -232,12 +229,10 @@ def grid_step(state, kernel, tgt, log_g):
     return replace(state, step=state.step + 1, nodes=tgt, log_weights=log_w), log_z + peak
 
 
-def filter_step(model, state, y, cfg=None, rng=None):
+def filter_step(model, state, y, cfg, rng):
     """Advance a particle filter one observation: propagate, then reweight."""
     if state.kind != "particles":
         raise RepresentationError(f"filter_step runs particle filters, not kind {state.kind!r}")
-    if rng is None or cfg is None:
-        raise ConfigError("particle steps need cfg and an RNG")
     pos = _propagate_particles(model, state.positions, rng)
     log_w = state.log_weights + loglik(model, pos, y)
     lse = logsumexp(log_w)

@@ -67,10 +67,9 @@ from .modelspec import model_from_spec
 
 _FIELDS = {"name", "model", "finite", "truth", "prior1", "prior2", "horizon", "seeds",
            "repr", "bound", "allow_equal_priors"}
-_BOUND_FIELDS = {"alpha", "eta", "etas", "d_mode", "thresholds"}
+_BOUND_FIELDS = {"alpha", "eta", "etas", "thresholds"}
 _TRUTH_FIELDS = {"f", "h", "state_noise", "obs_noise", "f_gap", "h_gap"}
 _FINITE_FIELDS = {"Q", "means", "stds", "set_table", "bin_threshold"}
-_D_MODES = ("exact", "recorded", "misspec")
 _THRESHOLDS = {"M0", "M1", "M2", "M3", "delta"}
 # the eta grid of a sweep that names no 'etas': 13 log-spaced points over [1e-4, 0.5]
 _SWEEP_ETAS = tuple(np.exp(np.linspace(math.log(1e-4), math.log(0.5), 13)).tolist())
@@ -80,14 +79,13 @@ _SWEEP_ETAS = tuple(np.exp(np.linspace(math.log(1e-4), math.log(0.5), 13)).tolis
 class BoundConfig:
     """A checked ``bound`` block with every default applied.
 
-    ``eta`` is a number in (0, 1) or "sweep" over ``etas``; ``d_mode`` is None
-    for a finite model; ``thresholds`` are the tail-event levels ``mc`` counts.
+    ``eta`` is a number in (0, 1) or "sweep" over ``etas``; ``thresholds`` are
+    the tail-event levels ``mc`` counts.
     """
 
     alpha: float
     eta: object
     etas: tuple
-    d_mode: Optional[str]
     thresholds: dict
 
 
@@ -159,7 +157,7 @@ def scenario_from_dict(d):
     if prior1 is not None and prior1 == prior2 and allow_equal is not True:
         errors.append("identical priors need allow_equal_priors: true")
     if bound is not None:
-        bound = bound_config(bound, finite is not None, truth_spec is not None, errors)
+        bound = bound_config(bound, finite is not None, errors)
     parts, build_prior = {}, None
     if finite is None and model_spec is not None:
         build_prior = prior_from_spec
@@ -173,10 +171,10 @@ def scenario_from_dict(d):
         if parts:  # a finite prior's length is the built model's state count
             build_prior = partial(_finite_prior, m=parts["fmodel"].m)
         # a finite model is filtered exactly on the stream it simulates: it has no
-        # grid, truth, distance mode or eta list
+        # grid, truth or eta list
         unused = [key for key in ("repr", "truth") if key in d]
-        if isinstance(d.get("bound"), dict):
-            unused += [f"bound.{key}" for key in ("d_mode", "etas") if key in d["bound"]]
+        if isinstance(d.get("bound"), dict) and "etas" in d["bound"]:
+            unused.append("bound.etas")
         if unused:
             errors.append(f"a finite model takes no {unused}")
     nus = {}
@@ -207,12 +205,10 @@ def _unit_number(x):
     return _number(x) and 0.0 < x < 1.0
 
 
-def bound_config(bound, finite, truth, errors):
+def bound_config(bound, finite, errors):
     """The checked ``bound`` block, or None with its problems appended to ``errors``.
 
-    Every default of a bound is applied here, once. ``d_mode`` follows the
-    scenario, 'misspec' with a truth block and 'recorded' without: recorded-noise
-    distances bound the preimage distance only for data drawn from the filter model.
+    Every default of a bound is applied here, once.
     """
     if not isinstance(bound, dict):
         errors.append("'bound' must be an object")
@@ -236,16 +232,6 @@ def bound_config(bound, finite, truth, errors):
         problems.append(f"bound.etas must be a non-empty list of numbers in (0, 1), got {etas!r}")
     elif etas is not None and eta != "sweep" and not finite:  # a finite model's is unused
         problems.append("bound.etas is read only with bound.eta 'sweep'")
-    d_mode = bound.get("d_mode", "misspec" if truth else "recorded")
-    if d_mode not in _D_MODES:
-        problems.append(f"bound.d_mode must be one of {list(_D_MODES)}, got {d_mode!r}")
-    elif finite:  # a finite model's 'd_mode' is reported unused by the caller
-        d_mode = None
-    elif d_mode == "misspec" and not truth:
-        problems.append("bound.d_mode 'misspec' needs a 'truth' block")
-    elif d_mode == "recorded" and truth:
-        problems.append("bound.d_mode 'recorded' holds only for data drawn from the filter "
-                        "model; with a 'truth' block use 'misspec' or 'exact'")
     th = bound.get("thresholds", {})
     if not (isinstance(th, dict) and set(th) <= _THRESHOLDS and all(map(_number, th.values()))):
         problems.append(f"bound.thresholds must map some of {sorted(_THRESHOLDS)} to numbers, "
@@ -255,7 +241,7 @@ def bound_config(bound, finite, truth, errors):
         return None
     return BoundConfig(alpha=float(alpha), eta=eta if eta == "sweep" else float(eta),
                        etas=_SWEEP_ETAS if etas is None else tuple(map(float, etas)),
-                       d_mode=d_mode, thresholds=dict(th))
+                       thresholds=dict(th))
 
 
 def _collect(errors, key, build, *args):
@@ -312,7 +298,7 @@ PRESETS = {
         "horizon": 100,
         "seeds": list(range(101, 121)),
         "repr": {"nodes": 256},
-        "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
+        "bound": {"alpha": 0.5, "eta": 0.1},
     },
     "ar-unstable": {
         "name": "ar-unstable",
@@ -322,7 +308,7 @@ PRESETS = {
         "horizon": 100,
         "seeds": list(range(201, 221)),
         "repr": {"nodes": 256},
-        "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
+        "bound": {"alpha": 0.5, "eta": 0.1},
     },
     "dep-noise": {
         "name": "dep-noise",
@@ -338,7 +324,7 @@ PRESETS = {
         "horizon": 80,
         "seeds": list(range(301, 321)),
         "repr": {"nodes": 256},
-        "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
+        "bound": {"alpha": 0.5, "eta": 0.1},
     },
     "misspec": {
         "name": "misspec",
@@ -354,7 +340,7 @@ PRESETS = {
         "horizon": 100,
         "seeds": list(range(401, 421)),
         "repr": {"nodes": 256},
-        "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "misspec"},
+        "bound": {"alpha": 0.5, "eta": 0.1},
     },
     "finite-oracle": {
         "name": "finite-oracle",
@@ -560,9 +546,8 @@ def run_scenario(config, seed=None, out_dir=None):
     ns = np.arange(len(ys))
     bound_log = bound_info = None
     if config.bound is not None and failure is None:
-        bound_log, bound_info, _ = _evaluate_bound(config, traj, ys)
+        bound_log, bound_info, _ = _evaluate_bound(config, ys)
         diagnostics["h2_delta"] = bound_info["delta"]
-        diagnostics["d_mode"] = bound_info["d_mode"]
 
     delta = None
     if not config.is_finite and config.bound is not None:
@@ -571,8 +556,12 @@ def run_scenario(config, seed=None, out_dir=None):
         elif config.bound.eta != "sweep":  # a failed run with eta "sweep" chose no eta
             delta = delta_for_eta(model, config.bound.eta)
     if delta is not None:
-        diagnostics["stability_diag_mean"] = float(np.mean(stability_diag_series(model, traj, delta)))
-        if truth is not None:
+        # each diagnostic only under its premise: the recorded-noise form bounds the
+        # preimage distance on data from the filter model, the misspec form on a truth's
+        if truth is None:
+            diagnostics["stability_diag_mean"] = float(
+                np.mean(stability_diag_series(model, traj, delta)))
+        else:
             diagnostics["misspec_diag_mean"] = float(
                 np.mean(misspec_diag_series(model, truth, traj, delta)))
 
@@ -602,7 +591,7 @@ def run_scenario(config, seed=None, out_dir=None):
     return report
 
 
-def _evaluate_bound(config, traj, ys):
+def _evaluate_bound(config, ys):
     """The bound of one stream: its prefix series, its report entry, its breakdown.
 
     One full-horizon breakdown per eta (the configured one, or each of a
@@ -614,14 +603,12 @@ def _evaluate_bound(config, traj, ys):
                                                        config.nu2, ys, bc.alpha, bc.eta))
     else:
         series = bound_series(config.model, config.nu1, config.nu2, ys, bc.alpha,
-                              bc.etas if bc.eta == "sweep" else [bc.eta], d_mode=bc.d_mode,
-                              traj=traj, truth=config.truth)
+                              bc.etas if bc.eta == "sweep" else [bc.eta])
     bound_log = np.full(len(ys), np.nan)
     bound_log[series["n"]] = series["log_total"]
     full = series["full"]
     info = {"eta": float(full.parameters["eta"]), "alpha": bc.alpha,
-            "delta": full.parameters["delta"], "d_mode": full.parameters["d_mode"],
-            "final": full.to_json_dict()}
+            "delta": full.parameters["delta"], "final": full.to_json_dict()}
     if not config.is_finite:  # a finite bound takes one eta and never sweeps
         info["sweep"] = None if bc.eta != "sweep" else {
             "etas": [b.parameters["eta"] for b in series["results"]],

@@ -1,5 +1,6 @@
 """Bound assembly: quota maximization, mass terms, gap checks, sweeps."""
 
+import json
 import math
 import re
 import warnings
@@ -40,7 +41,7 @@ from ldlab.models import (
     simulate_trajectory,
 )
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS, preset_config
+from ldlab.scenarios import PRESETS, preset_config, scenario_from_dict
 
 ERF_1_OVER_SQRT2 = 0.6826894921370859  # standard normal mass of [-1, 1]
 
@@ -469,26 +470,30 @@ def test_write_bound_csv_layout(tmp_path):
     assert row0[0] == "0" and row0[1] == "" and row0[4] == ""
 
 
-def test_misspec_mode_flows_through_bound():
-    from ldlab.models import make_misspecified_truth, simulate_misspecified
 
-    filt = _rw_model()
-    truth_model = model_from_spec({
-        "kind": "nonlinear",
-        "f": {"type": "sine_perturbed_affine", "c0": 0.0, "c1": 1.0,
-              "amp": 1.0, "freq": 1.0},
-        "h": {"type": "identity"},
-        "state_noise": {"kind": "iid", "density": {"family": "gaussian", "sigma": 1.0}},
-        "obs_noise": {"family": "gaussian", "sigma": 1.0},
-    })
-    mt = make_misspecified_truth(filt, truth_model, f_gap=1.0, h_gap=0.0)
-    traj = simulate_misspecified(mt, NormalPrior(0.0, 1.0), n=5, seed=3)
-    b = forgetting_bound(filt, NormalPrior(-1.0, 1.0), NormalPrior(1.0, 1.0),
-                         traj.observations, alpha=0.5, eta=0.3,
-                         d_mode="misspec", traj=traj, truth=mt)
-    assert b.parameters["d_mode"] == "misspec"
-    # misspec distances are larger, so the contraction factors are worse than
-    # the exact-mode ones on the same data
-    b_exact = forgetting_bound(filt, NormalPrior(-1.0, 1.0), NormalPrior(1.0, 1.0),
-                               traj.observations, alpha=0.5, eta=0.3)
-    assert np.all(b.per_step["log_rho"] >= b_exact.per_step["log_rho"] - 1e-12)
+@pytest.mark.parametrize("sigma, eta", [(0.1, 1e-30), (0.03, 1e-20)])
+def test_continuous_bound_drops_below_one_and_stays_above_the_kalman_tv(sigma, eta,
+                                                                       references):
+    # a continuous gate that bites: with sharp observations and a tiny eta the
+    # bound falls below 1 (log below 0) on many prefixes, where it must still
+    # sit at or above the exact log TV of the two Kalman filters
+    raw = json.loads(json.dumps(PRESETS["rw-gauss"]))
+    raw["model"]["obs_noise"]["sigma"] = sigma
+    raw.update(horizon=100, seeds=list(range(101, 111)), bound={"alpha": 0.5, "eta": eta})
+    cfg = scenario_from_dict(raw)
+    a, _, q, r = references.gaussian_params(raw["model"])
+    p1, p2 = raw["prior1"], raw["prior2"]
+    assert p1["std"] == p2["std"]
+    exact = references.kalman_log_tv(a, q, r, p1["mean"], p2["mean"], p1["std"], cfg.horizon)
+    below, prefixes, margin = 0, 0, math.inf
+    for seed in cfg.seeds:
+        ys = simulate_trajectory(cfg.model, cfg.nu1, cfg.horizon, seed).observations
+        series = bound_series(cfg.model, cfg.nu1, cfg.nu2, ys, cfg.bound.alpha, [cfg.bound.eta])
+        gap = series["log_total"] - exact[series["n"]]
+        assert np.all(gap >= 0.0), (seed, float(gap.min()))
+        below += int(np.sum(series["log_total"] < 0.0))
+        prefixes += len(gap)
+        margin = min(margin, float(gap.min()))
+    print(f"\n[bound gate sigma={sigma}, eta={eta:g}] {below} of {prefixes} prefixes below 0, "
+          f"smallest margin {margin:.3g}")
+    assert below > 0

@@ -25,7 +25,7 @@ SMALL = {
     "horizon": 10,
     "seeds": [5, 6],
     "repr": {"nodes": 128},
-    "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
+    "bound": {"alpha": 0.5, "eta": 0.1},
 }
 
 
@@ -99,7 +99,7 @@ def test_a_command_reads_its_scenario_once(tmp_path, monkeypatch, capsys):
         report = json.loads((out / "report.json").read_text())
         assert report["config_hash"] == scenarios.config_hash(report["config"])
     bound = json.loads((tmp_path / "experiment" / "report.json").read_text())["config"]["bound"]
-    assert bound == {"alpha": 0.5, "eta": 0.2, "d_mode": "misspec"}
+    assert bound == {"alpha": 0.5, "eta": 0.2}
     assert "bound" not in json.loads((tmp_path / "filter" / "report.json").read_text())["config"]
     # a config that is not an object, or a bad --eta, is still a config error
     p = tmp_path / "list.json"
@@ -122,8 +122,7 @@ def test_bound_subcommand_and_eta_override(tmp_path, config_file):
 
 
 def test_bound_subcommand_sweeps_the_configured_etas(tmp_path):
-    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
-                             "d_mode": "recorded"})
+    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3]})
     p = tmp_path / "sweep.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "bnd"
@@ -136,15 +135,14 @@ def test_bound_subcommand_sweeps_the_configured_etas(tmp_path):
 
 
 def test_numeric_eta_flag_replaces_the_configured_sweep(tmp_path):
-    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
-                             "d_mode": "recorded"})
+    cfg = dict(SMALL, bound={"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3]})
     p = tmp_path / "sweep.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "bnd"
     r = _run("bound", "--config", str(p), "--out", str(out), "--eta", "0.2", cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["bound"] == {"alpha": 0.5, "eta": 0.2, "d_mode": "recorded"}
+    assert report["config"]["bound"] == {"alpha": 0.5, "eta": 0.2}
     assert report["eta_sweep"] is None
     assert report["bound"]["parameters"]["eta"] == 0.2
 
@@ -182,20 +180,14 @@ def test_invalid_config_reports_every_problem(tmp_path):
     r = _run("filter", "--config", str(p), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "unknown repr fields: ['particles']" in r.stderr
-    # a malformed bound is a config error too, found before any filtering
+    # a malformed bound is a config error too, found before any filtering; every
+    # bound takes the exact preimage distance, so a distance mode is an unknown field
     p.write_text(json.dumps(dict(SMALL, bound={"alpha": "0.5", "d_mode": "misspec"})))
     r = _run("experiment", "--config", str(p), cwd=tmp_path)
     assert r.returncode == 2, r.stderr
     assert "bound.alpha must be a number in (0, 1), got '0.5'" in r.stderr
-    assert "bound.d_mode 'misspec' needs a 'truth' block" in r.stderr
+    assert "unknown bound fields: ['d_mode']" in r.stderr
     assert "Traceback" not in r.stderr
-    # recorded-noise distances do not bound data drawn from a truth block
-    misspec = json.loads(json.dumps(ldlab.PRESETS["misspec"]))
-    misspec["bound"]["d_mode"] = "recorded"
-    p.write_text(json.dumps(misspec))
-    r = _run("bound", "--config", str(p), cwd=tmp_path)
-    assert r.returncode == 2, r.stderr
-    assert "bound.d_mode 'recorded' holds only for data drawn from the filter model" in r.stderr
     # so are a finite set table's problems, and an eta list next to a fixed eta
     for table in ([[], [0, 1]], [[0, 0, 1], [0, 1]]):
         finite = json.loads(json.dumps(ldlab.PRESETS["finite-oracle"]))

@@ -1,4 +1,4 @@
-"""Observation-indexed state sets, envelope sandwiches, distance modes."""
+"""Observation-indexed state sets, envelope sandwiches, preimage distances."""
 
 import math
 
@@ -17,7 +17,6 @@ from ldlab.doeblin import (
     log_contraction_from_logs,
     misspec_diag_series,
     misspec_distance,
-    preimage_distance_exact,
     preimage_distance_recorded,
     stability_diag_series,
     verify_ld_property,
@@ -31,6 +30,7 @@ from ldlab.models import (
     simulate_trajectory,
 )
 from ldlab.modelspec import model_from_spec
+from ldlab.scenarios import preset_config
 
 N01_AT_0 = 0.3989422804014327
 N01_AT_3 = 0.0044318484119380075
@@ -110,32 +110,30 @@ def test_log_contraction_keeps_precision_below_minus_ln2():
     assert np.array_equal(got, want)
 
 
-def test_recorded_distance_dominates_exact_for_identity_pair():
+def test_exact_distance_is_below_its_noise_record_form():
+    # |f(h^-1(y_{k-1})) - h^-1(y_k)| never exceeds the form the integrability
+    # diagnostic of the data uses, on every seed of every continuous preset
+    for name in ("rw-gauss", "ar-unstable", "dep-noise", "misspec"):
+        cfg = preset_config(name)
+        for seed in cfg.seeds:
+            if cfg.truth is None:
+                traj = simulate_trajectory(cfg.model, cfg.nu1, cfg.horizon, seed)
+                eps = traj.obs_noise
+                form = preimage_distance_recorded(cfg.model, eps[:-1], traj.state_noise, eps[1:])
+            else:
+                traj = simulate_misspecified(cfg.truth, cfg.nu1, cfg.horizon, seed)
+                eps = traj.obs_noise
+                form = misspec_distance(cfg.truth, eps[:-1], traj.state_noise, eps[1:])
+            d = distance_series(cfg.model, traj.observations)
+            assert d.shape == form.shape == (cfg.horizon,)
+            assert np.all(d <= form + 1e-12), (name, seed)
+            # the vectorized series equals the pair-by-pair scalar form bit for bit
+            pre = [cfg.model.h_inverse(float(y)) for y in traj.observations]
+            assert d.tolist() == [abs(cfg.model.f(p) - q) for p, q in zip(pre[:-1], pre[1:])]
+    # the scalar cases: the identity pair's |y - y'|, and the recorded form's sum
     m = _rw_model()
-    traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=200, seed=42)
-    d_rec, _ = distance_series(m, traj.observations, mode="recorded", traj=traj)
-    d_ex, _ = distance_series(m, traj.observations, mode="exact")
-    assert d_rec.shape == d_ex.shape == (200,)
-    # |f(y_{k-1}) - y_k| <= a|eps_{k-1}| + |zeta_k| + |eps_k| pathwise
-    assert np.all(d_rec >= d_ex - 1e-12)
-    assert np.any(d_rec > d_ex + 0.1)  # and the bound is not vacuously tight
-
-
-def test_preimage_distance_mode_dispatch():
-    m = _rw_model()
-    assert preimage_distance_exact(m, 1.0, 3.0) == pytest.approx(2.0)
-    d = preimage_distance_recorded(m, 0.5, 1.0, 0.25)
-    assert d == pytest.approx(1.0 * 0.5 + 1.0 + 0.25)
-
-
-def test_distance_series_auto_prefers_exact():
-    m = _rw_model()
-    traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=10, seed=1)
-    d, mode = distance_series(m, traj.observations, traj=traj)
-    assert mode == "exact"
-    d2, mode2 = distance_series(m, traj.observations, mode="recorded", traj=traj)
-    assert mode2 == "recorded"
-    assert np.all(d2 >= d - 1e-12)
+    assert distance_series(m, [1.0, 3.0]).tolist() == [2.0]
+    assert preimage_distance_recorded(m, 0.5, 1.0, 0.25) == pytest.approx(1.0 * 0.5 + 1.0 + 0.25)
 
 
 def test_misspec_distance_is_the_statement_form():
@@ -150,18 +148,18 @@ def test_misspec_distance_is_the_statement_form():
     })
     mt = make_misspecified_truth(filt, truth_model, f_gap=1.0, h_gap=0.0)
     traj = simulate_misspecified(mt, NormalPrior(0.0, 1.0), n=150, seed=17)
-    d, mode = distance_series(filt, traj.observations, mode="misspec", traj=traj, truth=mt)
-    assert mode == "misspec" and d.shape == (150,)
     eps, zeta = traj.obs_noise, traj.state_noise
-    assert np.array_equal(d, misspec_distance(mt, eps[:-1], zeta, eps[1:]))
+    d = misspec_distance(mt, eps[:-1], zeta, eps[1:])
+    assert d.shape == (150,)
     # kappa + 2 a* b* + a* b* |eps_prev| + b* |eps| + |zeta| with kappa = f_gap = 1,
     # a* = 2 (the sine-perturbed drift's slope bound) and b* = 1 (identity h)
     assert mt.kappa == 1.0
     tail = 2.0 * np.abs(eps[:-1]) + np.abs(eps[1:]) + np.abs(zeta)
     assert np.array_equal(d, 1.0 + 4.0 + tail)
-    # the reported distance upper-bounds the exact preimage gap pathwise
+    # it upper-bounds the exact preimage gap pathwise
     ys = traj.observations
     d_true = np.abs(ys[:-1] - ys[1:])  # identity filter maps
+    assert np.array_equal(distance_series(filt, ys), d_true)
     assert np.all(d + 1e-12 >= d_true)
 
 
@@ -245,7 +243,8 @@ def test_stability_diag_matches_envelope_series():
     traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=60, seed=9)
     delta = 1.3
     z = stability_diag_series(m, traj, delta)
-    d, _ = distance_series(m, traj.observations, mode="recorded", traj=traj)
+    eps = traj.obs_noise
+    d = preimage_distance_recorded(m, eps[:-1], traj.state_noise, eps[1:])
     log_lo = m.state_noise.log_radial_min(envelope_radius(m, delta, d))
     assert np.allclose(z, -log_lo, atol=0, rtol=0)
     assert np.all(z > 0)  # lower envelope below 1 at these radii

@@ -12,15 +12,15 @@ import pytest
 from ldlab.scenarios import PRESETS, preset_config, run_scenario
 
 TV_CSV_SHA256 = {
-    "ar-unstable": "42f91909062c4f0b428d857f518a545b72a39fa0906876815d9e8a73cbfc86eb",
-    "dep-noise": "d4d6b02bde7cf5b324c81a37f9508e428d4ae419941f31fac9b012374717cbd6",
+    "ar-unstable": "1942efeb5d8114451a9d7b89dfa8bc234dbec5c6e3e11000176a0c6d1c4aa7a0",
+    "dep-noise": "c39e001147fa1cc81a24cf7c2041da626d7c7bac705f5c70f9e17865fc82fbeb",
     "finite-oracle": "cc31b8e3073dc8d831f17217836880f8abd83f32cb349e287190bb4ea3a0aa95",
-    "misspec": "426f38fac8ef5b491abda5eb67d3050b0016c44499b0dbed8fadce606a7fff58",
-    "rw-gauss": "ef08425110b14a2f6a3631ba1d15494f0b06cfdcc6b44be9164122fce7e455ce",
+    "misspec": "e193a5fdce83867e29b2673eaba28d179bbda9d6caa65948f51d310b232ee01d",
+    "rw-gauss": "b6fa235721be361c92d9ed14c8ce7aa280613fc3cdbbb01509385c19f027e04b",
 }
 
 REPORT_JSON_SHA256 = {
-    "finite-oracle": "6bdba787e4d876227373410580d6f9db27552c5b92ec574bdc7214a466ea99c9",
+    "finite-oracle": "d3d61e2029bf6c74309bec0c2106c5946ceeb80e8b138af5b7b1ade81ca3c78d",
 }
 
 

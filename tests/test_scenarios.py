@@ -39,7 +39,7 @@ SMALL_SCENARIO = {
     "horizon": 12,
     "seeds": [7, 8, 9],
     "repr": {"nodes": 128},
-    "bound": {"alpha": 0.5, "eta": 0.1, "d_mode": "recorded"},
+    "bound": {"alpha": 0.5, "eta": 0.1},
 }
 
 
@@ -66,19 +66,17 @@ def test_scenario_from_dict_collects_every_error():
         assert "'seeds' must be a non-empty list of integers" in msg
         assert "'horizon' must be a positive integer" in msg
         assert "'allow_equal_priors' must be true or false, got 'no'" in msg
-    # a finite model is filtered exactly, so a grid, a truth, a distance mode or
-    # an eta list would be ignored: each is an error; thresholds feed mc's
-    # exceedances
+    # a finite model is filtered exactly, so a grid, a truth or an eta list
+    # would be ignored: each is an error; thresholds feed mc's exceedances
     finite = json.loads(json.dumps(PRESETS["finite-oracle"]))
     finite["bound"]["thresholds"] = {"M1": 2.0}
     scenario_from_dict(finite)
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(dict(finite, horizon=-3, repr={"nodes": 64},
                                 truth=PRESETS["misspec"]["truth"],
-                                bound=dict(finite["bound"], d_mode="exact", etas=[0.1])))
+                                bound=dict(finite["bound"], etas=[0.1])))
     msg = str(err.value)
-    assert ("a finite model takes no ['repr', 'truth', 'bound.d_mode', 'bound.etas']"
-            in msg)
+    assert "a finite model takes no ['repr', 'truth', 'bound.etas']" in msg
     assert "'horizon' must be a positive integer" in msg
     # a finite bound cannot sweep eta, and no bound runs on a single step;
     # both are reported with the other problems, for either model kind
@@ -141,7 +139,7 @@ def test_scenario_from_dict_collects_every_error():
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(dict(SMALL_SCENARIO, horizn=5, horizon=-3,
                                 bound={"alhpa": 0.3, "alpha": "0.5", "eta": True,
-                                       "etas": [0.1, 2.0], "d_mode": "bogus"}))
+                                       "etas": [0.1, 2.0]}))
     msg = str(err.value)
     assert "unknown fields: ['horizn']" in msg
     assert "'horizon' must be a positive integer" in msg
@@ -149,7 +147,6 @@ def test_scenario_from_dict_collects_every_error():
     assert "bound.alpha must be a number in (0, 1), got '0.5'" in msg
     assert "bound.eta must be a number in (0, 1) or 'sweep', got True" in msg
     assert "bound.etas must be a non-empty list of numbers in (0, 1), got [0.1, 2.0]" in msg
-    assert "bound.d_mode must be one of ['exact', 'recorded', 'misspec'], got 'bogus'" in msg
     for bound in ({"eta": "sweep", "etas": []}, {"eta": "sweep", "etas": 0.1}):
         with pytest.raises(ConfigError, match="bound.etas must be a non-empty list"):
             scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
@@ -160,43 +157,29 @@ def test_scenario_from_dict_collects_every_error():
             scenario_from_dict(dict(SMALL_SCENARIO, bound=bound))
     with pytest.raises(ConfigError, match="'bound' must be an object"):
         scenario_from_dict(dict(SMALL_SCENARIO, bound=[1]))
-    # a distance mode the config cannot serve fails here, not after filtering;
-    # every observation map is invertible, so every model serves 'exact'
-    with pytest.raises(ConfigError) as err:
-        scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": "misspec"}))
-    assert "bound.d_mode 'misspec' needs a 'truth' block" in str(err.value)
+    # the bound needs the observation map's inverse, so only an invertible one
+    # is accepted, reported with the other problems
     sine_h = dict(SMALL_SCENARIO["model"], kind="nonlinear",
                   h={"type": "sine_perturbed_affine", "c1": 2.0, "amp": 0.5})
     with pytest.raises(ConfigError) as err:
-        scenario_from_dict(dict(SMALL_SCENARIO, model=sine_h, horizon=-3,
-                                bound={"d_mode": "exact"}))
+        scenario_from_dict(dict(SMALL_SCENARIO, model=sine_h, horizon=-3, bound={}))
     msg = str(err.value)
     assert ("'model': the observation map must be invertible: 'identity' or 'affine'"
             in msg)
     assert "'horizon' must be a positive integer" in msg
-    for d_mode in ("exact", "recorded"):
-        scenario_from_dict(dict(SMALL_SCENARIO, bound={"d_mode": d_mode}))
 
 
-def test_distance_mode_follows_the_truth_block():
-    # without 'd_mode' a bound takes 'misspec' on data from a truth block and
-    # 'recorded' otherwise; recorded-noise distances hold only for data drawn
-    # from the filter model, so 'recorded' with a truth block is rejected
-    assert scenario_from_dict(dict(SMALL_SCENARIO, bound={})).bound.d_mode == "recorded"
-    misspec = preset_dict("misspec")
-    misspec.update(horizon=5, seeds=[401])
-    del misspec["bound"]["d_mode"]
-    cfg = scenario_from_dict(misspec)
-    assert cfg.bound.d_mode == "misspec"
-    rep = run_scenario(cfg)
-    assert rep.diagnostics["d_mode"] == "misspec"
-    assert rep.bound["final"]["parameters"]["d_mode"] == "misspec"
-    misspec["bound"]["d_mode"] = "exact"
-    assert scenario_from_dict(misspec).bound.d_mode == "exact"
-    misspec["bound"]["d_mode"] = "recorded"
-    with pytest.raises(ConfigError, match="bound.d_mode 'recorded' holds only for data "
-                                          "drawn from the filter model"):
-        scenario_from_dict(misspec)
+def test_each_integrability_diagnostic_is_reported_under_its_premise():
+    # the recorded-noise distance bounds the preimage distance only on data from
+    # the filter model, the misspec distance only on data from a truth block
+    for name, kept, dropped in (("rw-gauss", "stability_diag_mean", "misspec_diag_mean"),
+                                ("misspec", "misspec_diag_mean", "stability_diag_mean")):
+        cfg = scenario_from_dict(dict(preset_dict(name), horizon=5))
+        rep = run_scenario(cfg)
+        assert np.isfinite(rep.diagnostics[kept]), name
+        assert dropped not in rep.diagnostics, name
+        assert "d_mode" not in rep.diagnostics and "d_mode" not in rep.bound
+        assert "d_mode" not in rep.bound["final"]["parameters"]
 
 
 def test_truth_keeps_its_own_lipschitz_constant():
@@ -264,7 +247,7 @@ def test_malformed_configs_fail_as_config_or_lab_errors():
                 else:
                     outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert crashes == []
-    assert sum(outcomes.values()) == 1550
+    assert sum(outcomes.values()) == 1510
     assert outcomes["config error"] > 1000 and outcomes["ran"] > 100
 
 
@@ -374,7 +357,6 @@ def test_run_scenario_produces_full_report():
     assert np.all(np.diff(rep.tv.log_tv) < 0)  # strict forgetting on this model
     assert rep.fit is not None and rep.fit.slope < -0.5
     assert rep.bound is not None
-    assert rep.bound["final"]["parameters"]["d_mode"] == "recorded"
     assert rep.tv.meta["scenario"] == "unit-small"
     assert rep.tv.meta["seed"] == 7
     assert rep.config_hash == config_hash(cfg.raw)
@@ -620,8 +602,7 @@ def test_monte_carlo_extends_seed_list_uniquely():
 
 def test_eta_sweep_scenario_reports_best(monkeypatch):
     d = json.loads(json.dumps(SMALL_SCENARIO))
-    d["bound"] = {"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3],
-                  "d_mode": "recorded"}
+    d["bound"] = {"alpha": 0.5, "eta": "sweep", "etas": [0.1, 0.3]}
     cfg = scenario_from_dict(d)
     calls = []
     real_bound = bounds.forgetting_bound
