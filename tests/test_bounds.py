@@ -26,7 +26,14 @@ from ldlab.bounds import (
     write_bound_csv,
 )
 from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
-from ldlab.doeblin import delta_for_eta, finite_ld_construct
+from ldlab.doeblin import (
+    delta_for_eta,
+    distance_series,
+    envelope_radius,
+    finite_ld_construct,
+    log_contraction_from_logs,
+    misspec_distance,
+)
 from ldlab.errors import (
     ConfigError,
     ConstructionError,
@@ -38,6 +45,7 @@ from ldlab.models import (
     FiniteModel,
     gaussian_finite_model,
     simulate_finite,
+    simulate_misspecified,
     simulate_trajectory,
 )
 from ldlab.modelspec import model_from_spec
@@ -314,6 +322,30 @@ def test_forgetting_bound_assembly_identity():
     assert len(b.per_step["log_upsilon"]) == n + 1
     # the change of each log phi at doubled rule order
     assert 0.0 <= b.diagnostics["mass_rule_err"] <= 1e-10
+
+
+def test_misspec_mode_flows_through_bound():
+    # on data from a truth block the bound reads the exact preimage distance of
+    # the data, which the misspec noise-record form bounds from above on every
+    # seed; so its contraction factors are no worse than that form's would be
+    cfg = preset_config("misspec")
+    noise = cfg.model.state_noise
+    delta = delta_for_eta(cfg.model, 0.3)
+    for seed in cfg.seeds:
+        traj = simulate_misspecified(cfg.truth, cfg.nu1, cfg.horizon, seed)
+        eps = traj.obs_noise
+        form = misspec_distance(cfg.truth, eps[:-1], traj.state_noise, eps[1:])
+        d = distance_series(cfg.model, traj.observations)
+        assert np.all(d <= form + 1e-12), seed
+        b = forgetting_bound(cfg.model, cfg.nu1, cfg.nu2, traj.observations,
+                             alpha=0.5, eta=0.3)
+        assert "d_mode" not in b.parameters
+        r = envelope_radius(cfg.model, delta, d)
+        assert np.array_equal(b.per_step["log_eps_minus"], noise.log_radial_min(r))
+        r_form = envelope_radius(cfg.model, delta, form)
+        log_rho_form = log_contraction_from_logs(noise.log_radial_min(r_form),
+                                                 noise.log_radial_max(r_form))
+        assert np.all(b.per_step["log_rho"] <= log_rho_form + 1e-12), seed
 
 
 def test_forgetting_bound_needs_two_steps():

@@ -110,30 +110,51 @@ def test_log_contraction_keeps_precision_below_minus_ln2():
     assert np.array_equal(got, want)
 
 
-def test_exact_distance_is_below_its_noise_record_form():
-    # |f(h^-1(y_{k-1})) - h^-1(y_k)| never exceeds the form the integrability
-    # diagnostic of the data uses, on every seed of every continuous preset
-    for name in ("rw-gauss", "ar-unstable", "dep-noise", "misspec"):
+def _preset_runs(names):
+    """(config, seed, trajectory) for every seed of each named continuous preset."""
+    for name in names:
         cfg = preset_config(name)
         for seed in cfg.seeds:
-            if cfg.truth is None:
-                traj = simulate_trajectory(cfg.model, cfg.nu1, cfg.horizon, seed)
-                eps = traj.obs_noise
-                form = preimage_distance_recorded(cfg.model, eps[:-1], traj.state_noise, eps[1:])
-            else:
-                traj = simulate_misspecified(cfg.truth, cfg.nu1, cfg.horizon, seed)
-                eps = traj.obs_noise
-                form = misspec_distance(cfg.truth, eps[:-1], traj.state_noise, eps[1:])
-            d = distance_series(cfg.model, traj.observations)
-            assert d.shape == form.shape == (cfg.horizon,)
-            assert np.all(d <= form + 1e-12), (name, seed)
-            # the vectorized series equals the pair-by-pair scalar form bit for bit
-            pre = [cfg.model.h_inverse(float(y)) for y in traj.observations]
-            assert d.tolist() == [abs(cfg.model.f(p) - q) for p, q in zip(pre[:-1], pre[1:])]
+            yield cfg, seed, simulate_trajectory(cfg.model, cfg.nu1, cfg.horizon, seed)
+
+
+def test_recorded_distance_dominates_exact_for_identity_pair():
+    # |f(h^-1(y_{k-1})) - h^-1(y_k)| <= a|eps_{k-1}| + |zeta_k| + |eps_k| pathwise,
+    # on every seed of every well-specified continuous preset
+    for cfg, seed, traj in _preset_runs(("rw-gauss", "ar-unstable", "dep-noise")):
+        eps = traj.obs_noise
+        form = preimage_distance_recorded(cfg.model, eps[:-1], traj.state_noise, eps[1:])
+        d = distance_series(cfg.model, traj.observations)
+        assert d.shape == form.shape == (cfg.horizon,)
+        assert np.all(d <= form + 1e-12), (cfg.name, seed)
+    # and on the identity pair the recorded form is not vacuously tight
+    m = _rw_model()
+    traj = simulate_trajectory(m, NormalPrior(0.0, 1.0), n=200, seed=42)
+    eps = traj.obs_noise
+    d_rec = preimage_distance_recorded(m, eps[:-1], traj.state_noise, eps[1:])
+    d_ex = distance_series(m, traj.observations)
+    assert np.all(d_rec >= d_ex - 1e-12)
+    assert np.any(d_rec > d_ex + 0.1)
+
+
+def test_distance_series_auto_prefers_exact():
+    # there is no mode to choose: the series is the exact preimage distance,
+    # equal bit for bit to the pair-by-pair scalar form
+    for cfg, _, traj in _preset_runs(("rw-gauss", "ar-unstable", "dep-noise")):
+        d = distance_series(cfg.model, traj.observations)
+        pre = [cfg.model.h_inverse(float(y)) for y in traj.observations]
+        assert d.tolist() == [abs(cfg.model.f(p) - q) for p, q in zip(pre[:-1], pre[1:])]
+    m = _rw_model()
+    with pytest.raises(TypeError):
+        distance_series(m, [1.0, 3.0], mode="recorded")
+
+
+def test_preimage_distance_mode_dispatch():
     # the scalar cases: the identity pair's |y - y'|, and the recorded form's sum
     m = _rw_model()
     assert distance_series(m, [1.0, 3.0]).tolist() == [2.0]
-    assert preimage_distance_recorded(m, 0.5, 1.0, 0.25) == pytest.approx(1.0 * 0.5 + 1.0 + 0.25)
+    d = preimage_distance_recorded(m, 0.5, 1.0, 0.25)
+    assert d == pytest.approx(1.0 * 0.5 + 1.0 + 0.25)
 
 
 def test_misspec_distance_is_the_statement_form():

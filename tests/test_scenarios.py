@@ -178,8 +178,20 @@ def test_each_integrability_diagnostic_is_reported_under_its_premise():
         rep = run_scenario(cfg)
         assert np.isfinite(rep.diagnostics[kept]), name
         assert dropped not in rep.diagnostics, name
+
+
+def test_distance_mode_follows_the_truth_block():
+    # with or without a truth block every bound takes the exact preimage
+    # distance of the data: a distance mode is an unknown bound field, and no
+    # run reports one
+    for name in ("rw-gauss", "misspec"):
+        raw = dict(preset_dict(name), horizon=5, seeds=[401])
+        rep = run_scenario(scenario_from_dict(raw))
         assert "d_mode" not in rep.diagnostics and "d_mode" not in rep.bound
         assert "d_mode" not in rep.bound["final"]["parameters"]
+        for mode in ("exact", "recorded", "misspec"):
+            with pytest.raises(ConfigError, match=r"unknown bound fields: \['d_mode'\]"):
+                scenario_from_dict(dict(raw, bound=dict(raw["bound"], d_mode=mode)))
 
 
 def test_truth_keeps_its_own_lipschitz_constant():
