@@ -15,7 +15,6 @@ from .bounds import (
     max_product_with_quota,
     numerator_gap,
     two_step_prior_mass,
-    write_bound_csv,
 )
 from .densities import GaussianDensity, StudentTDensity, density_from_spec
 from .dists import NormalPrior, PointMassPrior, UniformPrior, prior_from_spec
@@ -48,7 +47,6 @@ from .errors import (
 from .filtering import (
     FilterState,
     ReprConfig,
-    TvSeries,
     decay_rate,
     exact_filter_finite,
     exhaustive_filter_finite,
@@ -74,11 +72,13 @@ from .scenarios import (
     PRESETS,
     RunReport,
     ScenarioConfig,
+    TvSeries,
     compare_particle_grid,
     monte_carlo_expectation,
     preset_config,
     run_scenario,
     scenario_from_dict,
+    write_bound_csv,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ never exceeds it) with the raw value preserved in the breakdown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -203,15 +203,8 @@ class BoundBreakdown:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "log_lambda": self.log_lambda,
-            "log_remainder": self.log_remainder,
-            "log_total": self.log_total,
-            "headline": self.headline,
-            "components": self.components,
-            "parameters": self.parameters,
-            "diagnostics": self.diagnostics,
-        }
+        """Every field but the per-step arrays."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_step"}
 
 
 def _assemble(log_lambda, log_remainder):
@@ -341,27 +334,6 @@ def admissible_eta_finite(fmodel, ld, ys):
 def _admissible_eta(g, inside):
     """Largest ratio of an outside-set emission to its row's peak; 0 with no outside state."""
     return float(np.max(np.where(inside, 0.0, g).max(axis=1) / g.max(axis=1), initial=0.0))
-
-
-def write_bound_csv(breakdown, path):
-    """Per-step CSV: i, log_eps_minus, log_psi, log_upsilon, log_rho.
-
-    Pair-indexed columns are defined from i = 1 (the pair (y_{i-1}, y_i));
-    row 0 carries only the likelihood supremum.
-    """
-    ps = breakdown.per_step
-    n = breakdown.parameters["n"]
-    lines = ["i,log_eps_minus,log_psi,log_upsilon,log_rho"]
-    for i in range(n + 1):
-        if i == 0:
-            lines.append(f"0,,,{ps['log_upsilon'][0]:.17g},")
-        else:
-            lines.append(
-                f"{i},{ps['log_eps_minus'][i - 1]:.17g},{ps['log_psi'][i - 1]:.17g},"
-                f"{ps['log_upsilon'][i]:.17g},{ps['log_rho'][i - 1]:.17g}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def bound_series(model, prior1, prior2, ys, alpha, etas):

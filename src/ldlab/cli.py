@@ -21,17 +21,18 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .bounds import write_bound_csv
 from .errors import ConfigError, LabError
 from .scenarios import (
     _evaluate_bound,
-    _json_default,
     _simulate,
     config_hash,
     monte_carlo_expectation,
     preset_dict,
     run_scenario,
     scenario_from_dict,
+    write_bound_csv,
+    write_json,
+    write_rows,
 )
 
 
@@ -88,23 +89,15 @@ def _out_dir(args, config, suffix):
     return os.path.join("runs", f"{config.name}-{suffix}")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
 def cmd_simulate(args):
     config = _load_scenario(args)
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"sim-seed{seed}")
-    os.makedirs(out, exist_ok=True)
     _, states, ys = _simulate(config, seed)
     # finite states are integers, which %.17g writes as integers
-    lines = ["n,state,obs"] + [f"{k},{states[k]:.17g},{ys[k]:.17g}" for k in range(len(ys))]
-    with open(os.path.join(out, "sim.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_json(os.path.join(out, "report.json"), {
+    write_rows(os.path.join(out, "sim.csv"), zip(range(len(ys)), states, ys),
+               header=["n", "state", "obs"])
+    write_json(os.path.join(out, "report.json"), {
         "config": config.raw, "config_hash": config_hash(config.raw),
         "seed": seed, "version": __version__, "n": config.horizon,
     })
@@ -116,8 +109,7 @@ def _run_and_report(args, config, out):
     seed = _seed_for(args, config)
     report = run_scenario(config, seed=seed, out_dir=out)
     if report.failure is not None:
-        step = report.failure.get("step")
-        print(f"filter failed at step {step}: {report.failure['message']}", file=sys.stderr)
+        print(f"run failed: {json.dumps(report.failure, sort_keys=True)}", file=sys.stderr)
         print(f"partial report in {out}")
         return 3
     line = f"wrote {out}/tv.csv  tv[0]={report.tv.tv[0]:.3g} tv[-1]={report.tv.tv[-1]:.3g}"
@@ -151,14 +143,13 @@ def cmd_bound(args):
         raise ConfigError("bound evaluation needs a bound config (or --eta/--alpha)")
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"bound-seed{seed}")
-    os.makedirs(out, exist_ok=True)
     _, _, ys = _simulate(config, seed)
     _, info, bd = _evaluate_bound(config, ys)
     sweep = info.get("sweep")
     if sweep is not None:
         sweep = {"etas": sweep["etas"], "log_totals": [r["log_total"] for r in sweep["results"]]}
     write_bound_csv(bd, os.path.join(out, "bound.csv"))
-    _write_json(os.path.join(out, "report.json"), {
+    write_json(os.path.join(out, "report.json"), {
         "config": config.raw, "config_hash": config_hash(config.raw),
         "seed": seed, "version": __version__,
         "bound": info["final"], "eta_sweep": sweep,

@@ -69,7 +69,8 @@ class EnvelopeOrderError(LabError):
 
 
 class H2FailureError(LabError):
-    """No radius on the search grid achieves the requested tail ratio."""
+    """A tail ratio eta the bound cannot use: eta <= 0, or a finite eta below
+    the stream's achieved outside-set emission ratio."""
 
 
 class InfeasibleConstraintError(LabError):

@@ -32,10 +32,8 @@ trapezoid sum of |D| is O(h^2) and was 4e-4 off at 512 nodes.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -448,32 +446,7 @@ def _half_l1(D, h):
 
 
 # ---------------------------------------------------------------------------
-# TV series and decay fits
-
-
-@dataclass
-class TvSeries:
-    """Per-step TV values with exact log values and optional bound column."""
-
-    n: np.ndarray
-    tv: np.ndarray
-    log_tv: np.ndarray
-    bound_log: Optional[np.ndarray] = None
-    meta: dict = field(default_factory=dict)
-
-    def to_csv(self, path):
-        cols = "n,tv,log_tv" + (",bound_log" if self.bound_log is not None else "")
-        lines = [cols]
-        for i in range(len(self.n)):
-            row = f"{int(self.n[i])},{self.tv[i]:.17g},{self.log_tv[i]:.17g}"
-            if self.bound_log is not None:
-                row += f",{self.bound_log[i]:.17g}"
-            lines.append(row)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(os.path.splitext(path)[0] + ".meta.json", "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+# decay fits
 
 
 @dataclass(frozen=True)
@@ -486,7 +459,7 @@ class DecayFit:
 
 
 def decay_rate(series, fit_lo=None, fit_hi=None):
-    """Least-squares slope of log tv against n over [fit_lo, fit_hi].
+    """Least-squares slope of ``series.log_tv`` against ``series.n`` over [fit_lo, fit_hi].
 
     Non-positive tv values are clipped to the smallest positive value observed
     in the fit range and counted in ``n_clipped`` rather than dropped.

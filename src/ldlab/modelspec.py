@@ -4,11 +4,12 @@ A model spec looks like
 
     {"kind": "linear_gaussian" | "nonlinear" | "dependent_noise",
      "f": {"type": "identity"}, "h": {"type": "affine", "c0": 0, "c1": 2},
-     "a": 1.0, "state_noise": {...}, "obs_noise": {...}}
+     "state_noise": {...}, "obs_noise": {...}}
 
 Drift/observation maps come from a registry of named families so that specs
-stay serializable and hashes stay stable. The Lipschitz constant ``a`` can be
-given explicitly; when omitted it is the drift family's analytic value. The
+stay serializable and hashes stay stable. The drift's Lipschitz constant is
+its family's exact analytic value (identity 1, affine |c1|, the
+sine-perturbed affine map |c1| + |amp*freq|), so a spec cannot set it. The
 observation map is ``identity`` or ``affine``, whose exact inverse gives the
 preimage constant b = 1/|c1|. Every object of a spec is checked
 field by field: an unknown field is an error, not a setting silently ignored.
@@ -32,7 +33,7 @@ _MAP_FIELDS = {
     "sine_perturbed_affine": {"type", "c0", "c1", "amp", "freq"},
 }
 _NOISE_FIELDS = {"iid": {"kind", "density"}, "scaled_t": {"kind", "df", "s0", "s1"}}
-_MODEL_FIELDS = {"kind", "f", "h", "a", "state_noise", "obs_noise"}
+_MODEL_FIELDS = {"kind", "f", "h", "state_noise", "obs_noise"}
 
 
 def _map_from_spec(spec):
@@ -109,7 +110,6 @@ def model_from_spec(spec):
     h, h_lip, h_inverse = _map_from_spec(spec.get("h", {"type": "identity"}))
     if h_inverse is None:
         raise ConfigError("the observation map must be invertible: 'identity' or 'affine'")
-    a = float(spec.get("a", f_lip))
     state_noise = _state_noise_from_spec(spec.get("state_noise", {"kind": "iid", "density": {"family": "gaussian", "sigma": 1.0}}))
     obs_noise = density_from_spec(spec.get("obs_noise", {"family": "gaussian", "sigma": 1.0}))
     if kind == "linear_gaussian":
@@ -122,7 +122,7 @@ def model_from_spec(spec):
     # an affine h (identity included) has the exact preimage constant b = 1/|c1|
     return StateSpaceModel(
         f=f,
-        f_lip=a,
+        f_lip=f_lip,
         h=h,
         h_b=1.0 / h_lip,
         h_inverse=h_inverse,

@@ -1,8 +1,9 @@
 """Declarative experiment scenarios: simulate, filter pairs, TV series, bounds.
 
 A scenario is a plain dict (JSON-compatible). Reports embed the full config
-plus a sha256 hash of its canonical serialization, and all CSV output is
-formatted with %.17g so reruns with the same config are byte-identical.
+plus a sha256 hash of its canonical serialization. Every file a run writes
+goes through ``write_rows`` (numbers as %.17g) or ``write_json``, so reruns
+with the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .filtering import (
     ReprConfig,
-    TvSeries,
     decay_rate,
     exact_filter_finite,
     filter_init,
@@ -387,7 +387,6 @@ def _build_truth(model, model_spec, t):
     """The data-generating model: the filter model's spec with the truth block's overrides."""
     true_spec = dict(model_spec, kind="nonlinear", f=t.get("f", model_spec.get("f")),
                      h=t.get("h", model_spec.get("h")))
-    true_spec.pop("a", None)  # the filter drift's Lipschitz constant, not the truth's
     true_spec.update({key: t[key] for key in ("state_noise", "obs_noise") if key in t})
     true_model = model_from_spec(true_spec)
     return make_misspecified_truth(model, true_model, float(t["f_gap"]), float(t["h_gap"]))
@@ -462,6 +461,25 @@ def compare_particle_grid(model, prior, ys, cfg, seed):
 
 
 @dataclass
+class TvSeries:
+    """Per-step TV values with exact log values and optional bound column."""
+
+    n: np.ndarray
+    tv: np.ndarray
+    log_tv: np.ndarray
+    bound_log: Optional[np.ndarray] = None
+    meta: dict = field(default_factory=dict)
+
+    def to_csv(self, path):
+        """Write the series at ``path`` and its ``meta`` beside it as ``<stem>.meta.json``."""
+        columns = {"n": self.n, "tv": self.tv, "log_tv": self.log_tv}
+        if self.bound_log is not None:
+            columns["bound_log"] = self.bound_log
+        write_rows(path, zip(*columns.values()), header=list(columns))
+        write_json(os.path.splitext(path)[0] + ".meta.json", self.meta)
+
+
+@dataclass
 class RunReport:
     tv: TvSeries
     fit: Optional[object]
@@ -474,17 +492,12 @@ class RunReport:
     failure: Optional[dict] = None
 
     def to_json_dict(self):
-        fit = None
-        if self.fit is not None:
-            fit = {"slope": self.fit.slope, "intercept": self.fit.intercept,
-                   "r_squared": self.fit.r_squared, "n_points": self.fit.n_points,
-                   "n_clipped": self.fit.n_clipped}
         return {
             "config": self.config,
             "config_hash": self.config_hash,
             "seed": self.seed,
             "version": self.version,
-            "fit": fit,
+            "fit": None if self.fit is None else asdict(self.fit),
             "bound": self.bound,
             "diagnostics": self.diagnostics,
             "failure": self.failure,
@@ -513,7 +526,9 @@ def run_scenario(config, seed=None, out_dir=None):
     """Simulate one observation stream, run the filter pair, fit the decay.
 
     The truth's initial state is drawn from prior1, so the first filter is
-    well-initialized and the second carries the full prior mismatch.
+    well-initialized and the second carries the full prior mismatch. A filter
+    or bound ``LabError`` is recorded in ``failure``, not raised; a failed
+    bound leaves the series, its fit and the diagnostics whole.
     """
     seed = config.seeds[0] if seed is None else int(seed)
     h = config_hash(config.raw)
@@ -544,10 +559,15 @@ def run_scenario(config, seed=None, out_dir=None):
                 tvs[:done], log_tvs[:done] = exc.tv_prefix
 
     ns = np.arange(len(ys))
+    complete = failure is None  # the TV series has every step
     bound_log = bound_info = None
-    if config.bound is not None and failure is None:
-        bound_log, bound_info, _ = _evaluate_bound(config, ys)
-        diagnostics["h2_delta"] = bound_info["delta"]
+    if config.bound is not None and complete:
+        try:
+            bound_log, bound_info, _ = _evaluate_bound(config, ys)
+        except LabError as exc:
+            failure = {"error": type(exc).__name__, "message": str(exc), "step": None}
+        else:
+            diagnostics["h2_delta"] = bound_info["delta"]
 
     delta = None
     if not config.is_finite and config.bound is not None:
@@ -577,7 +597,7 @@ def run_scenario(config, seed=None, out_dir=None):
     series = TvSeries(n=ns, tv=tvs, log_tv=log_tvs, bound_log=bound_log, meta=meta)
 
     fit = None
-    if failure is None:
+    if complete:
         n_max = int(ns[-1])
         try:
             fit = decay_rate(series, fit_lo=n_max / 5.0, fit_hi=n_max)
@@ -619,24 +639,48 @@ def _evaluate_bound(config, ys):
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# output writers: every file ldlab writes goes through write_rows or write_json
+
+
+def write_rows(path, rows, header=None, sep=","):
+    """One line per row, each cell as %.17g and None as an empty cell, under ``header``."""
+    lines = [] if header is None else [sep.join(header)]
+    lines += [sep.join("" if v is None else format(v, ".17g") for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, payload):
+    """``payload`` as indented JSON with sorted keys; numpy values become plain ones."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+
+
+def _write_text(path, text):
+    """``text`` at ``path``, its directory made first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def write_plotdata(dir_path, name, x, y):
-    os.makedirs(dir_path, exist_ok=True)
-    path = os.path.join(dir_path, name)
-    with open(path, "w") as fh:
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.17g} {yi:.17g}\n")
-    return path
+    write_rows(os.path.join(dir_path, name), zip(x, y), sep=" ")
+
+
+def write_bound_csv(breakdown, path):
+    """Per-step CSV: i, log_eps_minus, log_psi, log_upsilon, log_rho.
+
+    Pair-indexed columns are defined from i = 1 (the pair (y_{i-1}, y_i));
+    row 0 carries only the likelihood supremum.
+    """
+    ps = breakdown.per_step
+    rows = [(0, None, None, ps["log_upsilon"][0], None)]
+    rows += [(i, ps["log_eps_minus"][i - 1], ps["log_psi"][i - 1], ps["log_upsilon"][i],
+              ps["log_rho"][i - 1]) for i in range(1, breakdown.parameters["n"] + 1)]
+    write_rows(path, rows, header=["i", "log_eps_minus", "log_psi", "log_upsilon", "log_rho"])
 
 
 def write_report(report, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     report.tv.to_csv(os.path.join(out_dir, "tv.csv"))
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), report.to_json_dict())
     plot_dir = os.path.join(out_dir, "plotdata")
     write_plotdata(plot_dir, "tv.dat", report.tv.n, report.tv.tv)
     write_plotdata(plot_dir, "log_tv.dat", report.tv.n, report.tv.log_tv)
@@ -646,9 +690,7 @@ def write_report(report, out_dir):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # a numpy scalar's tolist is a plain one
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
@@ -731,16 +773,11 @@ def _exceedance_frequencies(reports, thresholds):
 
 
 def _write_mc(result, config, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    lines = ["n,mean_tv,stderr_tv"]
-    for i in range(len(result["n"])):
-        lines.append(f"{int(result['n'][i])},{result['mean_tv'][i]:.17g},{result['stderr_tv'][i]:.17g}")
-    with open(os.path.join(out_dir, "mc_tv.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(os.path.join(out_dir, "mc_tv.csv"),
+               zip(result["n"], result["mean_tv"], result["stderr_tv"]),
+               header=["n", "mean_tv", "stderr_tv"])
     payload = {k: v for k, v in result.items() if k != "reports"}
     payload["per_replicate"] = [r.to_json_dict() for r in result["reports"]]
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "report.json"), payload)
     write_plotdata(os.path.join(out_dir, "plotdata"), "mean_tv.dat",
                    result["n"], result["mean_tv"])

@@ -23,7 +23,6 @@ from ldlab.bounds import (
     numerator_rhs_enumerated,
     set_likelihood_mass,
     two_step_prior_mass,
-    write_bound_csv,
 )
 from ldlab.dists import NormalPrior, PointMassPrior, prior_from_spec
 from ldlab.doeblin import (
@@ -49,7 +48,7 @@ from ldlab.models import (
     simulate_trajectory,
 )
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS, preset_config, scenario_from_dict
+from ldlab.scenarios import PRESETS, preset_config, scenario_from_dict, write_bound_csv
 
 ERF_1_OVER_SQRT2 = 0.6826894921370859  # standard normal mass of [-1, 1]
 

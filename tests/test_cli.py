@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ldlab
+from ldlab.scenarios import preset_dict
 
 SMALL = {
     "name": "cli-small",
@@ -225,6 +226,25 @@ def test_failed_run_exits_three_with_partial_report(tmp_path):
         assert r.returncode == 3
         report = json.loads((out / "report.json").read_text())
         assert report["failure"] is not None
+
+
+def test_a_bound_failure_exits_three_with_its_record(tmp_path):
+    # finite-oracle with one state per bin: eta 0.05 is below the stream's
+    # outside-set emission ratio, so the bound does not apply
+    config = preset_dict("finite-oracle")
+    config["finite"]["set_table"] = [[0], [1]]
+    config["bound"]["eta"] = 0.05
+    p = tmp_path / "h2.json"
+    p.write_text(json.dumps(config))
+    out = tmp_path / "h2"
+    r = _run("experiment", "--config", str(p), "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"]["error"] == "H2FailureError"
+    assert report["failure"]["step"] is None
+    assert report["bound"] is None and report["fit"] is not None
+    assert json.dumps(report["failure"], sort_keys=True) in r.stderr
+    assert (out / "tv.csv").read_text().splitlines()[0] == "n,tv,log_tv"
 
 
 def test_mc_subcommand(tmp_path, config_file):

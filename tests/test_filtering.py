@@ -10,7 +10,6 @@ from ldlab.dists import NormalPrior, PointMassPrior
 from ldlab.errors import FilterCollapseError
 from ldlab.filtering import (
     ReprConfig,
-    TvSeries,
     _half_l1,
     decay_rate,
     exact_filter_finite,
@@ -33,7 +32,7 @@ from ldlab.filtering import (
 )
 from ldlab.models import finite_model_make, gaussian_finite_model, simulate_trajectory
 from ldlab.modelspec import model_from_spec
-from ldlab.scenarios import PRESETS, preset_dict, run_scenario, scenario_from_dict
+from ldlab.scenarios import PRESETS, TvSeries, preset_dict, run_scenario, scenario_from_dict
 
 # hand-computed two-step fixture:
 #   nu = (.5, .5), Q = [[.7, .3], [.4, .6]], g(y0) = (.8, .4), g(y1) = (.7, .9)

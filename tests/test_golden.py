@@ -1,7 +1,8 @@
-"""Every preset's first-seed ``tv.csv``, pinned by its sha256, and the
-finite-oracle preset's ``report.json``, which carries its exact bound.
+"""Every preset's first-seed ``tv.csv``, pinned by its sha256, the
+finite-oracle preset's ``report.json``, which carries its exact bound, and
+every file each CLI subcommand writes on finite-oracle and rw-gauss.
 
-A preset's TV series may change only on purpose: a change that moves one of
+A preset's outputs may change only on purpose: a change that moves one of
 these digests updates it here and says why in CHANGES.md.
 """
 
@@ -9,6 +10,7 @@ import hashlib
 
 import pytest
 
+from ldlab import cli
 from ldlab.scenarios import PRESETS, preset_config, run_scenario
 
 TV_CSV_SHA256 = {
@@ -40,3 +42,45 @@ def test_first_seed_report_json_matches_its_digest(name, tmp_path):
     run_scenario(preset_config(name), out_dir=tmp_path)
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_JSON_SHA256[name]
+
+
+# Every file each CLI run writes, pinned by one sha256 over the sorted relative
+# paths and bytes: sim.csv, tv.csv, tv.meta.json, bound.csv, mc_tv.csv, every
+# report.json and plotdata/*.dat.
+CLI_RUNS = {
+    "simulate": ("simulate",),
+    "filter": ("filter",),
+    "bound": ("bound",),
+    "experiment": ("experiment",),
+    "mc": ("mc", "--replicates", "3"),
+    "bound-sweep": ("bound", "--eta", "sweep"),
+}
+
+ARTIFACTS_SHA256 = {
+    ("finite-oracle", "simulate"): "d96fb0c2438dbdc904d88eed76036868157179a10ea7be167920172326ad5b58",
+    ("finite-oracle", "filter"): "41524d083140b489476c527207cd32d3b25a099786cb7fd00d5e95badbc44d1c",
+    ("finite-oracle", "bound"): "c1f79fa133bd8ba95fb47fcc3a1086781d3ed9a55bfa3da4161e3bae46978002",
+    ("finite-oracle", "experiment"): "668f805b0b4d7ff6128197331f6a32a14cd91da02817c38d5520483f172504a1",
+    ("finite-oracle", "mc"): "a1311e083449257cedf3adaf2788d1cb318ac763d92fb07fdec8b07121b4be05",
+    ("rw-gauss", "simulate"): "e9622146b5a25f88583086df4f2a5f7efd85736a465dd8625d6e194c27e8a7f6",
+    ("rw-gauss", "filter"): "a578f0004f41594da854c775bb2118d2f26865c38475e1e374779de6345f3dac",
+    ("rw-gauss", "bound"): "18374725726dd3b1289255a83abba9f7be3aa5f6f47114aba3d1dd7fa323e38b",
+    ("rw-gauss", "experiment"): "5381d19890bd76d58ee867baafa9ddc5e880f88346601afbaf7b0bd9fc5f72fb",
+    ("rw-gauss", "mc"): "8c0ca05621f35222a45544a9b998cb6aa590ae47559f3b9ef183bb192d86d8db",
+    ("rw-gauss", "bound-sweep"): "21588227e16b416a5edb300c21d3620dbe80fbc08a2d3909ffde39b36c7c91ec",
+}
+
+
+def _tree_digest(root):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("preset, run", sorted(ARTIFACTS_SHA256))
+def test_every_artifact_of_a_cli_run_matches_its_digest(preset, run, tmp_path, capsys):
+    command, *flags = CLI_RUNS[run]
+    assert cli.main([command, "--preset", preset, "--out", str(tmp_path), *flags]) == 0
+    assert _tree_digest(tmp_path) == ARTIFACTS_SHA256[preset, run]

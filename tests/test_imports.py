@@ -68,3 +68,27 @@ def test_every_definition_is_named_outside_itself():
                 if counts[node.name] == _names(node).count(node.name):
                     dead.append((path.stem, node.name))
     assert dead == []
+
+
+def _file_io(tree):
+    """The ``json`` and ``os`` imports and the ``open`` calls of a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names} & {"json", "os"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("json", "os"):
+            found.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "open"):
+            found.add("open")
+    return found
+
+
+def test_only_scenarios_and_cli_touch_files():
+    # scenarios writes every artifact through write_rows and write_json, and
+    # cli reads the config file; every other module is numerics only
+    package = Path(ldlab.__file__).parent
+    found = {(path.stem, what) for path in package.glob("*.py")
+          if path.stem not in ("scenarios", "cli") for what in _file_io(ast.parse(path.read_text()))}
+    assert found == set()
+    assert _file_io(ast.parse((package / "scenarios.py").read_text())) == {"json", "os", "open"}

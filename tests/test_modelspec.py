@@ -1,13 +1,16 @@
 """Model construction from JSON-style dicts."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ldlab import cli
 from ldlab.densities import StudentTDensity
 from ldlab.errors import ConfigError
 from ldlab.modelspec import model_from_spec
+from ldlab.scenarios import preset_dict
 
 
 def test_identity_and_affine_maps():
@@ -68,14 +71,20 @@ def test_nonmonotone_observation_map_needs_explicit_constants():
     assert m.h_inverse(m.h(1.3)) == 1.3
 
 
-def test_explicit_a_overrides_map_lipschitz():
-    m = model_from_spec({
-        "kind": "nonlinear",
-        "f": {"type": "affine", "c1": 0.5},
-        "h": {"type": "identity"},
-        "a": 0.9,
-    })
-    assert m.f_lip == 0.9
+def test_a_is_an_unknown_model_field(tmp_path, capsys):
+    # the drift's Lipschitz constant is its family's exact value: a set 'a'
+    # could only loosen the bound, or break it below that value
+    spec = {"kind": "nonlinear", "f": {"type": "affine", "c1": 0.5}, "h": {"type": "identity"}}
+    assert model_from_spec(spec).f_lip == 0.5
+    with pytest.raises(ConfigError, match=r"unknown model fields: \['a'\]"):
+        model_from_spec({**spec, "a": 0.9})
+    config = preset_dict("ar-unstable")
+    config["model"]["a"] = 0.5
+    path = tmp_path / "ar-unstable-a.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown model fields: ['a']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_kind_validation():

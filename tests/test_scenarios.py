@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,10 +196,9 @@ def test_distance_mode_follows_the_truth_block():
 
 
 def test_truth_keeps_its_own_lipschitz_constant():
-    # the filter model's 'a' is the filter drift's constant; the truth's
+    # the filter model's identity drift has constant 1; the truth's
     # sine-perturbed drift keeps its own (2), which the misspec distance uses
     misspec = preset_dict("misspec")
-    misspec["model"]["a"] = 1.0
     cfg = scenario_from_dict(misspec)
     assert cfg.model.f_lip == 1.0
     assert cfg.truth.model.f_lip == 2.0
@@ -426,6 +426,43 @@ def test_run_scenario_records_failures_instead_of_raising():
         assert rep.tv.tv.shape == (11,)
         assert np.isnan(rep.tv.tv).all()
         assert rep.fit is None
+
+
+def _finite_h2_failure(**overrides):
+    """finite-oracle with one state per bin and a small eta: on most streams
+    an outside-set emission ratio exceeds eta, so the bound does not apply."""
+    d = preset_dict("finite-oracle")
+    d["finite"]["set_table"] = [[0], [1]]
+    d["bound"]["eta"] = 0.05
+    return scenario_from_dict({**d, **overrides})
+
+
+def test_a_bound_failure_is_recorded_and_the_series_stays(tmp_path):
+    cfg = _finite_h2_failure()
+    rep = run_scenario(cfg, out_dir=tmp_path)
+    assert rep.failure == {"error": "H2FailureError", "step": None,
+                           "message": "eta 0.05 is below the achieved outside-set ratio 0.966651"}
+    assert rep.bound is None and rep.tv.bound_log is None
+    assert (tmp_path / "tv.csv").read_text().splitlines()[0] == "n,tv,log_tv"
+    assert json.loads((tmp_path / "report.json").read_text())["failure"] == rep.failure
+    # the series, its fit and its diagnostics are the bound-free run's
+    free = run_scenario(replace(cfg, bound=None))
+    np.testing.assert_array_equal(rep.tv.log_tv, free.tv.log_tv)
+    assert np.isfinite(rep.tv.log_tv).all()
+    assert rep.fit == free.fit and rep.fit is not None
+    assert rep.diagnostics == free.diagnostics
+
+
+def test_monte_carlo_lists_a_replicate_whose_bound_fails():
+    # over 5 steps, seed 501's outside-set ratio (0.90) exceeds eta = 0.8;
+    # seeds 502 and 504's (0.70, 0.69) do not
+    cfg = _finite_h2_failure(horizon=5, seeds=[501, 502, 504], bound={"alpha": 0.3, "eta": 0.8})
+    res = monte_carlo_expectation(cfg, replicates=3)
+    assert [(f["seed"], f["error"], f["step"]) for f in res["failures"]] == [
+        (501, "H2FailureError", None)]
+    ok = [r.tv.tv for r in res["reports"][1:]]
+    np.testing.assert_allclose(res["mean_tv"], np.mean(ok, axis=0), rtol=0, atol=1e-15)
+    assert len(res["slopes"]) == 2
 
 
 def test_unpaired_route_rejects_a_degenerate_start():
