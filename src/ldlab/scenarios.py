@@ -705,7 +705,8 @@ def monte_carlo_expectation(config, replicates, out_dir=None):
     Also reports empirical exceedance frequencies for the bound-ingredient
     tail events at the config's ``bound.thresholds`` (keys M1, M2, M3, delta,
     and optionally M0), computed at the full horizon from each replicate's
-    bound breakdown.
+    bound breakdown. A failed replicate is listed under ``failures``; the TV
+    mean and the slopes take every whole series (NaN and empty when none is).
     """
     if replicates < 2:
         raise ConfigError("need at least 2 replicates")
@@ -721,18 +722,17 @@ def monte_carlo_expectation(config, replicates, out_dir=None):
     reports = [run_scenario(config, seed=s) for s in seeds]
     failures = [{"seed": s, **r.failure}
                 for s, r in zip(seeds, reports) if r.failure is not None]
-    ok = [r for r in reports if r.failure is None]
-    if not ok:
-        raise ConfigError("every replicate failed; see individual failures")
-    tv_mat = np.stack([r.tv.tv for r in ok], axis=0)
-    mean_tv = tv_mat.mean(axis=0)
-    stderr = tv_mat.std(axis=0, ddof=1) / math.sqrt(len(ok)) if len(ok) > 1 else np.zeros_like(mean_tv)
-    ns = ok[0].tv.n
+    # a failed filter leaves NaN at the steps it did not reach; a failed bound
+    # leaves the series whole, so it still counts toward E[TV]
+    whole = np.array([r.tv.tv for r in reports if not np.isnan(r.tv.tv).any()])
+    ns, k = reports[0].tv.n, len(whole)
+    mean_tv = whole.mean(axis=0) if k else np.full(len(ns), np.nan)
+    stderr = whole.std(axis=0, ddof=1) / math.sqrt(k) if k > 1 else mean_tv * 0.0
 
     thresholds = config.bound.thresholds if config.bound is not None else None
-    exceedance = _exceedance_frequencies(ok, thresholds) if thresholds else None
+    exceedance = _exceedance_frequencies(reports, thresholds) if thresholds else None
 
-    slopes = [r.fit.slope for r in ok if r.fit is not None]
+    slopes = [r.fit.slope for r in reports if r.fit is not None]
     result = {
         "n": ns,
         "mean_tv": mean_tv,
@@ -742,7 +742,7 @@ def monte_carlo_expectation(config, replicates, out_dir=None):
         "failures": failures,
         "exceedance": exceedance,
         "slopes": slopes,
-        "config_hash": ok[0].config_hash,
+        "config_hash": reports[0].config_hash,
         "reports": reports,
     }
     if out_dir is not None:
@@ -752,7 +752,7 @@ def monte_carlo_expectation(config, replicates, out_dir=None):
 
 def _exceedance_frequencies(reports, thresholds):
     events = {key: [] for key in ("r1", "r2", "r3", "r4", "r0_nu", "r0_nu_prime")}
-    for rep in reports:
+    for rep in (r for r in reports if r.bound is not None):
         comp = rep.bound["final"]["components"]
         n = rep.bound["final"]["parameters"]["n"]
         log_lambda = rep.bound["final"]["log_lambda"]

@@ -247,6 +247,24 @@ def test_a_bound_failure_exits_three_with_its_record(tmp_path):
     assert (out / "tv.csv").read_text().splitlines()[0] == "n,tv,log_tv"
 
 
+def test_mc_exits_three_when_every_bound_fails(tmp_path):
+    config = preset_dict("finite-oracle")
+    config["finite"]["set_table"] = [[0], [1]]
+    config["bound"]["eta"] = 0.05
+    p = tmp_path / "h2.json"
+    p.write_text(json.dumps(config))
+    out = tmp_path / "mc"
+    r = _run("mc", "--config", str(p), "--replicates", "3", "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    payload = json.loads((out / "report.json").read_text())
+    assert [f["error"] for f in payload["failures"]] == ["H2FailureError"] * 3
+    assert all(f["step"] is None for f in payload["failures"])
+    # every series is whole, so the mean is finite
+    rows = (out / "mc_tv.csv").read_text().splitlines()
+    assert len(rows) == 1 + config["horizon"] + 1
+    assert not any("nan" in row for row in rows)
+
+
 def test_mc_subcommand(tmp_path, config_file):
     out = tmp_path / "mc"
     r = _run("mc", "--config", str(config_file), "--replicates", "2",

@@ -460,9 +460,28 @@ def test_monte_carlo_lists_a_replicate_whose_bound_fails():
     res = monte_carlo_expectation(cfg, replicates=3)
     assert [(f["seed"], f["error"], f["step"]) for f in res["failures"]] == [
         (501, "H2FailureError", None)]
-    ok = [r.tv.tv for r in res["reports"][1:]]
-    np.testing.assert_allclose(res["mean_tv"], np.mean(ok, axis=0), rtol=0, atol=1e-15)
-    assert len(res["slopes"]) == 2
+    # seed 501's series is whole, so E[TV] and the slopes still take it
+    tvs = [r.tv.tv for r in res["reports"]]
+    np.testing.assert_allclose(res["mean_tv"], np.mean(tvs, axis=0), rtol=0, atol=1e-15)
+    assert res["slopes"] == [r.fit.slope for r in res["reports"]]
+
+
+def test_monte_carlo_returns_when_every_filter_fails(monkeypatch, tmp_path):
+    real_simulate = scenarios._simulate
+
+    def poisoned(*args):
+        traj, states, ys = real_simulate(*args)
+        ys = ys.copy()
+        ys[-1] = np.inf  # zero likelihood on every node: the last step collapses
+        return traj, states, ys
+
+    monkeypatch.setattr(scenarios, "_simulate", poisoned)
+    cfg = scenario_from_dict(dict(SMALL_SCENARIO, bound=None))
+    res = monte_carlo_expectation(cfg, replicates=2, out_dir=tmp_path)
+    assert [f["step"] for f in res["failures"]] == [12, 12]
+    assert np.isnan(res["mean_tv"]).all() and np.isnan(res["stderr_tv"]).all()
+    assert res["slopes"] == []
+    assert len(json.loads((tmp_path / "report.json").read_text())["failures"]) == 2
 
 
 def test_unpaired_route_rejects_a_degenerate_start():
