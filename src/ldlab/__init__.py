@@ -53,6 +53,7 @@ from .filtering import (
     filter_init,
     filter_step,
     grid_filters,
+    run_finite_pair,
     run_grid_pair,
     tv_distance,
     tv_half_l1,

@@ -7,8 +7,9 @@ Configuration problems map to CLI exit code 2, numerical failures to 3.
 class LabError(Exception):
     """Base class for all package-specific errors.
 
-    A pair runner that fails part-way sets ``tv_prefix`` to the (tv, log_tv)
-    arrays of the steps it completed before the failure.
+    Either pair runner (``run_grid_pair``, ``run_finite_pair``) and the
+    unpaired grid route, failing part-way, set ``tv_prefix`` to the (tv,
+    log_tv) arrays of the steps they completed before the failure.
     """
 
     tv_prefix = None

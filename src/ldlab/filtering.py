@@ -6,11 +6,18 @@ subtracting the max log-weight, applies the transition kernel with trapezoidal
 quadrature in natural scale, and returns to logs, so no product of likelihoods
 is ever formed in natural scale.
 
-The paired grid runner propagates one filter plus the *difference* of the two
-normalized filters in scaled form (direction vector plus separate log-scale).
-The difference of two normalized filter recursions is exactly linear in the
-difference vector, so total-variation values keep full relative precision long
-after the two weight arrays would have collided in float64.
+Every TV series of a run comes from one paired route: a pair runner
+propagates one filter plus the *difference* of the two normalized filters in
+scaled form (direction vector plus separate log-scale), through the same
+``_pair_quotient_update``. The difference of two normalized filter recursions
+is exactly linear in the difference vector, so total-variation values keep
+full relative precision long after the two weight arrays would have collided
+in float64. The two runners differ only in their operator: ``run_grid_pair``
+applies the transition kernel on an LD-clipped window, ``run_finite_pair``
+the finite chain's Q. Each keeps an unpaired oracle, two filters normalized
+on their own, whose TV cancels at a float floor: ``grid_filters`` (through
+``scenarios.run_grid_pair_unpaired``) for the grid, ``exact_filter_finite``
+and ``tv_half_l1`` for the finite chain.
 
 Every grid filter steps by one of two routes, ``run_grid_pair`` (the pair
 and its difference) or ``grid_filters`` (any number of filters, each stepped
@@ -52,6 +59,11 @@ from .errors import (
 from .models import loglik
 
 LOG_FLOOR = -745.0  # below this, exp underflows float64
+# A paired step's difference has cancelled to rounding when every entry of its
+# numerator is within 16 roundings of the terms it was taken from (see
+# _pair_quotient_update). A rank-one transition's does in one step; no step of
+# the presets comes near it.
+CANCEL_FLOOR = 16 * np.finfo(float).eps
 # Tail ratio of the LD set that clips each grid window (the same ratio as
 # noise_tail_radius's default), and the bound on the posterior mass off that
 # set above which a step is rerun on a wider one (see _ld_clipped_step).
@@ -254,18 +266,23 @@ def _propagate_particles(model, positions, rng):
 # exact finite-state filtering
 
 
-def exact_filter_finite(fmodel, nu, ys):
-    """Forward recursion; returns all filter vectors and the log evidence."""
-    nu = np.asarray(nu, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    g = [fmodel.emission_vector(y) for y in ys]
-    out = np.empty((len(ys), fmodel.m))
-    w = nu * g[0]
+def _finite_init(fmodel, nu, y0):
+    """The first finite filter, the prior times the first emission row
+    normalized, and the mass divided out."""
+    w = np.asarray(nu, dtype=float) * fmodel.emission_vector(y0)
     s = w.sum()
     if s <= 0:
         raise DegenerateInitError("prior carries no mass under the first emission")
+    return w / s, s
+
+
+def exact_filter_finite(fmodel, nu, ys):
+    """Forward recursion; returns all filter vectors and the log evidence."""
+    ys = np.asarray(ys, dtype=float)
+    g = [fmodel.emission_vector(y) for y in ys]
+    out = np.empty((len(ys), fmodel.m))
+    out[0], s = _finite_init(fmodel, nu, ys[0])
     log_z = math.log(s)
-    out[0] = w / s
     for k in range(1, len(ys)):
         w = (out[k - 1] @ fmodel.Q) * g[k]
         s = w.sum()
@@ -489,27 +506,42 @@ def decay_rate(series, fit_lo=None, fit_hi=None):
 
 
 # ---------------------------------------------------------------------------
-# paired grid propagation
+# paired propagation: one route for the grid and the finite chain
 
 
 @dataclass
-class PairedGridResult:
+class PairedResult:
     tv: np.ndarray
     log_tv: np.ndarray
     diagnostics: dict
 
 
-def _pair_quotient_update(u, uD, s, tau, step):
+def _pair_start(phi, phi2):
+    """The pair (phi, D, s) of two normalized filters: phi2 - phi = e^s D with
+    max |D| = 1, or D = 0 and s = -inf for equal filters."""
+    Dt = phi2 - phi
+    c = float(np.max(np.abs(Dt)))
+    if c > 0:
+        return phi, Dt / c, math.log(c)
+    return phi, np.zeros_like(phi), -np.inf
+
+
+def _pair_quotient_update(u, uD, uA, s, tau, step):
     """Exact update of (phi, D, s) under a shared positive linear operator.
 
-    phi' = L phi / <L phi>; the difference d = e^s D obeys
+    ``u``, ``uD`` and ``uA`` are L phi, L D and L|D|, and <v> is the sum of
+    v times the weights ``tau``. phi' = L phi / <L phi>; the difference
+    d = e^s D obeys
     d' = (L d <L phi> - L phi <L d>) / (<L phi> <L phi + L d>).
     Returns (phi', D', s') and the log of the smaller of the two filters'
     masses <L phi> and <L phi + L d>, their evidence when L holds the likelihood.
-    A D of 0 stays exactly 0, with s' = -inf. When the second filter's mass is
+    A numerator L D <L phi> - L phi <L D> that is at every entry within
+    CANCEL_FLOOR (L|D| <L phi> + L phi <L|D|>), the rounding floor of its
+    two terms, has cancelled to nothing L resolves: D' is 0 and s' = -inf,
+    as from a D of 0, which stays exactly 0. When the second filter's mass is
     not positive, or the rescaled difference is not finite, the step has lost
     the second filter: s' is NaN and the log mass -inf, so that
-    ``_ld_clipped_step`` reruns the step on a wider window.
+    ``_ld_clipped_step`` reruns a grid step on a wider window.
     """
     z = float((u * tau).sum())
     if z <= 0 or not np.isfinite(z):
@@ -519,21 +551,48 @@ def _pair_quotient_update(u, uD, s, tau, step):
     denom2 = z + es * zD
     phi = u / z
     if denom2 > 0:
-        Dt = (uD * z - u * zD) / (z * denom2)
-        c = float(np.max(np.abs(Dt)))
-        if c == 0.0:
-            return (phi, Dt, -np.inf), math.log(min(z, denom2))
+        num = uD * z - u * zD
+        Dt = num / (z * denom2)
+        c = float(np.abs(Dt).max())
         if math.isfinite(c):
-            return (phi, Dt / c, s + math.log(c)), math.log(min(z, denom2))
+            log_mass = math.log(min(z, denom2))
+            if (np.abs(num) <= CANCEL_FLOOR * (uA * z + u * float((uA * tau).sum()))).all():
+                return (phi, np.zeros_like(Dt), -np.inf), log_mass
+            return (phi, Dt / c, s + math.log(c)), log_mass
     return (phi, None, math.nan), -math.inf
 
 
-def _pair_tv(D, s, h):
+def _pair_tv(pair, half_l1):
+    _, D, s = pair
     if s == -np.inf:
         return 0.0, -np.inf
-    log_tv = s + math.log(_half_l1(D, h))
+    log_tv = s + math.log(half_l1(D))
     log_tv = min(log_tv, 0.0)  # tv can never exceed 1
     return math.exp(log_tv), log_tv
+
+
+def _run_pair(pair, half_l1, n, advance):
+    """The (tv, log_tv) series of a filter pair over ``n`` steps.
+
+    ``pair`` is the (phi, D, s) of step 0, from ``_pair_start``;
+    ``advance(step, phi, D, s)`` returns the next one, from
+    ``_pair_quotient_update``; ``half_l1(D)`` is half the L1 norm of D on the
+    pair's current support. A step that lost the second filter fails, and
+    every LabError carries the series of the steps before it as ``tv_prefix``.
+    """
+    tvs = np.empty(n)
+    log_tvs = np.empty(n)
+    tvs[0], log_tvs[0] = _pair_tv(pair, half_l1)
+    try:
+        for step in range(1, n):
+            pair = advance(step, *pair)
+            if math.isnan(pair[2]):
+                raise FilterCollapseError(step, f"the second filter lost its mass at step {step}")
+            tvs[step], log_tvs[step] = _pair_tv(pair, half_l1)
+    except LabError as exc:
+        exc.tv_prefix = (tvs[:step], log_tvs[:step])
+        raise
+    return tvs, log_tvs
 
 
 def run_grid_pair(model, prior1, prior2, ys, cfg):
@@ -545,53 +604,44 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
     ys = np.asarray(ys, dtype=float)
     nodes = prior_grid([prior1, prior2], cfg.nodes)
     tau = trap_weights(nodes)
-    phi = np.exp(grid_init(model, prior1, ys[0], nodes).log_weights)
-    phi2 = np.exp(grid_init(model, prior2, ys[0], nodes).log_weights)
-    Dt = phi2 - phi
-    c = float(np.max(np.abs(Dt)))
-    if c > 0:
-        D, s = Dt / c, math.log(c)
-    else:
-        D, s = np.zeros_like(phi), -np.inf
-
-    tvs = np.empty(len(ys))
-    log_tvs = np.empty(len(ys))
-    tvs[0], log_tvs[0] = _pair_tv(D, s, nodes[1] - nodes[0])
+    pair = _pair_start(*(np.exp(grid_init(model, prior, ys[0], nodes).log_weights)
+                         for prior in (prior1, prior2)))
     min_cells = math.inf
     edge_max = 0.0
     r_noise = noise_tail_radius(model.state_noise)
 
-    try:
-        for step in range(1, len(ys)):
-            # target window covering the predictive support of BOTH filters:
-            # the image of mean +/- k std under f spreads at most f_lip * k * std,
-            # plus the state-noise tail radius; clipped to the observation's LD set
-            dens = _pair_densities(phi, D, s, tau)
-            moments = [_density_moments(nodes, d, tau) for d in dens]
-            min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
-            edge_max = max(edge_max, *map(_edge_ratio, dens))
+    def observe(phi, D, s):
+        """Both filters' moments on the current window, folded into the diagnostics."""
+        nonlocal min_cells, edge_max
+        dens = _pair_densities(phi, D, s, tau)
+        moments = [_density_moments(nodes, d, tau) for d in dens]
+        min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
+        edge_max = max(edge_max, *map(_edge_ratio, dens))
+        return moments
 
-            def advance(tgt):
-                K = grid_kernel(model, nodes, tgt)
-                g = np.exp(loglik(model, tgt, ys[step]))
-                return _pair_quotient_update(g * (K @ (tau * phi)), g * (K @ (tau * D)), s,
-                                             trap_weights(tgt), step)
+    moments = observe(*pair)
 
-            tgt, (phi, D, s) = _ld_clipped_step(model, moments, cfg.nodes, r_noise, ys[step],
-                                                advance)
-            if math.isnan(s):  # lost on the wider window too
-                raise FilterCollapseError(step, f"the second filter lost its mass at step {step}")
-            nodes = tgt
-            tau = trap_weights(nodes)
-            tvs[step], log_tvs[step] = _pair_tv(D, s, nodes[1] - nodes[0])
-    except LabError as exc:
-        exc.tv_prefix = (tvs[:step], log_tvs[:step])
-        raise
+    def advance(step, phi, D, s):
+        # target window covering the predictive support of BOTH filters:
+        # the image of mean +/- k std under f spreads at most f_lip * k * std,
+        # plus the state-noise tail radius; clipped to the observation's LD set
+        nonlocal nodes, tau, moments
 
-    dens = _pair_densities(phi, D, s, tau)
-    moments = [_density_moments(nodes, d, tau) for d in dens]
-    min_cells = min(min_cells, min(std for _, std in moments) / (nodes[1] - nodes[0]))
-    edge_max = max(edge_max, *map(_edge_ratio, dens))
+        def image(tgt):
+            K = grid_kernel(model, nodes, tgt)
+            g = np.exp(loglik(model, tgt, ys[step]))
+            return _pair_quotient_update(g * (K @ (tau * phi)), g * (K @ (tau * D)),
+                                         g * (K @ (tau * np.abs(D))), s, trap_weights(tgt),
+                                         step)
+
+        nodes, pair = _ld_clipped_step(model, moments, cfg.nodes, r_noise, ys[step], image)
+        tau = trap_weights(nodes)
+        if not math.isnan(pair[2]):  # a lost second filter fails in _run_pair
+            moments = observe(*pair)
+        return pair
+
+    # the TV rule reads the window that advance moved to last
+    tvs, log_tvs = _run_pair(pair, lambda D: _half_l1(D, nodes[1] - nodes[0]), len(ys), advance)
     diag = {
         "final_window": [float(nodes[0]), float(nodes[-1])],
         "final_posterior_mean_std": list(moments[0]),
@@ -601,7 +651,28 @@ def run_grid_pair(model, prior1, prior2, ys, cfg):
         # peak, of either filter at any step
         "edge_density_max": float(edge_max),
     }
-    return PairedGridResult(tv=tvs, log_tv=log_tvs, diagnostics=diag)
+    return PairedResult(tv=tvs, log_tv=log_tvs, diagnostics=diag)
+
+
+def run_finite_pair(fmodel, nu1, nu2, ys):
+    """Run two finite-chain filters, tracking their difference.
+
+    The finite chain's ``run_grid_pair``: the operator of step k is
+    u -> g_k * (u Q), with unit weights, and the TV half the plain L1 norm.
+    Its unpaired oracle, two ``exact_filter_finite`` recursions and
+    ``tv_half_l1``, cancels at about 1e-16 absolute; this series keeps its
+    relative precision however small the TV gets.
+    """
+    ys = np.asarray(ys, dtype=float)
+    pair = _pair_start(*(_finite_init(fmodel, nu, ys[0])[0] for nu in (nu1, nu2)))
+
+    def advance(step, phi, D, s):
+        g = fmodel.emission_vector(ys[step])
+        return _pair_quotient_update((phi @ fmodel.Q) * g, (D @ fmodel.Q) * g,
+                                     (np.abs(D) @ fmodel.Q) * g, s, 1.0, step)[0]
+
+    tvs, log_tvs = _run_pair(pair, lambda D: 0.5 * float(np.abs(D).sum()), len(ys), advance)
+    return PairedResult(tv=tvs, log_tv=log_tvs, diagnostics={})
 
 
 def grid_filters(model, priors, ys, cfg):

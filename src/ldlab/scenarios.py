@@ -41,16 +41,18 @@ from .errors import (
     ModelValidationError,
     check_fields,
 )
-from .filtering import (
+# exact_filter_finite is not called here; it stays importable from this
+# module, where benchmarks/tracer.py wraps it
+from .filtering import (  # noqa: F401
     ReprConfig,
     decay_rate,
     exact_filter_finite,
     filter_init,
     filter_step,
     grid_filters,
+    run_finite_pair,
     run_grid_pair,
     tv_distance,
-    tv_half_l1,
 )
 from .models import (
     gaussian_finite_model,
@@ -537,26 +539,22 @@ def run_scenario(config, seed=None, out_dir=None):
     failure = None
 
     traj, _, ys = _simulate(config, seed)
-    if config.is_finite:
-        filt1, _ = exact_filter_finite(config.fmodel, config.nu1, ys)
-        filt2, _ = exact_filter_finite(config.fmodel, config.nu2, ys)
-        tvs = np.array([tv_half_l1(filt1[k], filt2[k]) for k in range(len(ys))])
-        with np.errstate(divide="ignore"):
-            log_tvs = np.log(tvs)
-    else:
-        try:
+    try:
+        if config.is_finite:
+            res = run_finite_pair(config.fmodel, config.nu1, config.nu2, ys)
+        else:
             res = run_grid_pair(model, config.nu1, config.nu2, ys, config.repr)
-            tvs, log_tvs = res.tv, res.log_tv
-            diagnostics.update(res.diagnostics)
-        except LabError as exc:
-            failure = {"error": type(exc).__name__, "message": str(exc),
-                       "step": getattr(exc, "step", None)}
-            # steps the runner completed keep their values; the rest are NaN
-            tvs = np.full(len(ys), np.nan)
-            log_tvs = np.full(len(ys), np.nan)
-            if exc.tv_prefix is not None:
-                done = len(exc.tv_prefix[0])
-                tvs[:done], log_tvs[:done] = exc.tv_prefix
+        tvs, log_tvs = res.tv, res.log_tv
+        diagnostics.update(res.diagnostics)
+    except LabError as exc:
+        failure = {"error": type(exc).__name__, "message": str(exc),
+                   "step": getattr(exc, "step", None)}
+        # steps the runner completed keep their values; the rest are NaN
+        tvs = np.full(len(ys), np.nan)
+        log_tvs = np.full(len(ys), np.nan)
+        if exc.tv_prefix is not None:
+            done = len(exc.tv_prefix[0])
+            tvs[:done], log_tvs[:done] = exc.tv_prefix
 
     ns = np.arange(len(ys))
     complete = failure is None  # the TV series has every step

@@ -265,6 +265,42 @@ def test_mc_exits_three_when_every_bound_fails(tmp_path):
     assert not any("nan" in row for row in rows)
 
 
+def _finite_degenerate_config(tmp_path):
+    # emission stds of 0.01 around -1 and 1: the stream starts in prior1's
+    # state 0, and prior2's state 1 has no emission mass there in float64
+    config = preset_dict("finite-oracle")
+    config["finite"]["stds"] = [0.01, 0.01]
+    config["prior1"] = {"family": "finite", "probs": [1.0, 0.0]}
+    config["prior2"] = {"family": "finite", "probs": [0.0, 1.0]}
+    config["seeds"] = [501, 502, 503]
+    config.pop("bound")
+    p = tmp_path / "degen.json"
+    p.write_text(json.dumps(config))
+    return p
+
+
+def test_a_finite_filter_failure_exits_three_with_its_report(tmp_path):
+    out = tmp_path / "filter"
+    r = _run("filter", "--config", str(_finite_degenerate_config(tmp_path)), "--out", str(out),
+             cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"]["error"] == "DegenerateInitError"
+    assert json.dumps(report["failure"], sort_keys=True) in r.stderr
+    rows = (out / "tv.csv").read_text().splitlines()
+    assert len(rows) == 1 + 40 + 1 and all(row.endswith("nan,nan") for row in rows[1:])
+
+
+def test_mc_exits_three_when_every_finite_filter_fails(tmp_path):
+    out = tmp_path / "mc"
+    r = _run("mc", "--config", str(_finite_degenerate_config(tmp_path)), "--replicates", "3",
+             "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    payload = json.loads((out / "report.json").read_text())
+    assert [(f["seed"], f["error"]) for f in payload["failures"]] == [
+        (seed, "DegenerateInitError") for seed in (501, 502, 503)]
+
+
 def test_mc_subcommand(tmp_path, config_file):
     out = tmp_path / "mc"
     r = _run("mc", "--config", str(config_file), "--replicates", "2",

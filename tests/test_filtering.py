@@ -196,10 +196,11 @@ def test_paired_runner_fails_where_the_second_filter_loses_its_mass():
     u, tau = np.ones(8), np.full(8, 0.5)
     for uD, s in ((-u, 0.0), (np.full(8, 1e308), 700.0)):
         with np.errstate(over="ignore", invalid="ignore"):
-            (_, _, s_new), log_z = filtering._pair_quotient_update(u, uD, s, tau, 3)
+            (_, _, s_new), log_z = filtering._pair_quotient_update(u, uD, np.abs(uD), s,
+                                                                   tau, 3)
         assert math.isnan(s_new) and log_z == -math.inf
     # a difference of exactly 0 stays exactly 0
-    (_, D, s_new), log_z = filtering._pair_quotient_update(u, 0 * u, -math.inf, tau, 3)
+    (_, D, s_new), log_z = filtering._pair_quotient_update(u, 0 * u, 0 * u, -math.inf, tau, 3)
     assert s_new == -math.inf and not D.any() and log_z == math.log(4.0)
 
 

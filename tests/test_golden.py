@@ -16,13 +16,13 @@ from ldlab.scenarios import PRESETS, preset_config, run_scenario
 TV_CSV_SHA256 = {
     "ar-unstable": "1942efeb5d8114451a9d7b89dfa8bc234dbec5c6e3e11000176a0c6d1c4aa7a0",
     "dep-noise": "c39e001147fa1cc81a24cf7c2041da626d7c7bac705f5c70f9e17865fc82fbeb",
-    "finite-oracle": "cc31b8e3073dc8d831f17217836880f8abd83f32cb349e287190bb4ea3a0aa95",
+    "finite-oracle": "364e35d1e7e5ab9f4ee94734dc54c406b8de2f852ee41f0ab97c770b662fbb1d",
     "misspec": "e193a5fdce83867e29b2673eaba28d179bbda9d6caa65948f51d310b232ee01d",
     "rw-gauss": "b6fa235721be361c92d9ed14c8ce7aa280613fc3cdbbb01509385c19f027e04b",
 }
 
 REPORT_JSON_SHA256 = {
-    "finite-oracle": "d3d61e2029bf6c74309bec0c2106c5946ceeb80e8b138af5b7b1ade81ca3c78d",
+    "finite-oracle": "821023609e5f5227fea50bf6ad34760432a832d799790b3062975fc6d0560626",
 }
 
 
@@ -58,10 +58,10 @@ CLI_RUNS = {
 
 ARTIFACTS_SHA256 = {
     ("finite-oracle", "simulate"): "d96fb0c2438dbdc904d88eed76036868157179a10ea7be167920172326ad5b58",
-    ("finite-oracle", "filter"): "41524d083140b489476c527207cd32d3b25a099786cb7fd00d5e95badbc44d1c",
+    ("finite-oracle", "filter"): "03a39f61152fa0aa8ab72f112979edd131d097df7d8fc35131eb81763c3be8ec",
     ("finite-oracle", "bound"): "c1f79fa133bd8ba95fb47fcc3a1086781d3ed9a55bfa3da4161e3bae46978002",
-    ("finite-oracle", "experiment"): "668f805b0b4d7ff6128197331f6a32a14cd91da02817c38d5520483f172504a1",
-    ("finite-oracle", "mc"): "a1311e083449257cedf3adaf2788d1cb318ac763d92fb07fdec8b07121b4be05",
+    ("finite-oracle", "experiment"): "a33a5b60bd563d2dd77c56272bcfa64115002c1956a3c18dfd5b2ae85566f9df",
+    ("finite-oracle", "mc"): "2cfe0227a4acfcbe0b100cdf14e5d323c55a66b0138df7eaac758c507c16a2ec",
     ("rw-gauss", "simulate"): "e9622146b5a25f88583086df4f2a5f7efd85736a465dd8625d6e194c27e8a7f6",
     ("rw-gauss", "filter"): "a578f0004f41594da854c775bb2118d2f26865c38475e1e374779de6345f3dac",
     ("rw-gauss", "bound"): "18374725726dd3b1289255a83abba9f7be3aa5f6f47114aba3d1dd7fa323e38b",

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # benchmarks/tracer.py counts and times the calls made through these names by
 # rebinding them on the importing module, so they stay imported there
 TRACER_REBINDS = {("bounds", "quad"), ("bounds", "transition_density"),
-                  ("scenarios", "forgetting_bound")}
+                  ("scenarios", "exact_filter_finite"), ("scenarios", "forgetting_bound")}
 
 
 def _unused_imports(path):

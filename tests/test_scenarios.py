@@ -1,15 +1,23 @@
 """Scenario configs, experiment runner, reports, Monte Carlo aggregation."""
 
 import json
+import math
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ldlab.dists import NormalPrior
 from ldlab.errors import ConfigError, DegenerateInitError, FilterCollapseError, LabError
-from ldlab.filtering import ReprConfig, exact_filter_finite, run_grid_pair, tv_half_l1
+from ldlab.filtering import (
+    ReprConfig,
+    exact_filter_finite,
+    run_finite_pair,
+    run_grid_pair,
+    tv_half_l1,
+)
 from ldlab.models import gaussian_finite_model, simulate_finite, simulate_trajectory
 from ldlab.modelspec import model_from_spec
 from ldlab import bounds, scenarios
@@ -609,6 +617,25 @@ def test_unpaired_route_confirms_paired_route():
     assert "final_window" in info
 
 
+def _exact_log_tv(fmodel, nu1, nu2, ys):
+    """log TV of the two filters at every step, in rational arithmetic on the
+    float Q, emission rows and priors."""
+    Q = [[Fraction(q) for q in row] for row in fmodel.Q.tolist()]
+    ws = [[Fraction(p) for p in nu] for nu in (nu1, nu2)]
+    out = []
+    for k, y in enumerate(ys):
+        g = [Fraction(v) for v in fmodel.emission_vector(y).tolist()]
+        if k:
+            ws = [[sum(wi * row[j] for wi, row in zip(w, Q)) for j in range(fmodel.m)]
+                  for w in ws]
+        ws = [[wj * gj for wj, gj in zip(w, g)] for w in ws]
+        (a, b), (sa, sb) = ws, map(sum, ws)
+        tv = sum(abs(x * sb - y * sa) for x, y in zip(a, b)) / (2 * sa * sb)
+        # float(tv) rounds once; logs of its huge numerator and denominator would not
+        out.append(math.log(float(tv)) if tv else -math.inf)
+    return np.array(out)
+
+
 def test_identical_transition_rows_forget_in_one_step():
     # rank-one transition matrix: the predictive is prior-independent, so
     # the two filters coincide from step 1 on, exactly in floats
@@ -622,6 +649,75 @@ def test_identical_transition_rows_forget_in_one_step():
     assert tv_half_l1(f1[0], f2[0]) > 0.3
     for k in range(1, 11):
         assert tv_half_l1(f1[k], f2[k]) == 0.0
+    # the paired route reads a rank-one Q's image of D, a rounding residue of
+    # sum(D), as a difference of 0, not as a TV e^-40 smaller at each step
+    rows = [0.3, 0.3, 0.4]
+    nu1, nu2 = np.array([0.8, 0.1, 0.1]), np.array([0.1, 0.1, 0.8])
+    cases = [(fm, np.array([0.9, 0.1]), np.array([0.1, 0.9]))]
+    cases.append((gaussian_finite_model(Q=np.array([rows] * 3), means=np.array([-1.0, 0.0, 1.0]),
+                                        stds=np.ones(3)), nu1, nu2))
+    for fmodel, p1, p2 in cases:
+        _, ys = simulate_finite(fmodel, np.full(fmodel.m, 1.0 / fmodel.m), n=10, seed=9)
+        res = run_finite_pair(fmodel, p1, p2, ys)
+        assert res.tv[0] > 0.3
+        assert np.all(res.log_tv[1:] == -np.inf) and np.all(res.tv[1:] == 0.0)
+    # a 1e-6 perturbation contracts D about 1e-6 a step, a cancellation the
+    # update resolves: its log TV follows the exact rational one
+    fmodel = gaussian_finite_model(
+        Q=np.array([[0.3 + 1e-6, 0.3 - 1e-6, 0.4], rows, rows]),
+        means=np.array([-1.0, 0.0, 1.0]), stds=np.ones(3))
+    _, ys = simulate_finite(fmodel, np.full(3, 1.0 / 3.0), n=10, seed=9)
+    res = run_finite_pair(fmodel, nu1, nu2, ys)
+    exact = _exact_log_tv(fmodel, nu1, nu2, ys)
+    assert exact[-1] < -100.0
+    assert np.max(np.abs(res.log_tv - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [501, 502, 503])
+def test_finite_log_tv_is_exact_at_every_step(seed):
+    # the paired route against rational arithmetic on the same float inputs,
+    # 200 steps deep: on seed 501 two normalized recursions cancel to a TV of
+    # 0 from step 79, where the exact log TV is -44.8
+    cfg = scenario_from_dict(dict(preset_dict("finite-oracle"), horizon=200, bound=None))
+    rep = run_scenario(cfg, seed=seed)
+    _, _, ys = scenarios._simulate(cfg, seed)
+    exact = _exact_log_tv(cfg.fmodel, cfg.nu1, cfg.nu2, ys)
+    assert exact[-1] < -80.0
+    assert np.max(np.abs(rep.tv.log_tv - exact)) <= 1e-12
+
+
+def test_unpaired_recursions_confirm_the_finite_paired_route():
+    cfg = preset_config("finite-oracle")
+    worst = 0.0
+    for seed in cfg.seeds:
+        rep = run_scenario(replace(cfg, bound=None), seed=seed)
+        _, _, ys = scenarios._simulate(cfg, seed)
+        f1, _ = exact_filter_finite(cfg.fmodel, cfg.nu1, ys)
+        f2, _ = exact_filter_finite(cfg.fmodel, cfg.nu2, ys)
+        tvs = np.array([tv_half_l1(a, b) for a, b in zip(f1, f2)])
+        mask = tvs > 1e-6  # far above the recursions' cancellation floor
+        assert mask[:10].all()
+        worst = max(worst, float(np.max(np.abs(rep.tv.tv[mask] - tvs[mask]) / tvs[mask])))
+    assert worst < 1e-9
+
+
+def test_a_finite_filter_failure_is_recorded():
+    # emission stds of 0.01 around -1 and 1: the stream starts in prior1's
+    # state 0, and prior2's state 1 has no emission mass there in float64
+    d = preset_dict("finite-oracle")
+    d["finite"]["stds"] = [0.01, 0.01]
+    d.pop("bound")
+    cfg = scenario_from_dict(dict(d, prior1={"family": "finite", "probs": [1.0, 0.0]},
+                                  prior2={"family": "finite", "probs": [0.0, 1.0]},
+                                  seeds=[501, 502, 503]))
+    rep = run_scenario(cfg)
+    assert rep.failure == {"error": "DegenerateInitError", "step": None,
+                           "message": "prior carries no mass under the first emission"}
+    assert np.isnan(rep.tv.tv).all() and rep.fit is None
+    res = monte_carlo_expectation(cfg, replicates=3)
+    assert [(f["seed"], f["error"]) for f in res["failures"]] == [
+        (seed, "DegenerateInitError") for seed in (501, 502, 503)]
+    assert np.isnan(res["mean_tv"]).all() and res["slopes"] == []
 
 
 def test_particle_route_tracks_grid_route():

@@ -54,8 +54,9 @@ def test_every_timed_layer_is_entered(tracer_module, tmp_path):
     finally:
         tracer.uninstall()
     entered = set().union(*calls.values())
-    # the exhaustive oracles are entered by the benchmark's direct calls
-    oracles = {"filtering.oracle", "bounds.gap"}
+    # the exhaustive oracles, and the finite recursion that a finite run's
+    # paired route replaced, are entered by the benchmark's direct calls only
+    oracles = {"filtering.oracle", "filtering.exact", "bounds.gap"}
     assert set(tracer_module.TIMED_LAYERS) - oracles - entered == set()
     # a sweep assembles one bound per eta through bound_series
     assert calls["sweep"]["bounds.series"] == 1
