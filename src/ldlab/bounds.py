@@ -27,11 +27,12 @@ from .doeblin import (
 )
 from .errors import (
     ConfigError,
+    FilterCollapseError,
     H2FailureError,
     InfeasibleConstraintError,
     OracleScaleError,
 )
-from .filtering import _path_log_weights, _propagate_particles
+from .filtering import _path_log_weights, _propagate_particles, _terminal_sums
 # transition_density, likewise, stays importable for benchmarks/tracer.py
 from .models import loglik, transition_density  # noqa: F401
 
@@ -56,10 +57,7 @@ def max_product_with_quota(log_factors, alpha):
     if np.any(lf > 1e-9):
         raise ConfigError("log contraction values must be <= 0")
     lf = np.minimum(lf, 0.0)
-    m = math.ceil(alpha * n)
-    if m > n:
-        raise InfeasibleConstraintError("quota exceeds the number of factors")
-    return float(np.sort(lf)[::-1][:m].sum())
+    return float(np.sort(lf)[::-1][:math.ceil(alpha * n)].sum())
 
 
 def max_product_with_quota_bruteforce(log_factors, alpha):
@@ -165,19 +163,28 @@ def set_likelihood_mass(model, y, yp, delta):
     return model.h_b * math.exp(model.obs_noise.log_mass(delta))
 
 
+def _log(v):
+    """math.log of a non-negative number, -inf at 0."""
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def _finite_stream(fmodel, ld, ys):
     """The finite model's terms on y_0..y_n, each evaluated once.
 
-    Returns the emission rows ``g`` and set rows ``inside`` (n+1 x m) and the
-    natural-scale envelopes ``lo``, ``hi`` of the pairs (y_{k-1}, y_k),
-    k = 1..n; the set rows and envelopes are read from the tables of ``ld``.
-    Over the uniform reference, psi at y_k is the mean of ``g[k]`` on
-    ``inside[k]`` and upsilon the max of ``g[k]``.
+    Returns the emission rows ``g`` and set rows ``inside`` (n+1 x m), then
+    the logs that the bound and both inequality checks read: log eps-minus,
+    log eps-plus and log psi of the pairs (y_{k-1}, y_k), k = 1..n, and log
+    upsilon of y_0..y_n. The set rows and envelopes are read from the tables
+    of ``ld``. Over the uniform reference, psi at y_k is the mean of ``g[k]``
+    on ``inside[k]`` and upsilon the max of ``g[k]``; a zero reads log -inf.
     """
     g = np.array([fmodel.emission_vector(y) for y in ys])
     bins = [int(ld.obs_to_bin(y)) for y in ys]
     lo, hi = ld.envelopes_along(bins)
-    return g, ld.inside[bins], lo, hi
+    inside = ld.inside[bins]
+    log_psi = [_log(row[row_in].mean()) for row, row_in in zip(g[1:], inside[1:])]
+    return (g, inside, np.array([_log(v) for v in lo]), np.array([_log(v) for v in hi]),
+            np.array(log_psi), np.array([_log(row.max()) for row in g]))
 
 
 def _phi_finite(fmodel, nu, g, inside):
@@ -309,18 +316,14 @@ def forgetting_bound_finite(fmodel, ld, nu, nup, ys, alpha, eta):
     n = len(ys) - 1
     if n < 2:
         raise ConfigError("need at least two steps (n >= 2)")
-    g, inside, lo, hi = _finite_stream(fmodel, ld, ys)
+    g, inside, log_em, log_ep, log_psi, log_ups = _finite_stream(fmodel, ld, ys)
     required = _admissible_eta(g, inside)
     if eta < required - 1e-12:
         raise H2FailureError(
             f"eta {eta} is below the achieved outside-set ratio {required:.6g}")
-    log_psi = np.array([math.log(g[k][inside[k]].mean()) for k in range(1, n + 1)])
-    log_ups = np.array([math.log(row.max()) for row in g])
     phis = [_phi_finite(fmodel, p, g, inside) for p in (nu, nup)]
-    log_phi1, log_phi2 = (math.log(p) if p > 0.0 else -math.inf for p in phis)
     return _breakdown(
-        np.array([math.log(v) for v in lo]), np.array([math.log(v) for v in hi]),
-        log_psi, log_ups, log_phi1, log_phi2, alpha, eta,
+        log_em, log_ep, log_psi, log_ups, _log(phis[0]), _log(phis[1]), alpha, eta,
         parameters={"delta": None, "phi_method": "finite-exact"},
         diagnostics={"phi_underflow": min(phis) <= 0.0, "required_eta": required},
     )
@@ -332,8 +335,15 @@ def admissible_eta_finite(fmodel, ld, ys):
 
 
 def _admissible_eta(g, inside):
-    """Largest ratio of an outside-set emission to its row's peak; 0 with no outside state."""
-    return float(np.max(np.where(inside, 0.0, g).max(axis=1) / g.max(axis=1), initial=0.0))
+    """Largest ratio of an outside-set emission to its row's peak; 0 with no outside state.
+
+    An observation under which every state's emission is 0 has no ratio, and
+    raises FilterCollapseError at its step.
+    """
+    peaks = g.max(axis=1)
+    if not peaks.all():
+        raise FilterCollapseError(int(np.argmin(peaks)), "every emission is 0 at this step")
+    return float(np.max(np.where(inside, 0.0, g).max(axis=1) / peaks, initial=0.0))
 
 
 def bound_series(model, prior1, prior2, ys, alpha, etas):
@@ -387,8 +397,6 @@ def prefix_series(full):
 
 @dataclass(frozen=True)
 class GapResult:
-    lhs: float
-    rhs: float
     lhs_log: float
     rhs_log: float
     holds: bool
@@ -401,44 +409,27 @@ def numerator_gap(fmodel, nu, nup, ys, ld):
     """Exhaustive check of the coupled-chain numerator inequality.
 
     lhs: the worst subset gap between the two unnormalized terminal expectations,
-    enumerated over all 2^m subsets. rhs: the product-chain expectation with the
-    contraction factor active on within-set transitions, computed by dynamic
-    programming over pair states.
+    sup over state sets A of |c(A)|, which is the larger of the sum of c's
+    positive entries and minus the sum of its negative ones. rhs: the
+    product-chain expectation with the contraction factor active on within-set
+    transitions, computed by dynamic programming over pair states.
     """
     nu = np.asarray(nu, dtype=float)
     nup = np.asarray(nup, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    m = fmodel.m
-    if m > 20:
-        raise OracleScaleError("subset enumeration capped at 2^20")
     paths, log_ws = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
-    # unnormalized terminal-state masses of each chain, scaled by its peak
-    # path weight; a chain whose paths all carry zero mass gives zeros
-    scaled = []
-    for log_w in log_ws:
-        peak = float(np.max(log_w))
-        w = np.exp(log_w - peak) if np.isfinite(peak) else np.zeros(len(log_w))
-        scaled.append((np.bincount(paths[:, -1], weights=w, minlength=m), peak))
-    (s1, ls1), (s2, ls2) = scaled
+    (s1, ls1), (s2, ls2) = (_terminal_sums(paths, log_w, fmodel.m) for log_w in log_ws)
     # common scale exp(ls1 + ls2) for the cross products
     c = s1 * s2.sum() - s2 * s1.sum()
-    best = 0.0
-    for bits in range(1 << m):
-        sel = [(bits >> t) & 1 for t in range(m)]
-        val = abs(float(c[np.array(sel, dtype=bool)].sum()))
-        best = max(best, val)
-    lhs_log = (ls1 + ls2 + math.log(best)) if best > 0 else -math.inf
+    lhs_log = ls1 + ls2 + _log(max(c[c > 0].sum(), -c[c < 0].sum()))
     rhs_log = _pair_chain_rhs_log(fmodel, nu, nup, ys, ld)
-    lhs = math.exp(lhs_log) if lhs_log < 700 else math.inf
-    rhs = math.exp(rhs_log) if rhs_log < 700 else math.inf
-    holds = lhs_log <= rhs_log + 1e-10
-    return GapResult(lhs=lhs, rhs=rhs, lhs_log=lhs_log, rhs_log=rhs_log, holds=holds)
+    return GapResult(lhs_log=lhs_log, rhs_log=rhs_log, holds=lhs_log <= rhs_log + 1e-10)
 
 
 def _pair_chain_rhs_log(fmodel, nu, nup, ys, ld):
     """DP over pair states for the contraction-weighted product-chain mass."""
-    g, inside, lo, hi = _finite_stream(fmodel, ld, ys)
-    rho = 1.0 - (lo / hi) ** 2
+    g, inside, log_em, log_ep, _, _ = _finite_stream(fmodel, ld, ys)
+    rho = np.exp(log_contraction_from_logs(log_em, log_ep))  # the bound's own rho
     QQ = np.kron(fmodel.Q, fmodel.Q)  # pair index u*m + v
     w = np.outer(nu * g[0], nup * g[0]).reshape(-1)
     log_scale = 0.0
@@ -472,9 +463,9 @@ def numerator_rhs_enumerated(fmodel, nu, nup, ys, ld):
     if m ** (2 * (n + 1)) > 2**22:
         raise OracleScaleError("pair-path enumeration capped at 2^22 combinations")
     paths, (log_w, log_w2) = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
-    _, inside, lo, hi = _finite_stream(fmodel, ld, ys)
+    _, inside, log_em, log_ep, _, _ = _finite_stream(fmodel, ld, ys)
     in_c = inside[np.arange(n + 1), paths]  # (P, n+1): path p inside the set at step k
-    rhos = 1.0 - (lo / hi) ** 2
+    rhos = np.exp(log_contraction_from_logs(log_em, log_ep))
     w1 = np.exp(log_w)
     w2 = np.exp(log_w2)
     total = 0.0
@@ -494,22 +485,16 @@ def denominator_gap(fmodel, nu, ys, ld):
     """Exhaustive check of the evidence lower bound.
 
     lhs: the full path sum of prior, transition and emission weights. rhs: the
-    product of per-pair lower envelopes and set likelihood masses times the
-    two-step prior mass.
+    two-step prior mass times the lower envelopes and set likelihood masses of
+    the pairs 2..n, in log domain from the bound's own table.
     """
     ys = np.asarray(ys, dtype=float)
-    n = len(ys) - 1
-    if n < 1:
+    if len(ys) < 2:
         raise ConfigError("need at least one step")
-    _, (log_w,) = _path_log_weights(fmodel, [nu], ys, _MAX_PATHS)
-    lhs_log = float(logsumexp(log_w))  # -inf when every path weighs zero
-    g, inside, lo, _ = _finite_stream(fmodel, ld, ys)
-    factors = [_phi_finite(fmodel, nu, g, inside)]
-    for i in range(2, n + 1):
-        factors += [lo[i - 1], float(g[i][inside[i]].mean())]
-    with np.errstate(divide="ignore"):
-        rhs_log = float(np.log(factors).sum())
-    lhs = math.exp(lhs_log) if lhs_log < 700 else math.inf
-    rhs = math.exp(rhs_log) if rhs_log < 700 else math.inf
-    holds = rhs_log <= lhs_log + 1e-10
-    return GapResult(lhs=lhs, rhs=rhs, lhs_log=lhs_log, rhs_log=rhs_log, holds=holds)
+    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, _MAX_PATHS)
+    sums, peak = _terminal_sums(paths, log_w, fmodel.m)
+    lhs_log = peak + _log(sums.sum())  # -inf when every path weighs zero
+    g, inside, log_em, _, log_psi, _ = _finite_stream(fmodel, ld, ys)
+    log_phi = _log(_phi_finite(fmodel, nu, g, inside))
+    rhs_log = log_phi + float(log_em[1:].sum() + log_psi[1:].sum())
+    return GapResult(lhs_log=lhs_log, rhs_log=rhs_log, holds=rhs_log <= lhs_log + 1e-10)

@@ -24,6 +24,7 @@ from ._version import __version__
 from .errors import ConfigError, LabError
 from .scenarios import (
     _evaluate_bound,
+    _failure_record,
     _simulate,
     config_hash,
     monte_carlo_expectation,
@@ -144,16 +145,23 @@ def cmd_bound(args):
     seed = _seed_for(args, config)
     out = _out_dir(args, config, f"bound-seed{seed}")
     _, _, ys = _simulate(config, seed)
-    _, info, bd = _evaluate_bound(config, ys)
+    report = {"config": config.raw, "config_hash": config_hash(config.raw),
+              "seed": seed, "version": __version__}
+    try:
+        _, info, bd = _evaluate_bound(config, ys)
+    except LabError as exc:
+        failure = _failure_record(exc)
+        write_json(os.path.join(out, "report.json"),
+                   {**report, "bound": None, "eta_sweep": None, "failure": failure})
+        print(f"bound failed: {json.dumps(failure, sort_keys=True)}", file=sys.stderr)
+        print(f"partial report in {out}")
+        return 3
     sweep = info.get("sweep")
     if sweep is not None:
         sweep = {"etas": sweep["etas"], "log_totals": [r["log_total"] for r in sweep["results"]]}
     write_bound_csv(bd, os.path.join(out, "bound.csv"))
-    write_json(os.path.join(out, "report.json"), {
-        "config": config.raw, "config_hash": config_hash(config.raw),
-        "seed": seed, "version": __version__,
-        "bound": info["final"], "eta_sweep": sweep,
-    })
+    write_json(os.path.join(out, "report.json"), {**report, "bound": info["final"],
+                                                  "eta_sweep": sweep})
     print(f"wrote {out}/bound.csv  headline={bd.headline:.6g} "
           f"log_total={bd.log_total:.4f} (eta={bd.parameters['eta']:.4g})")
     return 0

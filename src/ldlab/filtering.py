@@ -187,7 +187,7 @@ def systematic_resample(log_w, rng):
 
 
 def _maybe_resample(state, cfg, rng):
-    if state.ess is not None and state.ess < ESS_FRACTION * cfg.particles:
+    if state.ess < ESS_FRACTION * cfg.particles:
         idx = systematic_resample(state.log_weights, rng)
         m = len(idx)
         return replace(
@@ -319,30 +319,32 @@ def _path_log_weights(fmodel, priors, ys, max_paths):
     return steps.T, log_w
 
 
-def exhaustive_terminal_sums(fmodel, nu, ys):
-    """Unnormalized terminal-state sums over every path, in scaled form.
+def _terminal_sums(paths, log_w, m):
+    """Terminal-state sums of the path weights ``log_w``, in scaled form.
 
-    Returns (scaled_sums, log_scale): the unnormalized filter numerator for
-    terminal state j is exp(log_scale) * scaled_sums[j]. Independent oracle
-    for the forward recursion; capped at 2^20 paths.
+    Returns (sums, peak): the weight of the paths ending in state j is
+    exp(peak) * sums[j]. A chain whose paths all weigh zero gives zeros and
+    peak -inf.
     """
-    ys = np.asarray(ys, dtype=float)
-    m = fmodel.m
-    n = len(ys) - 1
-    if m > 12 or n > 20:
-        raise OracleScaleError("path enumeration capped at 2^20 paths, m <= 12, n <= 20")
-    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, 2**20)
-    peak = np.max(log_w)
-    if not np.isfinite(peak):
-        raise FilterCollapseError(n, "all paths carry zero mass")
-    w = np.exp(log_w - peak)
-    sums = np.bincount(paths[:, n], weights=w, minlength=m)
-    return sums, float(peak)
+    peak = float(np.max(log_w))
+    w = np.exp(log_w - peak) if np.isfinite(peak) else np.zeros(len(log_w))
+    return np.bincount(paths[:, -1], weights=w, minlength=m), peak
 
 
 def exhaustive_filter_finite(fmodel, nu, ys):
-    """Exhaustive-path variant of exact_filter_finite (final filter only)."""
-    sums, log_scale = exhaustive_terminal_sums(fmodel, nu, ys)
+    """Exhaustive-path variant of exact_filter_finite (final filter only).
+
+    Returns the final filter and the log evidence. Independent oracle for the
+    forward recursion; capped at 2^20 paths, m <= 12, n <= 20.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n = len(ys) - 1
+    if fmodel.m > 12 or n > 20:
+        raise OracleScaleError("path enumeration capped at 2^20 paths, m <= 12, n <= 20")
+    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, 2**20)
+    sums, log_scale = _terminal_sums(paths, log_w, fmodel.m)
+    if not np.isfinite(log_scale):
+        raise FilterCollapseError(n, "all paths carry zero mass")
     z = sums.sum()
     return sums / z, math.log(z) + log_scale
 

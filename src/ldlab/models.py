@@ -249,10 +249,6 @@ class Trajectory:
     obs_noise: np.ndarray
     seed: int
 
-    @property
-    def horizon(self):
-        return len(self.observations) - 1
-
 
 def _rng_for(seed):
     # the key [seed, 0] fixes the draws that every recorded output was made from

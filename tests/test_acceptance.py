@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ldlab import bounds
 from ldlab.bounds import (
     admissible_eta_finite,
     denominator_gap,
@@ -354,6 +355,45 @@ def test_non_ergodic_ring_chains():
                  f"{num_bad}/{den_bad} numerator/denominator violations, "
                  f"{bound_bad} bound violations in {checks} checks, recursion gap {worst:.2e}, "
                  f"{zero_blocks} zero blocks raised, {dt:.1f}s")
+
+
+def test_gap_checks_fail_on_a_wrong_table(monkeypatch):
+    # criteria 02 and 03 read the finite bound's own table, so an error in it
+    # reaches them: psi read as the row max (upsilon) breaks the evidence lower
+    # bound, and log eps-plus = log eps-minus + 1e-3 (rho near 0) the numerator
+    t0 = time.perf_counter()
+    num_fixtures = _fixture_set(20240817, 6)
+    den_fixtures = num_fixtures + _fixture_set(20240818, 8)
+
+    def numerator_failures():
+        return sum(not numerator_gap(fmodel, nu, nup, ys, ld).holds
+                   for fmodel, ld, ys, nu, nup in num_fixtures)
+
+    def denominator_failures():
+        return sum(not denominator_gap(fmodel, nu, ys, ld).holds
+                   for fmodel, ld, ys, nu, _ in den_fixtures)
+
+    table = bounds._finite_stream
+
+    def psi_as_upsilon(fmodel, ld, ys):
+        g, inside, log_em, log_ep, _, log_ups = table(fmodel, ld, ys)
+        return g, inside, log_em, log_ep, log_ups[1:], log_ups
+
+    def rho_near_zero(fmodel, ld, ys):
+        g, inside, log_em, _, log_psi, log_ups = table(fmodel, ld, ys)
+        return g, inside, log_em, log_em + 1e-3, log_psi, log_ups
+
+    clean = numerator_failures(), denominator_failures()
+    monkeypatch.setattr(bounds, "_finite_stream", psi_as_upsilon)
+    wrong_psi = denominator_failures()
+    monkeypatch.setattr(bounds, "_finite_stream", rho_near_zero)
+    wrong_rho = numerator_failures()
+    dt = time.perf_counter() - t0
+    ok = clean == (0, 0) and wrong_psi > 0 and wrong_rho > 0
+    assert _gate("wrong table", "the gap checks fail when the bound's table is wrong", ok,
+                 f"{clean[0]}/{clean[1]} numerator/denominator failures on the table, "
+                 f"{wrong_psi} of {len(den_fixtures)} with psi as upsilon, "
+                 f"{wrong_rho} of {len(num_fixtures)} with rho near 0, {dt:.1f}s")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Bound assembly: quota maximization, mass terms, gap checks, sweeps."""
 
+import itertools
 import json
 import math
 import re
@@ -36,6 +37,7 @@ from ldlab.doeblin import (
 from ldlab.errors import (
     ConfigError,
     ConstructionError,
+    FilterCollapseError,
     H2FailureError,
     InfeasibleConstraintError,
 )
@@ -225,10 +227,15 @@ def test_set_likelihood_mass_finite_by_hand():
         [(g1[1] + g1[2]) / 2.0, (g2[0] + g2[1]) / 2.0], rel=1e-14)
 
 
+def _log(v):
+    return math.log(v) if v > 0.0 else -math.inf
+
+
 def test_finite_stream_reads_what_each_observation_gives():
     # the set rows and pair envelopes are tabulated once with the set function;
     # along a stream they read what np.isin and envelopes_for_bins give per
-    # observation, and a pair with a zero transition raises its error
+    # observation, the logs are math.log of each term, and a pair with a zero
+    # transition raises its error
     rng = np.random.default_rng(8)
     raised = 0
     for _ in range(80):
@@ -250,11 +257,14 @@ def test_finite_stream_reads_what_each_observation_gives():
             with pytest.raises(ConstructionError, match=re.escape(str(exc))):
                 _finite_stream(fm, ld, ys)
             continue
-        g, got_inside, lo, hi = _finite_stream(fm, ld, ys)
+        g, got_inside, log_em, log_ep, log_psi, log_ups = _finite_stream(fm, ld, ys)
         assert np.array_equal(got_inside, inside)
-        assert lo.tobytes() == np.array([p[0] for p in pairs]).tobytes()
-        assert hi.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+        assert log_em.tobytes() == np.array([_log(p[0]) for p in pairs]).tobytes()
+        assert log_ep.tobytes() == np.array([_log(p[1]) for p in pairs]).tobytes()
         assert g.tobytes() == np.array([fm.emission_vector(y) for y in ys]).tobytes()
+        psi = [g[k][inside[k]].mean() for k in range(1, len(ys))]
+        assert log_psi.tobytes() == np.array([_log(v) for v in psi]).tobytes()
+        assert log_ups.tobytes() == np.array([_log(row.max()) for row in g]).tobytes()
     assert 0 < raised < 80
 
 
@@ -419,6 +429,14 @@ def test_numerator_gap_holds_and_routes_agree():
         # literal enumeration of the paired chain must reproduce the DP rhs
         lit = numerator_rhs_enumerated(fm, nu1, nu2, ys, ld)
         assert math.log(lit) == pytest.approx(gap.rhs_log, abs=1e-12)
+        # the lhs is exp(log Z1 + log Z2) times the largest |f1(A) - f2(A)|
+        # over every state set A, here from the recursion's final filters,
+        # which meet the path sums to criterion 05's 1e-10
+        (f1, log_z1), (f2, log_z2) = (exact_filter_finite(fm, nu, ys) for nu in (nu1, nu2))
+        diff = f1[-1] - f2[-1]
+        worst = max(abs(diff[list(a)].sum())
+                    for r in range(4) for a in itertools.combinations(range(3), r))
+        assert gap.lhs_log == pytest.approx(log_z1 + log_z2 + math.log(worst), abs=1e-10)
 
 
 def test_denominator_gap_holds():
@@ -442,6 +460,20 @@ def test_denominator_gap_with_zero_evidence_is_minus_inf():
     assert gap.lhs_log == -math.inf
     assert gap.rhs_log == -math.inf
     assert gap.holds
+
+
+def test_finite_bound_fails_as_a_filter_collapse_when_every_emission_is_zero():
+    # at y = 1e3 every state's emission underflows to 0: the row has no
+    # outside-set ratio, so the finite bound and its eta floor fail at step 2
+    fm, ld = _chain3()
+    nu, ys = np.array([0.6, 0.3, 0.1]), np.array([0.0, 0.5, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (lambda: forgetting_bound_finite(fm, ld, nu, nu[::-1], ys, 0.4, 0.5),
+                      lambda: admissible_eta_finite(fm, ld, ys)):
+            with pytest.raises(FilterCollapseError) as info:
+                check()
+            assert info.value.step == 2
 
 
 def test_bound_series_last_point_matches_full_bound():

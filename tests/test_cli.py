@@ -228,7 +228,7 @@ def test_failed_run_exits_three_with_partial_report(tmp_path):
         assert report["failure"] is not None
 
 
-def test_a_bound_failure_exits_three_with_its_record(tmp_path):
+def _h2_failure_config(tmp_path):
     # finite-oracle with one state per bin: eta 0.05 is below the stream's
     # outside-set emission ratio, so the bound does not apply
     config = preset_dict("finite-oracle")
@@ -236,6 +236,11 @@ def test_a_bound_failure_exits_three_with_its_record(tmp_path):
     config["bound"]["eta"] = 0.05
     p = tmp_path / "h2.json"
     p.write_text(json.dumps(config))
+    return config, p
+
+
+def test_a_bound_failure_exits_three_with_its_record(tmp_path):
+    _, p = _h2_failure_config(tmp_path)
     out = tmp_path / "h2"
     r = _run("experiment", "--config", str(p), "--out", str(out), cwd=tmp_path)
     assert r.returncode == 3
@@ -247,12 +252,22 @@ def test_a_bound_failure_exits_three_with_its_record(tmp_path):
     assert (out / "tv.csv").read_text().splitlines()[0] == "n,tv,log_tv"
 
 
+def test_a_failed_bound_command_exits_three_with_its_record(tmp_path):
+    config, p = _h2_failure_config(tmp_path)
+    out = tmp_path / "h2-bound"
+    r = _run("bound", "--config", str(p), "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["failure"]["error"] == "H2FailureError"
+    assert report["failure"]["step"] is None
+    assert report["bound"] is None and report["eta_sweep"] is None
+    assert report["config"] == config and report["seed"] == config["seeds"][0]
+    assert json.dumps(report["failure"], sort_keys=True) in r.stderr
+    assert sorted(f.name for f in out.iterdir()) == ["report.json"]
+
+
 def test_mc_exits_three_when_every_bound_fails(tmp_path):
-    config = preset_dict("finite-oracle")
-    config["finite"]["set_table"] = [[0], [1]]
-    config["bound"]["eta"] = 0.05
-    p = tmp_path / "h2.json"
-    p.write_text(json.dumps(config))
+    config, p = _h2_failure_config(tmp_path)
     out = tmp_path / "mc"
     r = _run("mc", "--config", str(p), "--replicates", "3", "--out", str(out), cwd=tmp_path)
     assert r.returncode == 3, r.stderr

@@ -14,7 +14,6 @@ from ldlab.filtering import (
     decay_rate,
     exact_filter_finite,
     exhaustive_filter_finite,
-    exhaustive_terminal_sums,
     filter_init,
     filter_step,
     grid_filters,
@@ -76,15 +75,6 @@ def test_exhaustive_filter_agrees_with_recursion():
     exh, exh_log_z = exhaustive_filter_finite(fm, nu, ys)
     assert np.max(np.abs(rec[-1] - exh)) < 1e-12
     assert exh_log_z == pytest.approx(log_z, abs=1e-12)
-
-
-def test_exhaustive_terminal_sums_normalize_to_evidence():
-    fm = _toy_finite()
-    nu = np.array([0.5, 0.5])
-    ys = [0, 1, 1, 0]
-    sums, log_scale = exhaustive_terminal_sums(fm, nu, ys)
-    _, log_z = exact_filter_finite(fm, nu, ys)
-    assert math.log(sums.sum()) + log_scale == pytest.approx(log_z, abs=1e-12)
 
 
 def test_tv_half_l1_reference():
