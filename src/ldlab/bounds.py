@@ -27,6 +27,7 @@ from .doeblin import (
 )
 from .errors import (
     ConfigError,
+    ConstructionError,
     FilterCollapseError,
     H2FailureError,
     InfeasibleConstraintError,
@@ -56,8 +57,12 @@ def max_product_with_quota(log_factors, alpha):
         raise ConfigError("alpha must lie in (0, 1)")
     if np.any(lf > 1e-9):
         raise ConfigError("log contraction values must be <= 0")
-    lf = np.minimum(lf, 0.0)
-    return float(np.sort(lf)[::-1][:math.ceil(alpha * n)].sum())
+    return _quota_sum(np.minimum(lf, 0.0), alpha)
+
+
+def _quota_sum(lf, alpha):
+    """Sum of the ceil(alpha*n) largest of the n clipped log factors ``lf``."""
+    return float(np.sort(lf)[::-1][:math.ceil(alpha * len(lf))].sum())
 
 
 def max_product_with_quota_bruteforce(log_factors, alpha):
@@ -177,14 +182,25 @@ def _finite_stream(fmodel, ld, ys):
     upsilon of y_0..y_n. The set rows and envelopes are read from the tables
     of ``ld``. Over the uniform reference, psi at y_k is the mean of ``g[k]``
     on ``inside[k]`` and upsilon the max of ``g[k]``; a zero reads log -inf.
+    An observation whose bin is not in the set table raises ConstructionError.
     """
     g = np.array([fmodel.emission_vector(y) for y in ys])
-    bins = [int(ld.obs_to_bin(y)) for y in ys]
+    bins = np.array([int(ld.obs_to_bin(y)) for y in ys], dtype=int)
+    outside = np.flatnonzero((bins < 0) | (bins >= len(ld.set_table)))
+    if outside.size:
+        k = int(outside[0])
+        raise ConstructionError(f"observation {ys[k]} at step {k} maps to bin {bins[k]}, "
+                                f"outside the set table's bins 0..{len(ld.set_table) - 1}")
     lo, hi = ld.envelopes_along(bins)
     inside = ld.inside[bins]
-    log_psi = [_log(row[row_in].mean()) for row, row_in in zip(g[1:], inside[1:])]
-    return (g, inside, np.array([_log(v) for v in lo]), np.array([_log(v) for v in hi]),
-            np.array(log_psi), np.array([_log(row.max()) for row in g]))
+    # one 2-D mean per bin: each row is summed as its own 1-D mean would sum
+    # it, to the byte, whatever the size of the set
+    psi = np.empty(len(ys) - 1)
+    for b in np.unique(bins[1:]):
+        rows = np.flatnonzero(bins[1:] == b)
+        psi[rows] = g[np.ix_(rows + 1, ld.set_table[b])].mean(axis=1)
+    return (g, inside, *(np.array([_log(v) for v in terms.tolist()])
+                         for terms in (lo, hi, psi, g.max(axis=1))))
 
 
 def _phi_finite(fmodel, nu, g, inside):
@@ -369,14 +385,16 @@ def prefix_series(full):
 
     Every prefix reuses the breakdown's per-step terms, its alpha and its eta,
     and goes through the same remainder as the breakdown, so the last prefix
-    reproduces its ``log_total`` exactly.
+    reproduces its ``log_total`` exactly. The breakdown's
+    ``max_product_with_quota`` has validated log rho; it is clipped here once.
     """
     ps = full.per_step
+    log_rho = np.minimum(ps["log_rho"], 0.0)
     alpha, eta = full.parameters["alpha"], full.parameters["eta"]
     log_phi1, log_phi2 = full.components["log_phi_nu"], full.components["log_phi_nu_prime"]
     out = {"n": [], "log_lambda": [], "log_remainder": [], "log_total": [], "headline": []}
     for k in range(2, full.parameters["n"] + 1):
-        log_lam = max_product_with_quota(ps["log_rho"][:k], alpha)
+        log_lam = _quota_sum(log_rho[:k], alpha)
         rem, _ = _remainder(ps["log_eps_minus"][:k], ps["log_psi"][:k],
                             ps["log_upsilon"][: k + 1], log_phi1, log_phi2, alpha, eta)
         tot, head = _assemble(log_lam, rem)
@@ -417,8 +435,10 @@ def numerator_gap(fmodel, nu, nup, ys, ld):
     nu = np.asarray(nu, dtype=float)
     nup = np.asarray(nup, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    paths, log_ws = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
-    (s1, ls1), (s2, ls2) = (_terminal_sums(paths, log_w, fmodel.m) for log_w in log_ws)
+    if len(ys) < 2:
+        raise ConfigError("need at least one step")
+    log_ws = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
+    (s1, ls1), (s2, ls2) = (_terminal_sums(log_w, fmodel.m) for log_w in log_ws)
     # common scale exp(ls1 + ls2) for the cross products
     c = s1 * s2.sum() - s2 * s1.sum()
     lhs_log = ls1 + ls2 + _log(max(c[c > 0].sum(), -c[c < 0].sum()))
@@ -462,18 +482,21 @@ def numerator_rhs_enumerated(fmodel, nu, nup, ys, ld):
     n = len(ys) - 1
     if m ** (2 * (n + 1)) > 2**22:
         raise OracleScaleError("pair-path enumeration capped at 2^22 combinations")
-    paths, (log_w, log_w2) = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
+    log_w, log_w2 = _path_log_weights(fmodel, [nu, nup], ys, _MAX_PATHS)
     _, inside, log_em, log_ep, _, _ = _finite_stream(fmodel, ld, ys)
-    in_c = inside[np.arange(n + 1), paths]  # (P, n+1): path p inside the set at step k
+    # the path-state table: path p's state at step k is digit k of p in base m,
+    # step 0 the last digit, as _path_log_weights orders its paths
+    states = np.indices((m,) * (n + 1)).reshape(n + 1, -1)[::-1]
+    in_c = inside[np.arange(n + 1)[:, None], states].T  # (P, n+1): path p inside at step k
     rhos = np.exp(log_contraction_from_logs(log_em, log_ep))
     w1 = np.exp(log_w)
     w2 = np.exp(log_w2)
     total = 0.0
-    for p in range(len(paths)):
+    for p in range(len(w1)):
         if w1[p] == 0.0:
             continue
         # delta_i couples the two paths through joint set membership
-        factor = np.ones(len(paths))
+        factor = np.ones(len(w1))
         for i in range(1, n + 1):
             joint = in_c[p, i - 1] & in_c[p, i] & in_c[:, i - 1] & in_c[:, i]
             factor = np.where(joint, factor * rhos[i - 1], factor)
@@ -491,8 +514,8 @@ def denominator_gap(fmodel, nu, ys, ld):
     ys = np.asarray(ys, dtype=float)
     if len(ys) < 2:
         raise ConfigError("need at least one step")
-    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, _MAX_PATHS)
-    sums, peak = _terminal_sums(paths, log_w, fmodel.m)
+    (log_w,) = _path_log_weights(fmodel, [nu], ys, _MAX_PATHS)
+    sums, peak = _terminal_sums(log_w, fmodel.m)
     lhs_log = peak + _log(sums.sum())  # -inf when every path weighs zero
     g, inside, log_em, _, log_psi, _ = _finite_stream(fmodel, ld, ys)
     log_phi = _log(_phi_finite(fmodel, nu, g, inside))

@@ -49,6 +49,7 @@ from scipy.special import logsumexp
 from .dists import PointMassPrior
 from .doeblin import delta_for_eta, ld_set
 from .errors import (
+    ConfigError,
     DegenerateInitError,
     FilterCollapseError,
     InsufficientDataError,
@@ -266,10 +267,12 @@ def _propagate_particles(model, positions, rng):
 # exact finite-state filtering
 
 
-def _finite_init(fmodel, nu, y0):
-    """The first finite filter, the prior times the first emission row
-    normalized, and the mass divided out."""
-    w = np.asarray(nu, dtype=float) * fmodel.emission_vector(y0)
+def _finite_init(fmodel, nu, ys):
+    """The first finite filter, the prior times the emission row of ``ys[0]``
+    normalized, and the mass divided out. An empty stream raises ConfigError."""
+    if len(ys) == 0:
+        raise ConfigError("need at least one observation")
+    w = np.asarray(nu, dtype=float) * fmodel.emission_vector(ys[0])
     s = w.sum()
     if s <= 0:
         raise DegenerateInitError("prior carries no mass under the first emission")
@@ -281,7 +284,7 @@ def exact_filter_finite(fmodel, nu, ys):
     ys = np.asarray(ys, dtype=float)
     g = [fmodel.emission_vector(y) for y in ys]
     out = np.empty((len(ys), fmodel.m))
-    out[0], s = _finite_init(fmodel, nu, ys[0])
+    out[0], s = _finite_init(fmodel, nu, ys)
     log_z = math.log(s)
     for k in range(1, len(ys)):
         w = (out[k - 1] @ fmodel.Q) * g[k]
@@ -294,32 +297,33 @@ def exact_filter_finite(fmodel, nu, ys):
 
 
 def _path_log_weights(fmodel, priors, ys, max_paths):
-    """Every state path, one row per path, and its log weight under each prior.
+    """The log weight of every state path under each prior, one row per prior.
 
-    Row i of the weights belongs to ``priors[i]``: its prior, then each
-    transition, then each emission, summed in that order. More than
-    ``max_paths`` paths raise OracleScaleError.
+    Path i has state (i // m^k) % m at step k: its index written in base m,
+    step 0 the last digit. Paths are built one level at a time: the weights
+    of the m^k paths to step k - 1, with the last state on the leading axis,
+    take log Q + log g_k for each next state and flatten to m^(k+1) columns.
+    Each weight is its own sum of logs, the prior and g_0 first, then
+    log Q + log g_k per step; no two paths are summed here. An empty stream
+    raises ConfigError, more than ``max_paths`` paths OracleScaleError.
     """
+    if len(ys) == 0:
+        raise ConfigError("need at least one observation")
     m = fmodel.m
-    n = len(ys) - 1
-    if m ** (n + 1) > max_paths:
+    if m ** len(ys) > max_paths:
         raise OracleScaleError(f"path enumeration capped at {max_paths} paths")
-    # row k holds every path's state at step k, digit k of its index in base m
-    steps = np.empty((n + 1, m ** (n + 1)), dtype=int)
-    for k in range(n + 1):
-        steps[k].reshape(-1, m, m**k)[...] = np.arange(m)[:, None]
     with np.errstate(divide="ignore"):
-        log_q = np.log(fmodel.Q).ravel()  # entry u*m + v is log Q[u, v]
         log_g = np.log([fmodel.emission_vector(y) for y in ys])
-        log_w = np.log(priors)[:, steps[0]]
-        for k in range(1, n + 1):
-            log_w += log_q[steps[k - 1] * m + steps[k]]
-        for k in range(0, n + 1):
-            log_w += log_g[k][steps[k]]
-    return steps.T, log_w
+        # entry [k - 1, v, u, 0] is log Q[u, v] + log g_k[v]
+        steps = (np.log(fmodel.Q).T + log_g[1:, :, None])[..., None]
+        log_w = np.log(priors) + log_g[0]
+    p = len(log_w)
+    for step in steps:
+        log_w = (log_w.reshape(p, 1, m, -1) + step).reshape(p, -1)
+    return log_w
 
 
-def _terminal_sums(paths, log_w, m):
+def _terminal_sums(log_w, m):
     """Terminal-state sums of the path weights ``log_w``, in scaled form.
 
     Returns (sums, peak): the weight of the paths ending in state j is
@@ -327,8 +331,9 @@ def _terminal_sums(paths, log_w, m):
     peak -inf.
     """
     peak = float(np.max(log_w))
-    w = np.exp(log_w - peak) if np.isfinite(peak) else np.zeros(len(log_w))
-    return np.bincount(paths[:, -1], weights=w, minlength=m), peak
+    if not np.isfinite(peak):
+        return np.zeros(m), peak
+    return np.exp(log_w - peak).reshape(m, -1).sum(axis=1), peak
 
 
 def exhaustive_filter_finite(fmodel, nu, ys):
@@ -341,8 +346,8 @@ def exhaustive_filter_finite(fmodel, nu, ys):
     n = len(ys) - 1
     if fmodel.m > 12 or n > 20:
         raise OracleScaleError("path enumeration capped at 2^20 paths, m <= 12, n <= 20")
-    paths, (log_w,) = _path_log_weights(fmodel, [nu], ys, 2**20)
-    sums, log_scale = _terminal_sums(paths, log_w, fmodel.m)
+    (log_w,) = _path_log_weights(fmodel, [nu], ys, 2**20)
+    sums, log_scale = _terminal_sums(log_w, fmodel.m)
     if not np.isfinite(log_scale):
         raise FilterCollapseError(n, "all paths carry zero mass")
     z = sums.sum()
@@ -666,7 +671,7 @@ def run_finite_pair(fmodel, nu1, nu2, ys):
     relative precision however small the TV gets.
     """
     ys = np.asarray(ys, dtype=float)
-    pair = _pair_start(*(_finite_init(fmodel, nu, ys[0])[0] for nu in (nu1, nu2)))
+    pair = _pair_start(*(_finite_init(fmodel, nu, ys)[0] for nu in (nu1, nu2)))
 
     def advance(step, phi, D, s):
         g = fmodel.emission_vector(ys[step])

@@ -44,6 +44,7 @@ from ldlab.errors import (
 from ldlab.filtering import exact_filter_finite, tv_half_l1
 from ldlab.models import (
     FiniteModel,
+    finite_model_make,
     gaussian_finite_model,
     simulate_finite,
     simulate_misspecified,
@@ -285,6 +286,78 @@ def test_zero_transition_pair_raises_only_when_a_stream_observes_it():
         check(np.array([0.5, 2.0, -3.0, -3.2]))  # bins 1, 1, 0, 0
         with pytest.raises(ConstructionError, match="from bin 0 into bin 1"):
             check(np.array([0.5, -3.0, 2.0]))  # bins 1, 0, 1
+
+
+def test_observation_outside_the_set_table_raises_for_every_reader():
+    # round(y) bins a three-bin table; y = -1 and y = 3 map to no bin, where
+    # numpy indexing would read bin 2's set or fail with a bare IndexError
+    fm, _ = _chain3()
+    ld = finite_ld_construct(fm, [[0, 1], [0, 1, 2], [1, 2]])
+    nu, nup = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
+    checks = (lambda ys: forgetting_bound_finite(fm, ld, nu, nup, ys, alpha=0.4, eta=0.9),
+              lambda ys: numerator_gap(fm, nu, nup, ys, ld),
+              lambda ys: denominator_gap(fm, nu, ys, ld))
+    for check in checks:
+        check(np.array([0.0, 1.0, 2.0, 1.0]))
+        for ys, step, y, b in (([0.0, 1.0, -1.0, 2.0], 2, -1.0, -1),
+                               ([0.0, 1.0, 3.0], 2, 3.0, 3)):
+            with pytest.raises(ConstructionError,
+                               match=f"observation {y} at step {step} maps to bin {b},"):
+                check(np.array(ys))
+
+
+def test_finite_stream_psi_keeps_its_bytes_on_large_sets():
+    # from 8 states on, numpy sums a row pairwise, so a row sum with the
+    # states outside the set zeroed would group the terms differently from
+    # the mean over the set; log psi reads the per-set mean to the byte
+    rng = np.random.default_rng(28)
+    for m in (8, 9, 13, 17, 33, 64):
+        Q = rng.random((m, m)) + 0.01
+        fm = gaussian_finite_model(Q / Q.sum(axis=1, keepdims=True), rng.normal(0.0, 2.0, m),
+                                   np.full(m, 3.0))
+        table = [sorted(rng.choice(m, size=int(rng.integers(m // 2, m + 1)),
+                                   replace=False).tolist()) for _ in range(3)]
+        ld = finite_ld_construct(fm, table)
+        ys = rng.integers(0, 3, size=30).astype(float)
+        g, inside, _, _, log_psi, _ = _finite_stream(fm, ld, ys)
+        psi = [g[k][inside[k]].mean() for k in range(1, len(ys))]
+        assert log_psi.tobytes() == np.array([_log(v) for v in psi]).tobytes()
+
+
+def test_numerator_gap_needs_a_step():
+    # with one observation the DP has no transition to weigh; like
+    # denominator_gap, the check refuses it rather than holding vacuously
+    fm, ld = _chain3()
+    nu, nup = np.array([0.6, 0.3, 0.1]), np.array([0.1, 0.3, 0.6])
+    for ys in (np.array([0.5]), np.array([])):
+        with pytest.raises(ConfigError, match="need at least one step"):
+            numerator_gap(fm, nu, nup, ys, ld)
+        with pytest.raises(ConfigError, match="need at least one step"):
+            denominator_gap(fm, nu, ys, ld)
+
+
+def test_gaps_hold_on_longer_two_state_fixtures():
+    # 200 random two-state chains over horizons 8..12 (up to 2^13 paths per
+    # prior), past the acceptance fixtures' n <= 8: both inequalities hold
+    rng = np.random.default_rng(2026)
+    bad = []
+    for i in range(200):
+        Q = rng.uniform(0.05, 1.0, size=(2, 2))
+        Q /= Q.sum(axis=1, keepdims=True)
+        n_bins = int(rng.integers(2, 4))
+        W = rng.uniform(0.05, 1.0, size=(2, n_bins))
+        fm = finite_model_make(
+            Q, [(lambda row: (lambda y: float(row[int(y)])))(W[s]) for s in range(2)])
+        # every bin's set holds its emission argmax
+        table = [sorted({int(np.argmax(W[:, b])), int(rng.integers(2))}) for b in range(n_bins)]
+        ld = finite_ld_construct(fm, table)
+        ys = rng.integers(0, n_bins, size=int(rng.integers(8, 13)) + 1).astype(float)
+        nu, nup = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+        num = numerator_gap(fm, nu, nup, ys, ld)
+        den = denominator_gap(fm, nu, ys, ld)
+        if not (num.holds and den.holds):
+            bad.append((i, num, den))
+    assert not bad
 
 
 def test_finite_bound_reads_each_emission_row_once(monkeypatch):

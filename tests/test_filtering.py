@@ -1,5 +1,6 @@
 """Filter recursions: finite exact, grid, particles, paired runner, fits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ldlab import filtering
 from ldlab.dists import NormalPrior, PointMassPrior
-from ldlab.errors import FilterCollapseError
+from ldlab.errors import ConfigError, FilterCollapseError, OracleScaleError
 from ldlab.filtering import (
     ReprConfig,
     _half_l1,
@@ -75,6 +76,83 @@ def test_exhaustive_filter_agrees_with_recursion():
     exh, exh_log_z = exhaustive_filter_finite(fm, nu, ys)
     assert np.max(np.abs(rec[-1] - exh)) < 1e-12
     assert exh_log_z == pytest.approx(log_z, abs=1e-12)
+
+
+def _ring_chain(m, n_zero):
+    """m-state ring chain, Q(x, x') > 0 only at ring distance <= 1, with
+    uniform emissions on [state - 1, state + 1]: state ``n_zero`` and every
+    state farther than 1 from y emit 0."""
+    rng = np.random.default_rng(m)
+    Q = np.zeros((m, m))
+    for s in range(m):
+        for step in (-1, 0, 1):
+            Q[s, (s + step) % m] = rng.uniform(0.1, 1.0)
+    Q /= Q.sum(axis=1, keepdims=True)
+
+    def pdf(s):
+        if s == n_zero:
+            return lambda y: 0.0
+        return lambda y: 0.5 if abs(y - s) <= 1.0 else 0.0
+
+    return finite_model_make(Q, [pdf(s) for s in range(m)])
+
+
+def test_level_enumeration_matches_a_literal_path_loop():
+    # every path's log weight is its own sum of math.log terms, path i holding
+    # state (i // m^k) % m at step k; structural zeros in Q and the zero
+    # emission read -inf, and the terminal sums are the plain sums of the
+    # path weights ending in each state
+    for m, n in ((3, 4), (4, 3), (5, 2)):
+        fm = _ring_chain(m, n_zero=m - 1)
+        rng = np.random.default_rng(10 * m + n)
+        # a walk on the states 0..m-2 that can emit, steps of at most 1
+        walk = np.clip(np.cumsum(np.r_[1, rng.integers(-1, 2, size=n)]), 0, m - 2)
+        ys = walk + rng.uniform(-0.3, 0.3, size=n + 1)
+        priors = [rng.dirichlet(np.ones(m)), np.r_[0.0, rng.dirichlet(np.ones(m - 1))]]
+        log_ws = filtering._path_log_weights(fm, priors, ys, m ** (n + 1))
+        g = [fm.emission_vector(y) for y in ys]
+
+        def log(v):
+            return math.log(v) if v > 0.0 else -math.inf
+
+        for prior, log_w in zip(priors, log_ws):
+            want = np.empty(m ** (n + 1))
+            sums = np.zeros(m)
+            for path in itertools.product(range(m), repeat=n + 1):
+                total = log(prior[path[0]]) + log(g[0][path[0]])
+                for k in range(1, n + 1):
+                    total += log(fm.Q[path[k - 1], path[k]]) + log(g[k][path[k]])
+                want[sum(s * m**k for k, s in enumerate(path))] = total
+                sums[path[-1]] += math.exp(total)
+            assert np.array_equal(np.isinf(log_w), np.isinf(want))
+            assert 0 < np.isinf(want).sum() < len(want)
+            assert np.allclose(log_w, want, rtol=0, atol=1e-12)
+            got, peak = filtering._terminal_sums(log_w, m)
+            assert np.allclose(got * math.exp(peak), sums, rtol=1e-12, atol=0)
+
+
+def test_exhaustive_filter_at_the_path_cap_matches_the_recursion():
+    # m = 2, n = 19: 2^20 paths, the most the exhaustive filter enumerates
+    fm = gaussian_finite_model(np.array([[0.9, 0.1], [0.25, 0.75]]),
+                               np.array([-1.0, 1.0]), np.ones(2))
+    nu = np.array([0.3, 0.7])
+    ys = np.random.default_rng(19).normal(0.0, 1.5, size=20)
+    rec, log_z = exact_filter_finite(fm, nu, ys)
+    exh, exh_log_z = exhaustive_filter_finite(fm, nu, ys)
+    assert np.max(np.abs(rec[-1] - exh)) < 1e-10
+    assert exh_log_z == pytest.approx(log_z, abs=1e-10)
+    with pytest.raises(OracleScaleError):
+        exhaustive_filter_finite(fm, nu, np.r_[ys, 0.0])
+
+
+def test_finite_routes_reject_an_empty_stream():
+    fm = _toy_finite()
+    nu = np.array([0.3, 0.7])
+    for route in (lambda: exact_filter_finite(fm, nu, []),
+                  lambda: exhaustive_filter_finite(fm, nu, []),
+                  lambda: filtering.run_finite_pair(fm, nu, nu[::-1], [])):
+        with pytest.raises(ConfigError, match="at least one observation"):
+            route()
 
 
 def test_tv_half_l1_reference():
