@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-# quad is not called here; it stays importable for benchmarks/tracer.py
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import logsumexp
 
 from .dists import PointMassPrior
+# quad is not called here; it stays importable for benchmarks/tracer.py
+from .doeblin import quad  # noqa: F401
 from .doeblin import (
     delta_for_eta,
     distance_series,

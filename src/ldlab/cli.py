@@ -81,7 +81,12 @@ def _load_scenario(args):
 
 
 def _seed_for(args, config):
-    return int(args.seed) if args.seed is not None else config.seeds[0]
+    if args.seed is None:
+        return config.seeds[0]
+    seed = int(args.seed)
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _out_dir(args, config, suffix):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConfigError,
@@ -236,6 +235,13 @@ def finite_ld_construct(fmodel, set_table, obs_to_bin=None):
 
 # ---------------------------------------------------------------------------
 # numerical verification of the sandwich property
+
+
+def quad(func, a, b, **kwargs):
+    """``scipy.integrate.quad``, imported at the first call: no run integrates,
+    and the import loads most of scipy."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
 
 
 def verify_ld_property(model, delta, y, yp, budget=1000, seed=0, quad_tol=1e-8,

@@ -125,7 +125,7 @@ def scenario_from_dict(d):
     """Check a scenario dict field by field and build its parts; report every problem at once."""
     if not isinstance(d, dict):
         raise ConfigError(f"invalid scenario config: it must be an object, got {d!r}")
-    errors = []
+    errors = [f"'{path}' must be a finite number, got {x!r}" for path, x in _non_finite(d)]
     unknown = set(d) - _FIELDS
     if unknown:
         errors.append(f"unknown fields: {sorted(unknown)}")
@@ -148,8 +148,8 @@ def scenario_from_dict(d):
     elif bound is not None and horizon < 2:
         errors.append("a bound needs 'horizon' >= 2 (two steps)")
     seeds = d.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(map(_integer, seeds)):
-        errors.append("'seeds' must be a non-empty list of integers")
+    if not (isinstance(seeds, list) and seeds and all(_integer(s) and s >= 0 for s in seeds)):
+        errors.append("'seeds' must be a non-empty list of integers >= 0")
     elif len(set(seeds)) != len(seeds):
         errors.append("'seeds' contains duplicates")
     allow_equal = d.get("allow_equal_priors", False)
@@ -190,6 +190,19 @@ def scenario_from_dict(d):
     return ScenarioConfig(name=d.get("name", "custom"), prior1=prior1, prior2=prior2,
                           nu1=nus["prior1"], nu2=nus["prior2"], horizon=horizon,
                           seeds=list(seeds), bound=bound, raw=dict(d), **parts)
+
+
+def _non_finite(x, path=""):
+    """The (path, value) of every NaN or infinite number in a JSON value;
+    ``json.load`` reads ``NaN`` and ``Infinity`` as such floats."""
+    if isinstance(x, float) and not math.isfinite(x):
+        yield path, x
+    elif isinstance(x, dict):
+        for key, value in x.items():
+            yield from _non_finite(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(x, list):
+        for i, value in enumerate(x):
+            yield from _non_finite(value, f"{path}[{i}]")
 
 
 def _integer(x):

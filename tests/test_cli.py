@@ -344,6 +344,14 @@ def test_seed_override_changes_output(tmp_path, config_file):
     assert b["seed"] == 99
 
 
+def test_a_negative_seed_flag_is_a_config_error(tmp_path):
+    # numpy's generators take no negative seed; the flag once ended in a traceback
+    r = _run("filter", "--preset", "finite-oracle", "--seed", "-1", cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "--seed must be a non-negative integer, got -1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_version_flag(tmp_path):
     r = _run("--version", cwd=tmp_path)
     assert r.returncode == 0

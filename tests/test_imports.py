@@ -2,15 +2,21 @@
 every top-level definition of the package is named somewhere."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import ldlab
+from ldlab import bounds, doeblin
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # benchmarks/tracer.py counts and times the calls made through these names by
-# rebinding them on the importing module, so they stay imported there
+# rebinding them on the importing module, so they stay imported there;
+# bounds.quad is doeblin's wrapper, which imports scipy.integrate at its first call
 TRACER_REBINDS = {("bounds", "quad"), ("bounds", "transition_density"),
                   ("scenarios", "exact_filter_finite"), ("scenarios", "forgetting_bound")}
 
@@ -92,3 +98,51 @@ def test_only_scenarios_and_cli_touch_files():
           if path.stem not in ("scenarios", "cli") for what in _file_io(ast.parse(path.read_text()))}
     assert found == set()
     assert _file_io(ast.parse((package / "scenarios.py").read_text())) == {"json", "os", "open"}
+
+
+# The scipy subpackages that scipy.integrate pulls in; no run calls any of them
+_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.fft",
+          "scipy.spatial")
+# the directory holding the ldlab imported here, absolute, so that a child
+# started in a tmp dir imports this same code
+_LDLAB_ROOT = str(Path(ldlab.__file__).resolve().parent.parent)
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter in ``cwd`` and return what it prints as JSON."""
+    rest = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=_LDLAB_ROOT + (os.pathsep + rest if rest else ""))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=cwd, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_a_run_imports_no_scipy_subpackage_it_does_not_call(tmp_path):
+    # every CLI call and benchmark worker starts a new interpreter, so each one
+    # pays for what importing ldlab loads
+    loaded = _fresh_python(f"""
+import json, sys
+import ldlab
+from ldlab import cli
+from ldlab.scenarios import monte_carlo_expectation, preset_dict, scenario_from_dict
+assert cli.main(["experiment", "--preset", "finite-oracle", "--out", "exp"]) == 0
+config = scenario_from_dict(dict(preset_dict("rw-gauss"), horizon=5))
+assert config.bound is not None
+assert not monte_carlo_expectation(config, 2)["failures"]
+print(json.dumps([m for m in {_HEAVY!r} if m in sys.modules]))
+""", tmp_path)
+    assert loaded == []
+
+
+def test_the_quadrature_check_imports_scipy_integrate_at_its_first_call(tmp_path):
+    assert bounds.quad is doeblin.quad
+    before, after, passed = _fresh_python("""
+import json, sys
+from ldlab.doeblin import verify_ld_property
+from ldlab.scenarios import preset_config
+before = "scipy.integrate" in sys.modules
+report = verify_ld_property(preset_config("rw-gauss").model, 1.0, y=0.0, yp=0.8, budget=5)
+print(json.dumps([before, "scipy.integrate" in sys.modules, report["passed"]]))
+""", tmp_path)
+    assert (before, after, passed) == (False, True, True)

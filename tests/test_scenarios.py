@@ -178,6 +178,39 @@ def test_scenario_from_dict_collects_every_error():
     assert "'horizon' must be a positive integer" in msg
 
 
+def test_a_negative_seed_is_a_config_error():
+    # numpy's generators take no negative seed; it once passed the read and
+    # raised a bare ValueError in run_scenario
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(dict(SMALL_SCENARIO, seeds=[-3, 4]))
+    assert "'seeds' must be a non-empty list of integers >= 0" in str(err.value)
+    assert scenario_from_dict(dict(SMALL_SCENARIO, seeds=[0, 4])).seeds == [0, 4]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("preset, name, path", [
+    ("finite-oracle", "finite.Q[0][1]", ("finite", "Q", 0, 1)),
+    ("finite-oracle", "finite.bin_threshold", ("finite", "bin_threshold")),
+    ("rw-gauss", "prior1.std", ("prior1", "std")),
+    ("rw-gauss", "prior1.mean", ("prior1", "mean")),
+    ("rw-gauss", "model.obs_noise.sigma", ("model", "obs_noise", "sigma")),
+])
+def test_a_non_finite_number_is_named_with_the_other_problems(preset, name, path, value):
+    # json.load reads NaN and Infinity; a NaN Q entry passed both of Q's checks,
+    # a non-finite threshold put every observation in one bin, and a non-finite
+    # prior or noise scale surfaced as a filter collapse at step 0
+    raw = dict(preset_dict(preset), horizon=-3)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(raw)
+    msg = str(err.value)
+    assert f"'{name}' must be a finite number, got {value!r}" in msg
+    assert "'horizon' must be a positive integer" in msg
+
+
 def test_each_integrability_diagnostic_is_reported_under_its_premise():
     # the recorded-noise distance bounds the preimage distance only on data from
     # the filter model, the misspec distance only on data from a truth block
