@@ -1,8 +1,8 @@
 """Filter-forgetting laboratory: exact filters, local mixing sets, TV bounds.
 
 The package builds state-space models from declarative specs, runs paired
-grid / particle / finite-state filters on a shared observation stream, and
-evaluates an observation-driven bound on how fast the two filters merge.
+grid or finite-state filters on a shared observation stream, and evaluates
+an observation-driven bound on how fast the two filters merge.
 """
 
 from ._version import __version__

@@ -5,7 +5,7 @@ Subcommands:
   filter      run the filter pair only, write tv.csv / report.json / plotdata/
   bound       evaluate the assembled bound on one stream, write bound.csv
   experiment  full scenario: filter pair + per-prefix bound + decay fit
-  mc          Monte Carlo mean TV curve over replicate seeds
+  mc          Monte Carlo mean TV curve over the config's seeds (no --seed)
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -198,10 +198,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"ldlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound_flags=True):
+    def common(p, bound_flags=True, seed_flag=True):
         p.add_argument("--config", help="path to a scenario JSON file")
         p.add_argument("--preset", help="built-in scenario name")
-        p.add_argument("--seed", type=int, help="override the scenario's first seed")
+        if seed_flag:
+            p.add_argument("--seed", type=int, help="override the scenario's first seed")
         p.add_argument("--out", help="output directory")
         if bound_flags:
             p.add_argument("--eta", help="tail-ratio level in (0,1), or 'sweep'")
@@ -223,8 +224,9 @@ def build_parser():
     common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
+    # mc runs every seed of the config, so it takes no --seed
     p_mc = sub.add_parser("mc", help="Monte Carlo mean TV curve")
-    common(p_mc)
+    common(p_mc, seed_flag=False)
     p_mc.add_argument("--replicates", type=int, required=True)
     p_mc.set_defaults(func=cmd_mc)
 

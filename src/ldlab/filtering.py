@@ -200,14 +200,12 @@ def _maybe_resample(state, cfg, rng):
     return state
 
 
-def grid_kernel(model, nodes, tgt=None):
+def grid_kernel(model, nodes, tgt):
     """K[i, j] = q(x_j, t_i): transition density from source node j into
-    target node t_i. With ``tgt`` omitted the kernel is square on ``nodes``.
+    target node t_i.
 
     One N x M array holds the offsets t_i - f(x_j), their log density and the
     density in turn."""
-    if tgt is None:
-        tgt = nodes
     u = np.subtract.outer(tgt, np.asarray(model.f(nodes), dtype=float))
     return np.exp(model.state_noise.log_kernel(nodes, u), out=u)
 
@@ -215,11 +213,10 @@ def grid_kernel(model, nodes, tgt=None):
 def noise_tail_radius(noise, eta=1e-12):
     """Radius beyond which the state-noise density is below eta times its peak.
 
-    For dependent noise the envelope sandwich turns the psi tail radius at
-    eta * mu_minus / mu_plus into a uniform-in-x radius.
+    The envelope sandwich turns the psi tail radius at eta * mu_minus /
+    mu_plus into a uniform-in-x radius; for i.i.d. noise (psi = gamma,
+    mu_minus = mu_plus = 1) that is the radius of gamma at eta itself.
     """
-    if noise.kind == "iid":
-        return noise.density.delta_for_tail_ratio(eta)
     return noise.psi.delta_for_tail_ratio(eta * noise.mu_minus / noise.mu_plus)
 
 
@@ -256,11 +253,8 @@ def filter_step(model, state, y, cfg, rng):
 
 
 def _propagate_particles(model, positions, rng):
-    noise = model.state_noise
     f_vals = np.asarray(model.f(positions), dtype=float)
-    if noise.kind == "iid":
-        return f_vals + noise.density.sample(rng, size=len(positions))
-    return f_vals + noise.sampler_vec(rng, positions)
+    return f_vals + model.state_noise.sampler_vec(rng, positions)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ The continuous model is
 
 with ``f`` Lipschitz (constant ``f_lip``) and ``h`` invertible (``h_inverse``),
 admitting the preimage inequality |x1 - x2| <= h_b |y1 - y2| whenever
-h(x_i) = y_i. State noise is either i.i.d. with density ``gamma`` or
-conditionally dependent, q(x, u), sandwiched by
-mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u). Observation noise has
-everywhere-positive density ``v``.
+h(x_i) = y_i. State noise has conditional density q(x, u), sandwiched by
+mu_minus * psi(u) <= q(x, u) <= mu_plus * psi(u); i.i.d. noise with density
+``gamma`` is the case psi = gamma, mu_minus = mu_plus = 1. Observation noise
+has everywhere-positive density ``v``.
 
 All model objects are immutable; every simulation call owns the RNG
 ``default_rng([seed, 0])``, so replays are byte-exact.
@@ -28,40 +28,14 @@ from .errors import ModelValidationError
 
 
 @dataclass(frozen=True)
-class IidNoise:
-    """Independent additive state noise with density ``density``."""
-
-    density: object
-
-    kind = "iid"
-
-    def logpdf(self, x, u):
-        # conditional density does not depend on x
-        return self.density.logpdf(u)
-
-    def log_kernel(self, xs, u):
-        return self.density.logpdf(u, out=u)
-
-    def sample(self, rng, x):
-        return self.density.sample(rng)
-
-    def log_radial_min(self, r):
-        return self.density.log_radial_min(r)
-
-    def log_radial_max(self, r):
-        return self.density.log_radial_max(r)
-
-
-@dataclass(frozen=True)
-class DependentNoise:
-    """State-dependent noise q(x, u) with envelope density ``psi``.
+class StateNoise:
+    """State noise q(x, u) with envelope density ``psi``.
 
     ``log_kernel(xs, u)`` is the one definition of log q: ``u`` has one column
     per source node, and the call overwrites ``u[i, j]`` with
     ``log q(xs[j], u[i, j])`` and returns ``u``. ``logpdf(x, u)`` is its
     one-column case, so the grid kernel and the phi rule evaluate q the same
-    way. Both noise kinds share ``log_kernel``, so
-    ``IidNoise.log_kernel`` ignores ``xs``.
+    way.
 
     Each family brings its own direct samplers: ``sampler(rng, x)`` draws
     one zeta given x, ``sampler_vec(rng, xs)`` one per entry of ``xs``.
@@ -73,8 +47,6 @@ class DependentNoise:
     mu_plus: float
     sampler: Callable
     sampler_vec: Callable
-
-    kind = "dependent"
 
     def __post_init__(self):
         if not (0.0 < self.mu_minus <= self.mu_plus):
@@ -92,6 +64,19 @@ class DependentNoise:
 
     def log_radial_max(self, r):
         return math.log(self.mu_plus) + self.psi.log_radial_max(r)
+
+
+def iid_noise(density):
+    """I.i.d. state noise with density ``density``: the case psi = density,
+    mu_minus = mu_plus = 1, whose kernel and draws ignore the state."""
+    return StateNoise(
+        log_kernel=lambda xs, u: density.logpdf(u, out=u),
+        psi=density,
+        mu_minus=1.0,
+        mu_plus=1.0,
+        sampler=lambda rng, x: density.sample(rng),
+        sampler_vec=lambda rng, xs: density.sample(rng, size=len(xs)),
+    )
 
 
 @dataclass(frozen=True)

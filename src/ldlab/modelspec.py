@@ -11,8 +11,11 @@ stay serializable and hashes stay stable. The drift's Lipschitz constant is
 its family's exact analytic value (identity 1, affine |c1|, the
 sine-perturbed affine map |c1| + |amp*freq|), so a spec cannot set it. The
 observation map is ``identity`` or ``affine``, whose exact inverse gives the
-preimage constant b = 1/|c1|. Every object of a spec is checked
-field by field: an unknown field is an error, not a setting silently ignored.
+preimage constant b = 1/|c1|. Both kinds of state noise, ``iid`` and
+``scaled_t``, build one ``models.StateNoise``; the model kind's checks read
+the kind and density family declared in the spec. Every object of a spec
+is checked field by field: an unknown field is an error, not a setting
+silently ignored.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ import math
 
 import numpy as np
 
-from .densities import GaussianDensity, StudentTDensity, density_from_spec, student_t_logpdf
+from .densities import StudentTDensity, density_from_spec, student_t_logpdf
 from .errors import ConfigError, check_family, check_fields
-from .models import DependentNoise, IidNoise, StateSpaceModel
+from .models import StateNoise, StateSpaceModel, iid_noise
 
 
-# the fields of each map type, each state noise kind and the model itself
+# the fields of each map type, each kind of state noise and the model itself
 _MAP_FIELDS = {
     "identity": {"type"},
     "affine": {"type", "c0", "c1"},
@@ -91,13 +94,14 @@ def _scaled_t_noise(spec):
     def sampler_vec(rng, xs):
         return (s0 + s1 * np.sin(xs)) * rng.standard_t(df, size=len(xs))
 
-    return DependentNoise(log_kernel=log_kernel, psi=psi, mu_minus=mu_minus, mu_plus=mu_plus,
-                          sampler=sampler, sampler_vec=sampler_vec)
+    return StateNoise(log_kernel=log_kernel, psi=psi, mu_minus=mu_minus, mu_plus=mu_plus,
+                      sampler=sampler, sampler_vec=sampler_vec)
 
 
 def _state_noise_from_spec(spec):
+    """One StateNoise; ``iid`` is the case psi = density, mu_minus = mu_plus = 1."""
     if check_family(spec, "kind", _NOISE_FIELDS, "state noise", default="iid") == "iid":
-        return IidNoise(density=density_from_spec(spec["density"]))
+        return iid_noise(density_from_spec(spec["density"]))
     return _scaled_t_noise(spec)
 
 
@@ -110,14 +114,19 @@ def model_from_spec(spec):
     h, h_lip, h_inverse = _map_from_spec(spec.get("h", {"type": "identity"}))
     if h_inverse is None:
         raise ConfigError("the observation map must be invertible: 'identity' or 'affine'")
-    state_noise = _state_noise_from_spec(spec.get("state_noise", {"kind": "iid", "density": {"family": "gaussian", "sigma": 1.0}}))
-    obs_noise = density_from_spec(spec.get("obs_noise", {"family": "gaussian", "sigma": 1.0}))
+    noise_spec = spec.get("state_noise", {"kind": "iid", "density": {"family": "gaussian", "sigma": 1.0}})
+    state_noise = _state_noise_from_spec(noise_spec)
+    obs_spec = spec.get("obs_noise", {"family": "gaussian", "sigma": 1.0})
+    obs_noise = density_from_spec(obs_spec)
+    # both checks read the declared families: a scaled_t noise with s1 = 0 has
+    # mu_minus = mu_plus = 1 and is still a dependent_noise model
+    iid = noise_spec.get("kind", "iid") == "iid"
     if kind == "linear_gaussian":
-        if not isinstance(state_noise, IidNoise) or not isinstance(state_noise.density, GaussianDensity):
+        if not (iid and noise_spec["density"]["family"] == "gaussian"):
             raise ConfigError("linear_gaussian requires iid gaussian state noise")
-        if not isinstance(obs_noise, GaussianDensity):
+        if obs_spec["family"] != "gaussian":
             raise ConfigError("linear_gaussian requires gaussian observation noise")
-    if kind == "dependent_noise" and isinstance(state_noise, IidNoise):
+    if kind == "dependent_noise" and iid:
         raise ConfigError("dependent_noise model declared with iid state noise")
     # an affine h (identity included) has the exact preimage constant b = 1/|c1|
     return StateSpaceModel(

@@ -352,6 +352,15 @@ def test_a_negative_seed_flag_is_a_config_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_mc_takes_no_seed_flag(tmp_path):
+    # mc runs the config's seeds; a --seed it would ignore is a usage error
+    r = _run("mc", "--preset", "finite-oracle", "--replicates", "2", "--seed", "7",
+             "--out", str(tmp_path / "mc"), cwd=tmp_path)
+    assert r.returncode == 2
+    assert "unrecognized arguments: --seed 7" in r.stderr
+    assert not (tmp_path / "mc").exists()
+
+
 def test_version_flag(tmp_path):
     r = _run("--version", cwd=tmp_path)
     assert r.returncode == 0

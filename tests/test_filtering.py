@@ -222,12 +222,11 @@ def test_grid_kernel_is_bitwise_the_column_by_column_kernel(noise):
     src = np.linspace(-7.3, 6.1, 512)
     f_vals = np.asarray(model.f(src), dtype=float)
     # square, fewer target than source nodes, more target than source nodes
-    for tgt in (None, np.linspace(-9.0, 8.5, 151), np.linspace(-2.0, 3.0, 257)):
-        t = src if tgt is None else tgt
-        ref = np.stack([np.exp(model.state_noise.logpdf(x, t - fx))
+    for tgt in (src, np.linspace(-9.0, 8.5, 151), np.linspace(-2.0, 3.0, 257)):
+        ref = np.stack([np.exp(model.state_noise.logpdf(x, tgt - fx))
                         for x, fx in zip(src, f_vals)], axis=1)
         K = grid_kernel(model, src, tgt)
-        assert K.shape == (len(t), len(src))
+        assert K.shape == (len(tgt), len(src))
         assert np.array_equal(K, ref)
 
 

@@ -1,20 +1,21 @@
-"""State-space and finite models, noise wrappers, trajectory simulation."""
+"""State-space and finite models, state noise, trajectory simulation."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ldlab.densities import GaussianDensity
+from ldlab.densities import GaussianDensity, StudentTDensity
 from ldlab.dists import PointMassPrior
 from ldlab.errors import ModelValidationError
+from ldlab.filtering import noise_tail_radius
 from ldlab.models import (
     FiniteModel,
-    IidNoise,
     MisspecifiedTruth,
     Trajectory,
     finite_model_make,
     gaussian_finite_model,
+    iid_noise,
     loglik,
     make_misspecified_truth,
     simulate_finite,
@@ -37,12 +38,24 @@ def _rw_model(sigma_state=1.0, sigma_obs=1.0):
 
 
 def test_iid_noise_wraps_density():
-    noise = IidNoise(GaussianDensity(sigma=2.0))
-    # conditional form, but an iid wrapper ignores the state argument
-    assert noise.logpdf(3.0, 0.0) == pytest.approx(math.log(0.3989422804014327 / 2.0))
-    assert noise.logpdf(-1.0, 0.0) == noise.logpdf(99.0, 0.0)
-    rng = np.random.default_rng(3)
-    assert np.isfinite(noise.sample(rng, x=0.0))
+    # psi = density and mu_minus = mu_plus = 1: every value and draw is the density's
+    us = np.linspace(-40.0, 40.0, 801)
+    xs = np.linspace(-5.0, 5.0, 7)
+    rs = np.linspace(0.0, 30.0, 301)
+    for density in (GaussianDensity(sigma=2.0), StudentTDensity(df=3.5, scale=1.3)):
+        noise = iid_noise(density)
+        assert noise.psi is density and noise.mu_minus == noise.mu_plus == 1.0
+        u = np.subtract.outer(us, xs)
+        assert np.array_equal(noise.log_kernel(xs, u.copy()), density.logpdf(u))
+        for x in (-3.0, 0.0, 99.0):
+            assert np.array_equal(noise.logpdf(x, us), density.logpdf(us))
+            assert noise.logpdf(x, 1.5) == density.logpdf(1.5)
+        assert np.array_equal(noise.log_radial_min(rs), density.log_radial_min(rs))
+        assert np.array_equal(noise.log_radial_max(rs), density.log_radial_max(rs))
+        assert noise_tail_radius(noise, 1e-12) == density.delta_for_tail_ratio(1e-12)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert [noise.sample(a, x) for x in xs] == [density.sample(b) for _ in xs]
+        assert np.array_equal(noise.sampler_vec(a, xs), density.sample(b, size=len(xs)))
 
 
 def test_simulate_trajectory_is_reproducible_and_consistent():

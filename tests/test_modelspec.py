@@ -108,6 +108,16 @@ def test_kind_validation():
         })
 
 
+def test_constant_scale_scaled_t_is_still_dependent_noise():
+    # s1 = 0 gives mu_minus = mu_plus = 1, as i.i.d. noise has; the kind checks
+    # read the declared noise, so this stays a valid dependent_noise model
+    m = model_from_spec({
+        "kind": "dependent_noise",
+        "state_noise": {"kind": "scaled_t", "df": 4.0, "s0": 1.5, "s1": 0.0},
+    })
+    assert m.state_noise.mu_minus == m.state_noise.mu_plus == 1.0
+
+
 def test_scaled_t_envelopes_cover_grid():
     m = model_from_spec({
         "kind": "dependent_noise",
